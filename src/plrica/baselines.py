@@ -123,8 +123,8 @@ def homl_estimate(resid_y, resid_t, t_fn="cube") -> tuple[EffectEstimate, Moment
     if ry.shape != rt.shape or ry.ndim != 1 or ry.size < 2:
         raise BaselineError("residual vectors must be equal-length 1-d with >= 2 entries")
     n = ry.size
-    ts = con.t(rt)
-    psi = ts - ts.mean() - rt * con.tprime(rt).mean()
+    ts, tp_mean = con.evaluate(rt)
+    psi = ts - ts.mean() - rt * tp_mean
     prods = rt * psi
     denominator = float(prods.mean())
     se = float(prods.std(ddof=1) / math.sqrt(n))

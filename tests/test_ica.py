@@ -19,8 +19,10 @@ from plrica import (
     resolve,
     simulate,
     stationarity_residual,
+    sym_eig,
     whiten,
 )
+from plrica.ica import _sym_decorrelation
 
 
 def laplace_spec(p=2, m=1, theta=(3.0,)):
@@ -52,25 +54,80 @@ class TestContrasts:
         assert set(CONTRASTS) == {"logcosh", "exp", "cube"}
 
     def test_logcosh_derivative_pair(self):
-        con = get_contrast("logcosh")
         u = np.linspace(-3, 3, 11)
-        assert np.allclose(con.t(u), np.tanh(u))
-        assert np.allclose(con.tprime(u), 1 - np.tanh(u) ** 2)
+        g, gp = get_contrast("logcosh").evaluate(u)
+        assert np.allclose(g, np.tanh(u))
+        assert gp == pytest.approx(np.mean(1 - np.tanh(u) ** 2), rel=1e-14)
 
     def test_cube(self):
-        con = get_contrast("cube")
-        u = np.array([2.0])
-        assert con.t(u)[0] == 8.0
-        assert con.tprime(u)[0] == 12.0
+        g, gp = get_contrast("cube").evaluate(np.array([2.0]))
+        assert g[0] == 8.0
+        assert gp == 12.0
 
     def test_exp_at_zero(self):
-        con = get_contrast("exp")
-        assert con.t(np.zeros(1))[0] == 0.0
-        assert con.tprime(np.zeros(1))[0] == 1.0
+        g, gp = get_contrast("exp").evaluate(np.zeros(1))
+        assert g[0] == 0.0
+        assert gp == 1.0
+
+    @pytest.mark.parametrize("name", sorted(CONTRASTS))
+    def test_means_per_column_and_scalar_for_1d(self, name):
+        con = get_contrast(name)
+        s = np.random.default_rng(7).standard_normal((200, 3))
+        g, gp = con.evaluate(s)
+        assert g.shape == s.shape and gp.shape == (3,)
+        for j in range(3):
+            gj, gpj = con.evaluate(s[:, j])
+            assert np.ndim(gpj) == 0
+            assert np.array_equal(gj, g[:, j])
+            assert gpj == pytest.approx(gp[j], rel=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(CONTRASTS))
+    def test_mean_gprime_matches_finite_difference(self, name):
+        con = get_contrast(name)
+        u = np.linspace(-3, 3, 61)
+        h = 1e-5
+        fd = (con.evaluate(u + h)[0] - con.evaluate(u - h)[0]) / (2 * h)
+        pointwise = np.array([con.evaluate(np.array([x]))[1] for x in u])
+        assert np.allclose(pointwise, fd, rtol=1e-7, atol=1e-8)
+        assert con.evaluate(u)[1] == pytest.approx(fd.mean(), rel=1e-7)
+
+    @pytest.mark.parametrize("name", sorted(CONTRASTS))
+    def test_input_unchanged(self, name):
+        s = np.random.default_rng(8).standard_normal((50, 4))
+        before = s.copy()
+        s.flags.writeable = False
+        get_contrast(name).evaluate(s)
+        assert np.array_equal(s, before)
 
     def test_unknown(self):
         with pytest.raises(IcaError):
             get_contrast("quartic")
+
+
+def _two_pass_parallel(z, contrast, tol, max_iter, w):
+    """Reference parallel iteration with separate t and t' calls per step
+    and decorrelation through sym_eig; the fused loop in fastica must
+    follow it up to rounding."""
+    t, tprime = {
+        "logcosh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
+        "exp": (lambda u: u * np.exp(-0.5 * u * u), lambda u: (1.0 - u * u) * np.exp(-0.5 * u * u)),
+        "cube": (lambda u: u**3, lambda u: 3.0 * u * u),
+    }[contrast]
+
+    def decorrelate(m):
+        vals, vecs = sym_eig(m @ m.T)
+        return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ m
+
+    n = z.shape[0]
+    w = decorrelate(w)
+    for it in range(1, max_iter + 1):
+        s = z @ w.T
+        w1 = decorrelate((t(s).T @ z) / n - tprime(s).mean(axis=0)[:, None] * w)
+        lim = np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0))
+        w = w1
+        if lim < tol:
+            return w, it
+    return w, it
 
 
 class TestFastIca:
@@ -95,6 +152,22 @@ class TestFastIca:
         z, _, _ = whiten(ds.columns)
         with pytest.raises(IcaError):
             fastica(z, mode="sequential")
+
+    @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
+    def test_fused_loop_matches_two_pass_reference(self, contrast):
+        ds = simulate(laplace_spec(p=3), 2000, seed=11)
+        z, _, _ = whiten(ds.columns)
+        res = fastica(z, contrast=contrast, tol=1e-8, seed=4)
+        w0 = np.random.default_rng(4).standard_normal((z.shape[1], z.shape[1]))
+        w_ref, iters_ref = _two_pass_parallel(z, contrast, 1e-8, 1000, w0)
+        assert res.converged
+        assert res.iterations == iters_ref
+        assert np.max(np.abs(res.w_rotation - w_ref)) <= 1e-10
+
+    def test_rank_one_candidate_raises(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(IcaError, match="rank deficient"):
+            _sym_decorrelation(np.outer(rng.standard_normal(5), rng.standard_normal(5)))
 
     def test_stationarity_at_fixed_point(self):
         ds = simulate(laplace_spec(), 5000, seed=3)
