@@ -150,7 +150,10 @@ def homl_estimate(resid_y, resid_t, t_fn="cube") -> tuple[EffectEstimate, Moment
     return estimate, moment
 
 
-def _single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter):
+def single_treatment_residuals(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
+                               tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-fitted (outcome, treatment) residuals for one treatment, the
+    input both oml_estimate and homl_estimate take."""
     if dataset.m != 1:
         raise BaselineError("residual-based baselines handle one treatment; use ols_joint")
     fit = fit_nuisance(dataset, lambda_scale=lambda_scale, folds=folds, tol=tol, max_iter=max_iter)
@@ -162,7 +165,7 @@ def _single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter):
 def estimate_oml(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
                  tol: float = 1e-4, max_iter: int = 1000) -> EffectEstimate:
     """Cross-fitted residual-on-residual estimate for one treatment."""
-    ry, rt = _single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    ry, rt = single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
     return oml_estimate(ry, rt)
 
 
@@ -174,7 +177,7 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     Returns the estimate together with the moment-denominator health report;
     callers that only need the point estimate can discard the second element.
     """
-    ry, rt = _single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    ry, rt = single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
     return homl_estimate(ry, rt, t_fn=t_fn)
 
 

@@ -246,18 +246,6 @@ class NoiseSpec:
         return const - np.abs(u) ** b
 
 
-def log_density(spec: NoiseSpec, x) -> np.ndarray:
-    return spec.log_density(x)
-
-
-def moments(spec: NoiseSpec) -> MomentReport:
-    return spec.moments()
-
-
-def sample(spec: NoiseSpec, size, rng) -> np.ndarray:
-    return spec.sample(size, rng)
-
-
 def homl_condition_value(spec: NoiseSpec) -> float:
     """E[z t(z)] - E[t'(z)] for the cubic contrast on the standardized
     variable. Zero means the orthogonal higher-moment score degenerates."""

@@ -10,6 +10,7 @@ digest ignores only the wall-clock column.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import math
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baselines import estimate_homl, estimate_oml, ols_joint
+from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
 from .dgp import NONLINEARITY_NAMES, Dataset, PlrSpec, multi_treatment_theta, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, estimate_ica
@@ -300,17 +301,14 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
 
 
 def _estimate_for_method(method: str, dataset: Dataset, config: ScenarioConfig,
-                         cell: dict, ica_seed):
+                         cell: dict, ica_seed, residuals):
     if method == "ica":
         return estimate_ica(dataset, contrast=cell["contrast"], tol=config.tol,
                             max_iter=config.max_iter, mode=config.ica_mode, seed=ica_seed)
     if method == "oml":
-        return estimate_oml(dataset, lambda_scale=config.lambda_scale, folds=config.folds,
-                            tol=config.tol, max_iter=config.max_iter)
+        return oml_estimate(*residuals())
     if method == "homl":
-        estimate, _ = estimate_homl(dataset, lambda_scale=config.lambda_scale,
-                                    folds=config.folds, tol=config.tol,
-                                    max_iter=config.max_iter)
+        estimate, _ = homl_estimate(*residuals())
         return estimate
     return ols_joint(dataset)
 
@@ -324,11 +322,20 @@ def _record_beta(cell: dict, spec: PlrSpec) -> Optional[float]:
 
 
 def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list[ResultRecord]:
-    """One simulated dataset, every configured method."""
+    """One simulated dataset, every configured method.
+
+    oml and homl share one cross-fitted nuisance fit per dataset (neither
+    writes into the residual arrays), so the wall_ms of whichever runs
+    first includes that fit. A fit that raises is retried by the next
+    residual method, so each gets its own nan record with the reason.
+    """
     seed = cell_seed(config.scenario, cell, index)
     data_seq, ica_seq = np.random.SeedSequence(seed).spawn(2)
     spec = spec_for_cell(config, cell)
     dataset = simulate(spec, cell["n"], data_seq)
+    residuals = functools.cache(lambda: single_treatment_residuals(
+        dataset, lambda_scale=config.lambda_scale, folds=config.folds,
+        tol=config.tol, max_iter=config.max_iter))
     truth = dataset.ground_truth.theta
     resolved = dataset.ground_truth.spec
     scenario_id = scenario_id_for_cell(config, cell)
@@ -337,7 +344,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
         start = time.perf_counter()
         notes = ""
         try:
-            est = _estimate_for_method(method, dataset, config, cell, ica_seq)
+            est = _estimate_for_method(method, dataset, config, cell, ica_seq, residuals)
             theta_hat = np.atleast_1d(np.asarray(est.theta_hat, dtype=float))
             converged = est.diagnostics.converged
             notes = est.diagnostics.notes
@@ -717,7 +724,7 @@ def _as_tuple(value) -> tuple:
     return tuple(value) if isinstance(value, list) else (value,)
 
 
-def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None, p: Optional[int] = None) -> PlrSpec:
+def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
     """PlrSpec from flat config keys, on top of an optional template."""
     unknown = set(overrides) - set(_SPEC_KEYS) - {"p"}
     if unknown:
@@ -739,7 +746,7 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None, p: Optional[
         theta = multi_treatment_theta(m)
     try:
         return PlrSpec(
-            p=int(overrides.get("p", p if p is not None else base.p)),
+            p=int(overrides.get("p", base.p)),
             m=m,
             theta=theta,
             nuisance=str(overrides.get("nuisance", base.nuisance)),
@@ -761,21 +768,13 @@ def spec_from_config(source) -> PlrSpec:
     return build_plr_spec(d)
 
 
-def scenario_from_config(source) -> ScenarioConfig:
-    """ScenarioConfig from config text or a parsed dict.
+def _apply_keys(config: ScenarioConfig, keys: dict) -> None:
+    """Set parsed scenario keys on config in place.
 
-    The `scenario` key picks a registered template (see BUILTIN_SCENARIOS;
-    default `custom`); every other key overrides that template. Unknown
-    keys are errors, never silently ignored.
+    Process keys rebuild config.plr through build_plr_spec with the current
+    template as base; `label` renames the scenario; the rest set fields.
     """
-    d = dict(parse_config_text(source)) if isinstance(source, str) else dict(source)
-    name = str(d.pop("scenario", "custom"))
-    if name not in BUILTIN_SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
-        )
-    config = BUILTIN_SCENARIOS[name]()
-    label = str(d.pop("label", config.scenario))
+    d = dict(keys)
     spec_overrides = {k: d.pop(k) for k in list(d) if k in _SPEC_KEYS}
     kwargs: dict = {}
     for key in list(d):
@@ -791,169 +790,110 @@ def scenario_from_config(source) -> ScenarioConfig:
         known = sorted(set(("scenario",) + _INT_LIST_KEYS + _FLOAT_LIST_KEYS
                            + _STR_LIST_KEYS + tuple(_SCALAR_KEYS) + _SPEC_KEYS))
         raise ConfigError(f"unknown config keys {sorted(d)}; expected a subset of {known}")
-    plr = build_plr_spec(spec_overrides, base=config.plr) if spec_overrides else config.plr
+    if spec_overrides:
+        config.plr = build_plr_spec(spec_overrides, base=config.plr)
+    if "label" in kwargs:
+        kwargs["scenario"] = kwargs.pop("label")
     for key, value in kwargs.items():
         setattr(config, key, value)
-    config.plr = plr
-    config.scenario = label
+
+
+def scenario_from_config(source) -> ScenarioConfig:
+    """ScenarioConfig from config text or a parsed dict.
+
+    The `scenario` key picks a builtin (see BUILTIN_SCENARIOS; default
+    `custom`). Its text is applied over the ScenarioConfig field defaults
+    and build_plr_spec's default process, then every other key is applied
+    on top the same way. Unknown keys are errors, never silently ignored.
+    """
+    d = dict(parse_config_text(source)) if isinstance(source, str) else dict(source)
+    name = str(d.pop("scenario", "custom"))
+    if name not in BUILTIN_SCENARIOS:
+        raise ConfigError(
+            f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
+        )
+    config = ScenarioConfig(scenario=name, plr=build_plr_spec({}))
+    _apply_keys(config, parse_config_text(BUILTIN_SCENARIOS[name]))
+    _apply_keys(config, d)
     config.validate()
     return config
 
 
 # ------------------------------------------------------ builtin scenarios
 
+# The paper's figure grids as config text. Keys not set here keep the
+# ScenarioConfig field defaults and build_plr_spec's default process: p =
+# 10, theta = 3, gennorm(1) covariates, three-point treatment noise,
+# uniform outcome noise, sparsity_keep_prob = 0.4.
+_LAPLACE = """
+noise_x = laplace
+noise_t = laplace
+noise_y = laplace
+"""
 
-def _linear_benchmark_spec(p: int = 10, beta: float = 1.0, theta: float = 3.0,
-                           tie_ab: bool = False) -> PlrSpec:
-    return PlrSpec(
-        p=p, m=1, theta=[theta],
-        noise_x=NoiseSpec.generalized_normal(beta),
-        noise_t=NoiseSpec.three_point(),
-        noise_y=NoiseSpec.uniform(),
-        sparsity_keep_prob=0.4,
-        tie_ab=tie_ab,
-    )
-
-
-def _laplace_spec(p: int = 10, m: int = 1, nuisance: str = "linear") -> PlrSpec:
-    return PlrSpec(
-        p=p, m=m, theta=multi_treatment_theta(m),
-        nuisance=nuisance,
-        noise_x=NoiseSpec.laplace(),
-        noise_t=NoiseSpec.laplace(),
-        noise_y=NoiseSpec.laplace(),
-        sparsity_keep_prob=0.4 if nuisance == "linear" else 1.0,
-    )
-
-
-def _fig2_linear_homl():
-    return ScenarioConfig(
-        scenario="fig2_linear_homl",
-        plr=_linear_benchmark_spec(),
-        beta_values=(1.0,),
-        methods=("ica", "oml", "homl"),
-    )
-
-
-def _fig2_right_variance():
-    return ScenarioConfig(
-        scenario="fig2_right_variance",
-        plr=_linear_benchmark_spec(p=10, theta=1.0),
-        sample_sizes=(10_000,),
-        covariate_dims=(10,),
-        coefficient_values=(0.0, 0.25, 0.5, 0.75, 1.0),
-        seeds=50,
-        methods=("ica", "homl"),
-    )
-
-
-def _fig3_left_multi():
-    return ScenarioConfig(
-        scenario="fig3_left_multi",
-        plr=_laplace_spec(),
-        sample_sizes=(5000,),
-        treatment_counts=(1, 2, 5),
-        methods=("ica", "ols"),
-    )
-
-
-def _fig3_right_nonlinear():
-    return ScenarioConfig(
-        scenario="fig3_right_nonlinear",
-        plr=PlrSpec(p=10, m=1, theta=[1.55], nuisance="tanh",
-                    noise_x=NoiseSpec.laplace(), noise_t=NoiseSpec.laplace(),
-                    noise_y=NoiseSpec.laplace()),
-        sample_sizes=(5000,),
-        nonlinearities=("relu", "leaky_relu", "sigmoid", "tanh"),
-        methods=("ica",),
-    )
-
-
-def _appE_contrast():
-    return ScenarioConfig(
-        scenario="appE_contrast",
-        plr=_linear_benchmark_spec(p=50),
-        sample_sizes=(5000,),
-        covariate_dims=(50,),
-        contrasts=("logcosh", "exp", "cube"),
-        methods=("ica",),
-    )
-
-
-def _appE_sparsity():
-    return ScenarioConfig(
-        scenario="appE_sparsity",
-        plr=_linear_benchmark_spec(p=50),
-        sample_sizes=(5000,),
-        covariate_dims=(50,),
-        sparsity_levels=(0.2, 0.4, 0.6, 0.8, 1.0),
-        methods=("ica",),
-    )
-
-
-def _appE_locscale():
-    return ScenarioConfig(
-        scenario="appE_locscale",
-        plr=_laplace_spec(p=50),
-        sample_sizes=(5000,),
-        covariate_dims=(50,),
-        locations=(0.0, 1.0, 2.0, 4.0),
-        scales=(0.5, 1.0, 2.0, 4.0),
-        methods=("ica",),
-    )
-
-
-def _appE_slopes():
-    return ScenarioConfig(
-        scenario="appE_slopes",
-        plr=_laplace_spec(nuisance="leaky_relu"),
-        sample_sizes=(5000,),
-        leaky_slopes=(0.01, 0.1, 0.2, 0.5),
-        methods=("ica",),
-    )
-
-
-def _appF_robustness():
-    return ScenarioConfig(
-        scenario="appF_robustness",
-        plr=_linear_benchmark_spec(tie_ab=True),
-        methods=("ica", "oml", "homl"),
-    )
-
-
-def _default_test():
-    return ScenarioConfig(
-        scenario="default_test",
-        plr=PlrSpec(p=2, m=1, theta=[3.0],
-                    noise_x=NoiseSpec.laplace(), noise_t=NoiseSpec.laplace(),
-                    noise_y=NoiseSpec.laplace()),
-        sample_sizes=(200, 500),
-        covariate_dims=(2,),
-        seeds=3,
-        methods=("ica", "oml", "homl", "ols"),
-    )
-
-
-def _custom():
-    return ScenarioConfig(
-        scenario="custom",
-        plr=_linear_benchmark_spec(),
-        sample_sizes=(1000,),
-        covariate_dims=(10,),
-        methods=("ica",),
-    )
-
-
-BUILTIN_SCENARIOS = {
-    "fig2_linear_homl": _fig2_linear_homl,
-    "fig2_right_variance": _fig2_right_variance,
-    "fig3_left_multi": _fig3_left_multi,
-    "fig3_right_nonlinear": _fig3_right_nonlinear,
-    "appE_contrast": _appE_contrast,
-    "appE_sparsity": _appE_sparsity,
-    "appE_locscale": _appE_locscale,
-    "appE_slopes": _appE_slopes,
-    "appF_robustness": _appF_robustness,
-    "default_test": _default_test,
-    "custom": _custom,
+BUILTIN_SCENARIOS: dict[str, str] = {
+    "fig2_linear_homl": """
+        beta_values = [1.0]
+        methods = [ica, oml, homl]
+    """,
+    "fig2_right_variance": """
+        theta = 1.0
+        sample_sizes = [10000]
+        covariate_dims = [10]
+        coefficient_values = [0.0, 0.25, 0.5, 0.75, 1.0]
+        seeds = 50
+        methods = [ica, homl]
+    """,
+    "fig3_left_multi": _LAPLACE + """
+        theta = 1.55
+        sample_sizes = [5000]
+        treatment_counts = [1, 2, 5]
+        methods = [ica, ols]
+    """,
+    "fig3_right_nonlinear": _LAPLACE + """
+        theta = 1.55
+        nuisance = tanh
+        sparsity_keep_prob = 1.0
+        sample_sizes = [5000]
+        nonlinearities = [relu, leaky_relu, sigmoid, tanh]
+    """,
+    "appE_contrast": """
+        sample_sizes = [5000]
+        covariate_dims = [50]
+        contrasts = [logcosh, exp, cube]
+    """,
+    "appE_sparsity": """
+        sample_sizes = [5000]
+        covariate_dims = [50]
+        sparsity_levels = [0.2, 0.4, 0.6, 0.8, 1.0]
+    """,
+    "appE_locscale": _LAPLACE + """
+        theta = 1.55
+        sample_sizes = [5000]
+        covariate_dims = [50]
+        locations = [0.0, 1.0, 2.0, 4.0]
+        scales = [0.5, 1.0, 2.0, 4.0]
+    """,
+    "appE_slopes": _LAPLACE + """
+        theta = 1.55
+        nuisance = leaky_relu
+        sparsity_keep_prob = 1.0
+        sample_sizes = [5000]
+        leaky_slopes = [0.01, 0.1, 0.2, 0.5]
+    """,
+    "appF_robustness": """
+        tie_ab = true
+        methods = [ica, oml, homl]
+    """,
+    "default_test": _LAPLACE + """
+        sparsity_keep_prob = 1.0
+        sample_sizes = [200, 500]
+        covariate_dims = [2]
+        seeds = 3
+        methods = [ica, oml, homl, ols]
+    """,
+    "custom": """
+        sample_sizes = [1000]
+        covariate_dims = [10]
+    """,
 }

@@ -1,16 +1,14 @@
 """Dense numeric kernels shared by the estimators.
 
-Symmetric eigendecomposition, linear solves, a cyclic coordinate-descent
-lasso, and minimum-cost assignment. Everything operates on float64 arrays
-and is a pure function of its inputs.
+Symmetric eigendecomposition, a cyclic coordinate-descent lasso, and
+minimum-cost assignment. Everything operates on float64 arrays and is a
+pure function of its inputs.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 
@@ -20,13 +18,6 @@ class KernelError(ValueError):
 
 class NotSymmetricError(KernelError):
     """Input matrix is not symmetric within tolerance."""
-
-
-class SingularMatrixError(KernelError):
-    """A pivot fell below the singularity threshold."""
-
-
-PIVOT_TOL = 1e-12
 
 
 def _as_square(mat, name: str) -> np.ndarray:
@@ -57,27 +48,6 @@ def sym_eig(mat, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def solve_linear(mat, rhs, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Solve mat @ x = rhs by partial-pivot LU.
-
-    Raises SingularMatrixError when any pivot magnitude falls below
-    pivot_tol.
-    """
-    a = _as_square(mat, "mat")
-    b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise KernelError(f"rhs length {b.shape[0]} does not match matrix order {a.shape[0]}")
-    with warnings.catch_warnings():
-        # we do our own pivot check below
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a)
-    if np.min(np.abs(np.diag(lu))) < pivot_tol:
-        raise SingularMatrixError(
-            f"pivot below {pivot_tol:.1e}; matrix is singular to working precision"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b)
-
-
 def soft_threshold(value: float, threshold: float) -> float:
     """Soft-thresholding operator S(value, threshold)."""
     if value > threshold:
@@ -91,9 +61,7 @@ def soft_threshold(value: float, threshold: float) -> float:
 class LassoFit:
     """Lasso solution in original (unstandardized) coordinates.
 
-    weights/intercept predict via X @ weights + intercept. column_means,
-    column_scales and objective_path (one value per coordinate-descent
-    sweep, in standardized coordinates) are kept for diagnostics.
+    weights/intercept predict via X @ weights + intercept.
     """
 
     weights: np.ndarray
@@ -101,9 +69,6 @@ class LassoFit:
     lam: float
     converged: bool
     n_sweeps: int
-    objective_path: tuple[float, ...]
-    column_means: np.ndarray
-    column_scales: np.ndarray
 
     def predict(self, design) -> np.ndarray:
         x = np.asarray(design, dtype=float)
@@ -145,7 +110,6 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
     resid = y - y_mean
 
     w = np.zeros(p)
-    objective_path: list[float] = []
     converged = False
     sweeps = 0
     for _ in range(max_iter):
@@ -162,7 +126,6 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
                 resid += xs[:, j] * (w_old - w_new)
                 w[j] = w_new
                 max_delta = max(max_delta, abs(w_new - w_old))
-        objective_path.append(0.5 * float(resid @ resid) / n + lam * float(np.abs(w).sum()))
         if max_delta < tol:
             converged = True
             break
@@ -175,9 +138,6 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
         lam=float(lam),
         converged=converged,
         n_sweeps=sweeps,
-        objective_path=tuple(objective_path),
-        column_means=col_means,
-        column_scales=col_scales,
     )
 
 
@@ -185,12 +145,10 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
 class Assignment:
     """Minimum-cost bijection rows -> columns.
 
-    mapping[i] is the column matched to row i; cost is the sum of the
-    matched entries.
+    mapping[i] is the column matched to row i.
     """
 
     mapping: tuple[int, ...]
-    cost: float
 
     def inverse(self) -> tuple[int, ...]:
         """Row matched to each column."""
@@ -206,7 +164,4 @@ def hungarian(cost) -> Assignment:
     rows, cols = linear_sum_assignment(c)
     mapping = np.empty(c.shape[0], dtype=int)
     mapping[rows] = cols
-    return Assignment(
-        mapping=tuple(int(v) for v in mapping),
-        cost=float(c[rows, cols].sum()),
-    )
+    return Assignment(mapping=tuple(int(v) for v in mapping))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from plrica import (
-    BUILTIN_SCENARIOS,
     NoiseSpec,
     PlrSpec,
     assemble_unmixing,
@@ -28,11 +27,11 @@ from plrica import (
     homl_condition_value,
     ica_condition_value,
     metrics,
-    moments,
     multi_treatment_theta,
     ols_joint,
     resolve,
     run_scenario,
+    scenario_from_config,
     score_cross_derivative,
     simulate,
     var_ica_mixing,
@@ -182,7 +181,7 @@ def test_criterion_08_condition_values_coincide_exactly():
     for spec in specs:
         a = homl_condition_value(spec)
         b = ica_condition_value(spec)
-        kurt = moments(spec.standardized()).fourth_moment - 3.0
+        kurt = spec.standardized().moments().fourth_moment - 3.0
         ok = ok and (a == b) and abs(a - kurt) <= 1e-12
     _report(8, ok, "10 noise specs: higher-moment and separation conditions identical "
                    "(both the excess fourth moment)")
@@ -197,7 +196,7 @@ def test_criterion_09_variance_formula_calibration():
     for c in (0.0, 0.5, 1.0):
         spec = PlrSpec(p=1, m=1, theta=[1.0], a_block=[[c]], b_block=[c],
                        noise_x=LAPLACE, noise_t=noise_t, noise_y=LAPLACE)
-        reps = [moments(noise) for noise in spec.effective_noises()]
+        reps = [noise.moments() for noise in spec.effective_noises()]
         predicted.append(float(var_ica_mixing([[c]], [c], [1.0], *reps)[0]))
         theta_hats = []
         for s in range(seeds):
@@ -222,7 +221,7 @@ def test_criterion_10_numerator_gap_matches_monte_carlo():
     ok, details = True, []
     for noise in (NoiseSpec.laplace().standardized(), NoiseSpec.uniform(),
                   NoiseSpec.three_point()):
-        rep = moments(noise)
+        rep = noise.moments()
         closed = (rep.e_tprime - rep.e_eta_t) ** 2 - rep.e_t**2
         draws = noise.sample(1_000_000, rng)
         t = draws**3
@@ -256,7 +255,7 @@ def test_criterion_11_score_cross_derivative_returns_theta():
 
 
 def test_criterion_12_experiment_results_deterministic(tmp_path):
-    config = BUILTIN_SCENARIOS["default_test"]()
+    config = scenario_from_config("scenario = default_test")
     digests = []
     for tag, workers in (("a", 1), ("b", 1), ("c", 4)):
         records = run_scenario(config, workers=workers)

@@ -12,7 +12,6 @@ from plrica import (
     compare_numerators,
     homl_condition_value,
     ica_condition_value,
-    moments,
     resolve,
     score_cross_derivative,
     var_homl,
@@ -29,26 +28,26 @@ THREE_POINT = NoiseSpec.three_point()
 
 class TestVarianceFormulas:
     def test_homl_frozen_values(self):
-        assert var_homl(moments(LAPLACE)) == pytest.approx(7.0, abs=1e-9)
-        assert var_homl(moments(UNIFORM)) == pytest.approx(10.0 / 7.0, abs=1e-9)
+        assert var_homl(LAPLACE.moments()) == pytest.approx(7.0, abs=1e-9)
+        assert var_homl(UNIFORM.moments()) == pytest.approx(10.0 / 7.0, abs=1e-9)
 
     def test_homl_scales_with_outcome_variance(self):
-        base = var_homl(moments(LAPLACE), eps_variance=1.0)
-        assert var_homl(moments(LAPLACE), eps_variance=0.25) == pytest.approx(0.25 * base)
+        base = var_homl(LAPLACE.moments(), eps_variance=1.0)
+        assert var_homl(LAPLACE.moments(), eps_variance=0.25) == pytest.approx(0.25 * base)
 
     def test_hyvarinen_frozen_values(self):
-        assert var_ica_hyvarinen(moments(LAPLACE)) == pytest.approx(6.0, abs=1e-9)
-        assert var_ica_hyvarinen(moments(UNIFORM)) == pytest.approx(3.0 / 7.0, abs=1e-9)
-        assert var_ica_hyvarinen(moments(THREE_POINT)) == pytest.approx(0.0, abs=1e-12)
+        assert var_ica_hyvarinen(LAPLACE.moments()) == pytest.approx(6.0, abs=1e-9)
+        assert var_ica_hyvarinen(UNIFORM.moments()) == pytest.approx(3.0 / 7.0, abs=1e-9)
+        assert var_ica_hyvarinen(THREE_POINT.moments()) == pytest.approx(0.0, abs=1e-12)
 
     def test_auddy_frozen_base_values(self):
         # multiplier is 1 when b + a^T theta = 0
         for spec, want in ((LAPLACE, 10.0), (UNIFORM, 75.0 / 28.0), (THREE_POINT, 4.0)):
-            got = var_ica_auddy([[0.0]], [0.0], [1.0], moments(spec))
+            got = var_ica_auddy([[0.0]], [0.0], [1.0], spec.moments())
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_auddy_multiplier_growth(self):
-        rep = moments(LAPLACE)
+        rep = LAPLACE.moments()
         base = var_ica_auddy([[0.0]], [0.0], [1.0], rep)
         one = var_ica_auddy([[0.5]], [0.5], [1.0], rep)
         four = var_ica_auddy([[1.0]], [1.0], [1.0], rep)
@@ -56,7 +55,7 @@ class TestVarianceFormulas:
         assert four == pytest.approx(5.0 * base)
 
     def test_auddy_multi_treatment_prefactor(self):
-        rep = moments(LAPLACE)
+        rep = LAPLACE.moments()
         a = [[1.0, 0.0], [0.0, 1.0]]
         b = [1.0, -1.0]
         th = [2.0, 0.5]
@@ -64,7 +63,7 @@ class TestVarianceFormulas:
         assert var_ica_auddy(a, b, th, rep) == pytest.approx(want)
 
     def test_gaussian_degenerate_everywhere(self):
-        rep = moments(NoiseSpec.gaussian())
+        rep = NoiseSpec.gaussian().moments()
         with pytest.raises(AsymptoticsError):
             var_homl(rep)
         with pytest.raises(AsymptoticsError):
@@ -73,7 +72,7 @@ class TestVarianceFormulas:
             var_ica_auddy([[0.0]], [0.0], [1.0], rep)
 
     def test_shape_mismatch(self):
-        rep = moments(LAPLACE)
+        rep = LAPLACE.moments()
         with pytest.raises(AsymptoticsError):
             var_ica_auddy([[1.0, 0.0]], [1.0], [1.0], rep)
         with pytest.raises(AsymptoticsError):
@@ -84,7 +83,7 @@ class TestMixingReadVariance:
     def test_criterion_nine_closed_forms(self):
         # Laplace covariates and outcome noise, uniform treatment noise,
         # theta = 1: the limit is 1 + (b + a theta)^2 * 1090/343
-        lap, uni = moments(LAPLACE), moments(UNIFORM)
+        lap, uni = LAPLACE.moments(), UNIFORM.moments()
         for c, want in ((0.0, 1.0), (0.5, 1433.0 / 343.0), (1.0, 4703.0 / 343.0)):
             got = var_ica_mixing([[c]], [c], [1.0], lap, uni, lap)
             assert got.shape == (1,)
@@ -99,29 +98,29 @@ class TestMixingReadVariance:
     def test_whitening_identity_at_unit_theta(self, noise_x, noise_t, noise_y):
         # theta = 1 with b + a theta = 0 leaves only the sample covariance of
         # the treatment and outcome noises, whose n * Var is 1
-        reps = (moments(noise_x), moments(noise_t), moments(noise_y))
+        reps = (noise_x.moments(), noise_t.moments(), noise_y.moments())
         for a, b in (([[0.0]], [0.0]), ([[1.5]], [-1.5])):
             assert var_ica_mixing(a, b, [1.0], *reps)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_covariates_are_finite(self):
-        got = var_ica_mixing([[0.5]], [0.5], [1.0], moments(NoiseSpec.gaussian()),
-                             moments(UNIFORM), moments(LAPLACE))
+        got = var_ica_mixing([[0.5]], [0.5], [1.0], NoiseSpec.gaussian().moments(),
+                             UNIFORM.moments(), LAPLACE.moments())
         assert np.isfinite(got[0]) and got[0] > 1.0
 
     def test_gaussian_treatment_and_outcome_raise(self):
-        gauss = moments(NoiseSpec.gaussian())
+        gauss = NoiseSpec.gaussian().moments()
         with pytest.raises(AsymptoticsError):
-            var_ica_mixing([[0.5]], [0.5], [1.0], moments(LAPLACE), gauss, gauss)
+            var_ica_mixing([[0.5]], [0.5], [1.0], LAPLACE.moments(), gauss, gauss)
 
     def test_gaussian_treatments_raise_for_several_treatments(self):
-        gauss = moments(NoiseSpec.gaussian())
-        lap = moments(LAPLACE)
+        gauss = NoiseSpec.gaussian().moments()
+        lap = LAPLACE.moments()
         assert np.isfinite(var_ica_mixing([[1.0]], [1.0], [1.0], lap, gauss, lap)[0])
         with pytest.raises(AsymptoticsError):
             var_ica_mixing([[1.0], [1.0]], [1.0], [1.0, 2.0], lap, gauss, lap)
 
     def test_other_treatments_add_their_pair_terms(self):
-        lap, uni = moments(LAPLACE), moments(UNIFORM)
+        lap, uni = LAPLACE.moments(), UNIFORM.moments()
         single = var_ica_mixing([[0.0]], [0.0], [1.0], lap, uni, lap)[0]
         both = var_ica_mixing([[0.0], [0.0]], [0.0], [1.0, 2.0], lap, uni, lap)
         # V(eta <- eta) = (2 gamma + tau^2) / (2 tau)^2 for the uniform noise
@@ -137,13 +136,13 @@ class TestNumeratorGap:
         (NoiseSpec.gaussian(), 0.0),
     ])
     def test_frozen_values(self, spec, want):
-        assert compare_numerators(moments(spec)) == pytest.approx(want, abs=1e-9)
+        assert compare_numerators(spec.moments()) == pytest.approx(want, abs=1e-9)
 
     def test_gap_equals_variance_difference_over_denominator(self):
         # identity: var_homl - var_hyvarinen = gap / denominator^2 when the
         # same standardized noise drives both
         for spec in (LAPLACE, UNIFORM):
-            rep = moments(spec)
+            rep = spec.moments()
             den = rep.e_eta_t - rep.e_tprime
             diff = var_homl(rep) - var_ica_hyvarinen(rep)
             assert diff == pytest.approx(compare_numerators(rep) / den**2, abs=1e-9)
@@ -155,7 +154,7 @@ class TestNumeratorGap:
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(0)
         for spec in (LAPLACE, UNIFORM, THREE_POINT):
-            rep = moments(spec)
+            rep = spec.moments()
             draws = spec.sample(400_000, rng)
             t = draws**3
             tprime = 3.0 * draws**2

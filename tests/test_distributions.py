@@ -15,9 +15,6 @@ from plrica import (
     check_nongaussianity,
     homl_condition_value,
     ica_condition_value,
-    log_density,
-    moments,
-    sample,
 )
 
 # standardized fourth and sixth moments, precomputed from the closed forms
@@ -44,7 +41,7 @@ class TestMoments:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_frozen_standardized_moments(self, name):
         spec = standard_specs()[name]
-        rep = moments(spec)
+        rep = spec.moments()
         m4, m6 = FROZEN[name]
         assert rep.mean == pytest.approx(0.0, abs=1e-12)
         assert rep.variance == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +53,7 @@ class TestMoments:
         spec = standard_specs()[name]
         rng = np.random.default_rng(0)
         draws = spec.sample(1_000_000, rng)
-        rep = moments(spec)
+        rep = spec.moments()
         for k, want in ((2, rep.variance), (4, rep.fourth_moment), (6, rep.sixth_moment)):
             vals = draws**k
             se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -64,12 +61,12 @@ class TestMoments:
 
     def test_location_scale_propagation(self):
         spec = NoiseSpec.laplace(location=2.0, scale=3.0)
-        rep = moments(spec)
+        rep = spec.moments()
         assert rep.mean == pytest.approx(2.0)
         assert rep.variance == pytest.approx(2 * 3.0**2)
 
     def test_cube_statistics_fields(self):
-        rep = moments(NoiseSpec.laplace().standardized())
+        rep = NoiseSpec.laplace().standardized().moments()
         assert rep.e_tprime == 3.0
         assert rep.e_eta_t == rep.fourth_moment
         assert rep.e_t == pytest.approx(0.0, abs=1e-12)
@@ -85,7 +82,7 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_tuple_size(self):
-        draws = sample(NoiseSpec.gaussian(), (30, 4), np.random.default_rng(1))
+        draws = NoiseSpec.gaussian().sample((30, 4), np.random.default_rng(1))
         assert draws.shape == (30, 4)
 
     def test_three_point_support(self):
@@ -103,7 +100,7 @@ class TestStandardized:
     ])
     def test_unit_moments(self, family, ctor):
         std = ctor().standardized()
-        rep = moments(std)
+        rep = std.moments()
         assert rep.mean == pytest.approx(0.0, abs=1e-12)
         assert rep.variance == pytest.approx(1.0, abs=1e-10)
 
@@ -138,34 +135,34 @@ class TestConditionValues:
 
 class TestLogDensity:
     def test_gaussian_at_zero(self):
-        assert log_density(NoiseSpec.gaussian(), 0.0) == pytest.approx(-0.5 * math.log(2 * math.pi))
+        assert NoiseSpec.gaussian().log_density(0.0) == pytest.approx(-0.5 * math.log(2 * math.pi))
 
     def test_laplace_at_zero(self):
-        assert log_density(NoiseSpec.laplace(), 0.0) == pytest.approx(math.log(0.5))
+        assert NoiseSpec.laplace().log_density(0.0) == pytest.approx(math.log(0.5))
 
     def test_uniform_inside_outside(self):
         u = NoiseSpec.uniform()
         width = 2 * math.sqrt(3)
-        assert log_density(u, 0.0) == pytest.approx(-math.log(width))
-        assert log_density(u, 100.0) == -np.inf
+        assert u.log_density(0.0) == pytest.approx(-math.log(width))
+        assert u.log_density(100.0) == -np.inf
 
     def test_gennorm_matches_gaussian_at_beta_two(self):
         g2 = NoiseSpec.generalized_normal(2.0, scale=math.sqrt(2))
         xs = np.linspace(-2, 2, 9)
         want = -0.5 * xs**2 - 0.5 * math.log(2 * math.pi)
-        got = log_density(g2, xs)
+        got = g2.log_density(xs)
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_discrete_raises(self):
         with pytest.raises(DiscreteDensityError):
-            log_density(NoiseSpec.three_point(), 0.0)
+            NoiseSpec.three_point().log_density(0.0)
 
     @given(st.floats(-5, 5))
     @settings(max_examples=50, deadline=None)
     def test_location_shift(self, x):
         base = NoiseSpec.laplace()
         shifted = NoiseSpec.laplace(location=1.5)
-        assert log_density(shifted, x) == pytest.approx(log_density(base, x - 1.5))
+        assert shifted.log_density(x) == pytest.approx(base.log_density(x - 1.5))
 
 
 class TestValidation:

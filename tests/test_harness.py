@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plrica import baselines
 from plrica import (
     BUILTIN_SCENARIOS,
     CellStats,
@@ -15,11 +16,14 @@ from plrica import (
     cell_seed,
     csv_digest,
     emit_csv,
+    estimate_homl,
+    estimate_oml,
     metrics,
     overlap_band,
     read_records,
     run_scenario,
     scenario_from_config,
+    simulate,
     spec_from_config,
 )
 from plrica.harness import (
@@ -107,10 +111,11 @@ class TestScenarioConfig:
             tiny_config(methods=("ica", "ridge")).validate()
 
     def test_builtins_all_validate(self):
-        for name, factory in BUILTIN_SCENARIOS.items():
+        for name, text in BUILTIN_SCENARIOS.items():
+            assert isinstance(text, str), name
             if name == "custom":
                 continue
-            cfg = factory()
+            cfg = scenario_from_config(f"scenario = {name}")
             cfg.validate()
             assert cfg.cells(), name
 
@@ -179,18 +184,43 @@ class TestRunAndEmit:
         assert recs[0].contrast == "logcosh"
         assert recs[1].contrast == ""
 
+    def test_residual_methods_share_one_nuisance_fit(self, monkeypatch):
+        calls = []
+        real_fit = baselines.fit_nuisance
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+
+        cfg = tiny_config(methods=("oml", "homl"))
+        cell = cfg.cells()[0]
+        monkeypatch.setattr(baselines, "fit_nuisance", counting_fit)
+        recs = run_cell_replication(cfg, cell, 0)
+        assert len(calls) == 1
+        monkeypatch.setattr(baselines, "fit_nuisance", real_fit)
+        data_seq, _ = np.random.SeedSequence(cell_seed(cfg.scenario, cell, 0)).spawn(2)
+        dataset = simulate(spec_for_cell(cfg, cell), cell["n"], data_seq)
+        settings = dict(lambda_scale=cfg.lambda_scale, folds=cfg.folds, tol=cfg.tol,
+                        max_iter=cfg.max_iter)
+        want_oml = estimate_oml(dataset, **settings).theta_hat
+        want_homl = estimate_homl(dataset, **settings)[0].theta_hat
+        assert np.array_equal(recs[0].theta_hat, want_oml)
+        assert np.array_equal(recs[1].theta_hat, want_homl)
+
     def test_failure_becomes_nan_record(self):
-        # homl requires a single treatment; with m=2 the record must survive
-        # with nan metrics and the error name in the notes
+        # oml and homl require a single treatment; with m=2 each record must
+        # survive with nan metrics and the error name in the notes, even
+        # though the two share one nuisance fit
         cfg = tiny_config(
             plr=PlrSpec(p=2, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP),
-            methods=("homl",),
+            methods=("oml", "homl"),
         )
         recs = run_cell_replication(cfg, cfg.cells()[0], 0)
-        assert len(recs) == 1
-        assert math.isnan(recs[0].mse)
-        assert not recs[0].converged
-        assert "BaselineError" in recs[0].notes
+        assert [r.method for r in recs] == ["oml", "homl"]
+        for rec in recs:
+            assert math.isnan(rec.mse)
+            assert not rec.converged
+            assert "BaselineError" in rec.notes
 
     def test_run_scenario_order_and_determinism(self):
         cfg = tiny_config()
@@ -355,6 +385,31 @@ class TestConfigParsing:
         assert cfg.plr.noise_x.family == "laplace"
         recs = run_scenario(cfg, workers=1)
         assert len(recs) == 1
+
+    def test_spec_override_redraws_theta_for_new_treatment_count(self):
+        cfg = scenario_from_config("scenario = fig3_left_multi\nm = 2\ntreatment_counts = [2]")
+        assert np.array_equal(cfg.plr.theta, [1.55, 0.65])
+        assert np.array_equal(spec_for_cell(cfg, cfg.cells()[0]).theta, [1.55, 0.65])
+
+    def test_user_key_replaces_builtin_key(self):
+        cfg = scenario_from_config("scenario = appE_contrast\nsample_sizes = [300, 600]")
+        assert cfg.sample_sizes == (300, 600)
+        assert cfg.contrasts == ("logcosh", "exp", "cube")
+        cfg = scenario_from_config("scenario = default_test\nnoise_x = gaussian")
+        assert cfg.plr.noise_x == NoiseSpec.gaussian()
+        assert cfg.plr.noise_t == LAP
+
+    def test_builtin_spec_keys_survive_other_keys(self):
+        cfg = scenario_from_config("scenario = appE_slopes\nseeds = 2\nnoise_y = uniform")
+        assert cfg.plr.nuisance == "leaky_relu"
+        assert cfg.plr.sparsity_keep_prob == 1.0
+        assert np.array_equal(cfg.plr.theta, [1.55])
+        assert cfg.plr.noise_x == LAP and cfg.plr.noise_y == NoiseSpec.uniform()
+        assert cfg.leaky_slopes == (0.01, 0.1, 0.2, 0.5) and cfg.seeds == 2
+
+    def test_dimension_key_rejected_in_scenario(self):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            scenario_from_config("scenario = default_test\np = 4")
 
     def test_spec_from_config(self):
         spec = spec_from_config("p = 4\nm = 2\ntheta = [1.0, -1.0]\n")
