@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dgp import Dataset
-from .ica import Diagnostics, EffectEstimate, get_contrast
+from .ica import CONTRASTS, Diagnostics, EffectEstimate
 from .kernels import lasso_fit
 
 HOML_DENOMINATOR_FLOOR = 1e-6
+_HOML_CONTRAST = CONTRASTS["cube"]  # var_homl is the limit for this contrast only
 
 
 class BaselineError(ValueError):
@@ -108,22 +109,21 @@ def oml_estimate(resid_y, resid_t) -> EffectEstimate:
     )
 
 
-def homl_estimate(resid_y, resid_t, t_fn="cube") -> tuple[EffectEstimate, MomentDiagnostics]:
+def homl_estimate(resid_y, resid_t) -> tuple[EffectEstimate, MomentDiagnostics]:
     """Higher-moment orthogonal score on the residuals.
 
-    With psi = t(rt) - mean(t(rt)) - rt * mean(t'(rt)), the estimate is
-    mean(ry * psi) / mean(rt * psi). The denominator targets
+    With t(u) = u^3 and psi = t(rt) - mean(t(rt)) - rt * mean(t'(rt)), the
+    estimate is mean(ry * psi) / mean(rt * psi). The denominator targets
     E[eta t(eta)] - E[t'(eta)] Var(eta), which vanishes for Gaussian
     treatment noise; the returned MomentDiagnostics flags that regime by
     comparing |denominator| against max(1e-6, 3 standard errors).
     """
-    con = get_contrast(t_fn)
     ry = np.asarray(resid_y, dtype=float)
     rt = np.asarray(resid_t, dtype=float)
     if ry.shape != rt.shape or ry.ndim != 1 or ry.size < 2:
         raise BaselineError("residual vectors must be equal-length 1-d with >= 2 entries")
     n = ry.size
-    ts, tp_mean = con.evaluate(rt)
+    ts, tp_mean = _HOML_CONTRAST.evaluate(rt)
     psi = ts - ts.mean() - rt * tp_mean
     prods = rt * psi
     denominator = float(prods.mean())
@@ -169,16 +169,15 @@ def estimate_oml(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     return oml_estimate(ry, rt)
 
 
-def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
-                  tol: float = 1e-4, max_iter: int = 1000,
-                  t_fn="cube") -> tuple[EffectEstimate, MomentDiagnostics]:
+def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, tol: float = 1e-4,
+                  max_iter: int = 1000) -> tuple[EffectEstimate, MomentDiagnostics]:
     """Cross-fitted higher-moment orthogonal estimate for one treatment.
 
     Returns the estimate together with the moment-denominator health report;
     callers that only need the point estimate can discard the second element.
     """
     ry, rt = single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
-    return homl_estimate(ry, rt, t_fn=t_fn)
+    return homl_estimate(ry, rt)
 
 
 def ols_joint(dataset: Dataset, include_covariates: bool = True) -> EffectEstimate:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -194,14 +194,7 @@ def resolve(spec: PlrSpec, rng) -> PlrSpec:
     else:
         a = spec.a_block if spec.a_block is not None else _unit_rows(rng, (spec.m, spec.p))
         b = spec.b_block if spec.b_block is not None else _unit_rows(rng, spec.p)
-    out = PlrSpec(
-        p=spec.p, m=spec.m, theta=spec.theta.copy(), a_block=a, b_block=b,
-        nuisance=spec.nuisance, leaky_slope=spec.leaky_slope,
-        noise_x=spec.noise_x, noise_t=spec.noise_t, noise_y=spec.noise_y,
-        sparsity_keep_prob=spec.sparsity_keep_prob,
-        standardize_noise=spec.standardize_noise, tie_ab=False,
-    )
-    return out
+    return replace(spec, a_block=a, b_block=b, tie_ab=False)
 
 
 def nuisance_t(spec: PlrSpec, x: np.ndarray) -> np.ndarray:

@@ -31,16 +31,22 @@ from .ica import CONTRASTS, estimate_ica
 WORKERS_ENV = "PLRICA_WORKERS"
 METHOD_NAMES = ("ica", "oml", "homl", "ols")
 
-CSV_HEADER = (
-    "scenario,n,dim_x,n_treat,beta,nonlinearity,contrast,method,seed,"
-    "theta_true,theta_hat,mse,rel_err,converged,wall_ms"
+# Grid axes in canonical order: (cell key, ScenarioConfig field and config
+# key, element type). cells() and cell_seed follow this order; axes
+# without a results column are folded into the scenario id.
+AXES = (
+    ("n", "sample_sizes", int),
+    ("dim_x", "covariate_dims", int),
+    ("n_treat", "treatment_counts", int),
+    ("beta", "beta_values", float),
+    ("nonlinearity", "nonlinearities", str),
+    ("slope", "leaky_slopes", float),
+    ("location", "locations", float),
+    ("scale", "scales", float),
+    ("contrast", "contrasts", str),
+    ("sparsity", "sparsity_levels", float),
+    ("coefficient", "coefficient_values", float),
 )
-
-# grid axes in canonical order; the first four plus nonlinearity/contrast
-# have dedicated CSV columns, the rest are folded into the scenario id
-AXIS_ORDER = ("n", "dim_x", "n_treat", "beta", "nonlinearity", "slope",
-              "location", "scale", "contrast", "sparsity", "coefficient")
-SUFFIX_AXES = ("slope", "location", "scale", "sparsity", "coefficient")
 
 
 class ConfigError(ValueError):
@@ -167,10 +173,12 @@ class ScenarioConfig:
         for name in ("sample_sizes", "covariate_dims", "contrasts", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        for name in ("sample_sizes", "covariate_dims", "treatment_counts"):
+        for _, name, kind in AXES:
             vals = getattr(self, name)
-            if any((not isinstance(v, int)) or v < 1 for v in vals):
+            if kind is int and any((not isinstance(v, int)) or v < 1 for v in vals):
                 raise ConfigError(f"{name} entries must be positive integers, got {vals}")
+            if kind is float and not all(math.isfinite(v) for v in vals):
+                raise ConfigError(f"{name} entries must be finite, got {vals}")
         for name in ("beta_values", "leaky_slopes", "scales"):
             if any(not v > 0 for v in getattr(self, name)):
                 raise ConfigError(f"{name} entries must be positive")
@@ -204,35 +212,17 @@ class ScenarioConfig:
             raise ConfigError("coefficient_values supplies blocks; incompatible with tie_ab")
 
     def cells(self) -> list[dict]:
-        """All axis combinations in canonical order."""
-        axes: list[tuple[str, tuple]] = [
-            ("n", tuple(self.sample_sizes)),
-            ("dim_x", tuple(self.covariate_dims)),
-        ]
-        optional = (
-            ("n_treat", self.treatment_counts),
-            ("beta", self.beta_values),
-            ("nonlinearity", self.nonlinearities),
-            ("slope", self.leaky_slopes),
-            ("location", self.locations),
-            ("scale", self.scales),
-        )
-        for name, vals in optional:
-            if vals:
-                axes.append((name, tuple(vals)))
-        axes.append(("contrast", tuple(self.contrasts)))
-        for name, vals in (("sparsity", self.sparsity_levels),
-                           ("coefficient", self.coefficient_values)):
-            if vals:
-                axes.append((name, tuple(vals)))
-        names = [name for name, _ in axes]
-        return [dict(zip(names, combo))
+        """All combinations of the non-empty axes, in canonical order."""
+        axes = [(key, tuple(getattr(self, name))) for key, name, _ in AXES
+                if getattr(self, name)]
+        return [dict(zip([key for key, _ in axes], combo))
                 for combo in itertools.product(*(vals for _, vals in axes))]
 
 
 def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
     """Scenario name, suffixed with axis values that lack CSV columns."""
-    extras = [f"{k}={cell[k]:g}" for k in SUFFIX_AXES if k in cell]
+    extras = [f"{key}={cell[key]:g}" for key, _, _ in AXES
+              if key in cell and key not in _HEADER]
     if extras:
         return f"{config.scenario}[{','.join(extras)}]"
     return config.scenario
@@ -241,7 +231,7 @@ def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
 def cell_seed(scenario: str, cell: dict, index: int) -> int:
     """Deterministic 63-bit seed derived from cell content, not order."""
     parts = [scenario]
-    for key in AXIS_ORDER:
+    for key, _, _ in AXES:
         if key in cell:
             parts.append(f"{key}={cell[key]!r}")
     parts.append(f"replication={index}")
@@ -253,51 +243,32 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
     """Instantiate the plr template at one grid cell."""
     base = config.plr
     p = cell["dim_x"]
+    m = cell.get("n_treat", base.m)
+    changes = dict(p=p, m=m,
+                   a_block=base.a_block if p == base.p and m == base.m else None,
+                   b_block=base.b_block if p == base.p else None)
     if "n_treat" in cell:
-        m = cell["n_treat"]
-        theta = multi_treatment_theta(m)
-    else:
-        m = base.m
-        theta = base.theta
-    a_block = base.a_block if p == base.p and m == base.m else None
-    b_block = base.b_block if p == base.p else None
+        changes["theta"] = multi_treatment_theta(m)
     if "coefficient" in cell:
-        c = cell["coefficient"]
-        a_block = np.zeros((m, p))
-        a_block[:, 0] = c
-        b_block = np.zeros(p)
-        b_block[0] = c
-    noise_x = base.noise_x
+        a_block, b_block = np.zeros((m, p)), np.zeros(p)
+        a_block[:, 0] = b_block[0] = cell["coefficient"]
+        changes.update(a_block=a_block, b_block=b_block)
     if "beta" in cell:
-        noise_x = NoiseSpec.generalized_normal(cell["beta"])
-    noise_t, noise_y = base.noise_t, base.noise_y
-    standardize = base.standardize_noise
-    if "location" in cell or "scale" in cell:
-        kw = {}
-        if "location" in cell:
-            kw["location"] = float(cell["location"])
-        if "scale" in cell:
-            kw["scale"] = float(cell["scale"])
-        noise_x = replace(noise_x, **kw)
-        noise_t = replace(noise_t, **kw)
-        noise_y = replace(noise_y, **kw)
-        standardize = False
-    tie = base.tie_ab and a_block is None and b_block is None
-    return PlrSpec(
-        p=p,
-        m=m,
-        theta=theta,
-        a_block=a_block,
-        b_block=b_block,
-        nuisance=cell.get("nonlinearity", base.nuisance),
-        leaky_slope=cell.get("slope", base.leaky_slope),
-        noise_x=noise_x,
-        noise_t=noise_t,
-        noise_y=noise_y,
-        sparsity_keep_prob=cell.get("sparsity", base.sparsity_keep_prob),
-        standardize_noise=standardize,
-        tie_ab=tie,
-    )
+        changes["noise_x"] = NoiseSpec.generalized_normal(cell["beta"])
+    if "nonlinearity" in cell:
+        changes["nuisance"] = cell["nonlinearity"]
+    if "slope" in cell:
+        changes["leaky_slope"] = cell["slope"]
+    if "sparsity" in cell:
+        changes["sparsity_keep_prob"] = cell["sparsity"]
+    shift = {key: float(cell[key]) for key in ("location", "scale") if key in cell}
+    if shift:
+        for name in ("noise_x", "noise_t", "noise_y"):
+            changes[name] = replace(changes.get(name, getattr(base, name)), **shift)
+        changes["standardize_noise"] = False
+    changes["tie_ab"] = (base.tie_ab and changes["a_block"] is None
+                         and changes["b_block"] is None)
+    return replace(base, **changes)
 
 
 def _estimate_for_method(method: str, dataset: Dataset, config: ScenarioConfig,
@@ -433,60 +404,51 @@ def _parse_vector(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(";")], dtype=float)
 
 
+# Results CSV columns in file order: (header, ResultRecord attribute, format,
+# parse). Floats carry 17 significant digits so they round-trip exactly;
+# notes is not serialized.
+RESULT_COLUMNS = (
+    ("scenario", "scenario", str, str),
+    ("n", "n", str, int),
+    ("dim_x", "dim_x", str, int),
+    ("n_treat", "n_treat", str, int),
+    ("beta", "beta", lambda v: "" if v is None else _fmt(v),
+     lambda text: None if text == "" else float(text)),
+    ("nonlinearity", "nonlinearity", str, str),
+    ("contrast", "contrast", str, str),
+    ("method", "method", str, str),
+    ("seed", "seed", str, int),
+    ("theta_true", "theta_true", _fmt_vector, _parse_vector),
+    ("theta_hat", "theta_hat", _fmt_vector, _parse_vector),
+    ("mse", "mse", _fmt, float),
+    ("rel_err", "relative_error", _fmt, float),
+    ("converged", "converged", lambda v: "true" if v else "false", lambda text: text == "true"),
+    ("wall_ms", "wall_ms", _fmt, float),
+)
+_HEADER = [name for name, _, _, _ in RESULT_COLUMNS]
+
+
 def emit_csv(records: list[ResultRecord], path) -> None:
-    """Write records in their given order; floats carry 17 significant
-    digits so they round-trip exactly."""
+    """Write records in their given order under RESULT_COLUMNS."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
+        writer.writerow(_HEADER)
         for r in records:
-            writer.writerow([
-                r.scenario,
-                str(r.n),
-                str(r.dim_x),
-                str(r.n_treat),
-                "" if r.beta is None else _fmt(r.beta),
-                r.nonlinearity,
-                r.contrast,
-                r.method,
-                str(r.seed),
-                _fmt_vector(r.theta_true),
-                _fmt_vector(r.theta_hat),
-                _fmt(r.mse),
-                _fmt(r.relative_error),
-                "true" if r.converged else "false",
-                _fmt(r.wall_ms),
-            ])
+            writer.writerow([fmt(getattr(r, attr)) for _, attr, fmt, _ in RESULT_COLUMNS])
 
 
 def read_records(path) -> list[ResultRecord]:
     """Parse a results CSV back into records (notes are not serialized)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != CSV_HEADER.split(","):
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != _HEADER:
         raise ConfigError(f"unexpected results header in {path}")
     records = []
     for row in rows[1:]:
-        if len(row) != 15:
-            raise ConfigError(f"expected 15 columns, got {len(row)} in {path}")
-        records.append(ResultRecord(
-            scenario=row[0],
-            n=int(row[1]),
-            dim_x=int(row[2]),
-            n_treat=int(row[3]),
-            beta=None if row[4] == "" else float(row[4]),
-            nonlinearity=row[5],
-            contrast=row[6],
-            method=row[7],
-            seed=int(row[8]),
-            theta_true=_parse_vector(row[9]),
-            theta_hat=_parse_vector(row[10]),
-            mse=float(row[11]),
-            relative_error=float(row[12]),
-            converged=row[13] == "true",
-            wall_ms=float(row[14]),
-        ))
+        if len(row) != len(RESULT_COLUMNS):
+            raise ConfigError(f"expected {len(RESULT_COLUMNS)} columns, got {len(row)} in {path}")
+        records.append(ResultRecord(**{attr: parse(text) for (_, attr, _, parse), text
+                                       in zip(RESULT_COLUMNS, row)}))
     return records
 
 
@@ -710,25 +672,39 @@ def parse_noise(text) -> NoiseSpec:
         raise ConfigError(f"bad noise {text!r}: {exc}") from None
 
 
-_SPEC_KEYS = ("m", "theta", "nuisance", "leaky_slope", "noise_x", "noise_t",
-              "noise_y", "sparsity_keep_prob", "standardize_noise", "tie_ab")
-_INT_LIST_KEYS = ("sample_sizes", "covariate_dims", "treatment_counts")
-_FLOAT_LIST_KEYS = ("beta_values", "leaky_slopes", "locations", "scales",
-                    "sparsity_levels", "coefficient_values")
-_STR_LIST_KEYS = ("nonlinearities", "contrasts", "methods")
-_SCALAR_KEYS = {"seeds": int, "folds": int, "max_iter": int,
-                "lambda_scale": float, "tol": float, "ica_mode": str, "label": str}
-
-
 def _as_tuple(value) -> tuple:
     return tuple(value) if isinstance(value, list) else (value,)
 
 
+# process keys a scenario config may set, with their converters; p is
+# accepted only by spec configs, since covariate_dims sets it per cell
+_SPEC_KEYS = {
+    "m": int,
+    "theta": lambda v: [float(x) for x in _as_tuple(v)],
+    "nuisance": str,
+    "leaky_slope": float,
+    "noise_x": parse_noise,
+    "noise_t": parse_noise,
+    "noise_y": parse_noise,
+    "sparsity_keep_prob": float,
+    "standardize_noise": bool,
+    "tie_ab": bool,
+}
+_LIST_KEYS = {name: kind for _, name, kind in AXES} | {"methods": str}
+_SCALAR_KEYS = {"seeds": int, "folds": int, "max_iter": int,
+                "lambda_scale": float, "tol": float, "ica_mode": str, "label": str}
+
+
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
-    """PlrSpec from flat config keys, on top of an optional template."""
-    unknown = set(overrides) - set(_SPEC_KEYS) - {"p"}
+    """PlrSpec from flat config keys, on top of an optional template.
+
+    A new treatment count without theta redraws theta from
+    multi_treatment_theta.
+    """
+    converters = {"p": int, **_SPEC_KEYS}
+    unknown = set(overrides) - set(converters)
     if unknown:
-        raise ConfigError(f"unknown spec keys {sorted(unknown)}; expected {('p',) + _SPEC_KEYS}")
+        raise ConfigError(f"unknown spec keys {sorted(unknown)}; expected {tuple(converters)}")
     if base is None:
         base = PlrSpec(
             p=10, m=1, theta=[3.0],
@@ -737,27 +713,11 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
             noise_y=NoiseSpec.uniform(),
             sparsity_keep_prob=0.4,
         )
-    m = int(overrides.get("m", base.m))
-    if "theta" in overrides:
-        theta = [float(v) for v in _as_tuple(overrides["theta"])]
-    elif m == base.m:
-        theta = base.theta
-    else:
-        theta = multi_treatment_theta(m)
     try:
-        return PlrSpec(
-            p=int(overrides.get("p", base.p)),
-            m=m,
-            theta=theta,
-            nuisance=str(overrides.get("nuisance", base.nuisance)),
-            leaky_slope=float(overrides.get("leaky_slope", base.leaky_slope)),
-            noise_x=parse_noise(overrides.get("noise_x", base.noise_x)),
-            noise_t=parse_noise(overrides.get("noise_t", base.noise_t)),
-            noise_y=parse_noise(overrides.get("noise_y", base.noise_y)),
-            sparsity_keep_prob=float(overrides.get("sparsity_keep_prob", base.sparsity_keep_prob)),
-            standardize_noise=bool(overrides.get("standardize_noise", base.standardize_noise)),
-            tie_ab=bool(overrides.get("tie_ab", base.tie_ab)),
-        )
+        changes = {key: converters[key](value) for key, value in overrides.items()}
+        if "theta" not in changes and changes.get("m", base.m) != base.m:
+            changes["theta"] = multi_treatment_theta(changes["m"])
+        return replace(base, **changes)
     except ValueError as exc:
         raise ConfigError(f"bad process spec: {exc}") from None
 
@@ -778,17 +738,12 @@ def _apply_keys(config: ScenarioConfig, keys: dict) -> None:
     spec_overrides = {k: d.pop(k) for k in list(d) if k in _SPEC_KEYS}
     kwargs: dict = {}
     for key in list(d):
-        if key in _INT_LIST_KEYS:
-            kwargs[key] = tuple(int(v) for v in _as_tuple(d.pop(key)))
-        elif key in _FLOAT_LIST_KEYS:
-            kwargs[key] = tuple(float(v) for v in _as_tuple(d.pop(key)))
-        elif key in _STR_LIST_KEYS:
-            kwargs[key] = tuple(str(v) for v in _as_tuple(d.pop(key)))
+        if key in _LIST_KEYS:
+            kwargs[key] = tuple(_LIST_KEYS[key](v) for v in _as_tuple(d.pop(key)))
         elif key in _SCALAR_KEYS:
             kwargs[key] = _SCALAR_KEYS[key](d.pop(key))
     if d:
-        known = sorted(set(("scenario",) + _INT_LIST_KEYS + _FLOAT_LIST_KEYS
-                           + _STR_LIST_KEYS + tuple(_SCALAR_KEYS) + _SPEC_KEYS))
+        known = sorted({"scenario", *_LIST_KEYS, *_SCALAR_KEYS, *_SPEC_KEYS})
         raise ConfigError(f"unknown config keys {sorted(d)}; expected a subset of {known}")
     if spec_overrides:
         config.plr = build_plr_spec(spec_overrides, base=config.plr)

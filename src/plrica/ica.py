@@ -279,7 +279,7 @@ def _canonicalize_details(w: np.ndarray):
                 "the unmixing estimate is degenerate"
             )
         canonical[col] = w[row] / pivot
-    return canonical, pivots, row_of_col
+    return canonical, pivots
 
 
 def canonicalize(estimate) -> np.ndarray:
@@ -296,8 +296,18 @@ def canonicalize(estimate) -> np.ndarray:
         raise IcaError(f"unmixing matrix must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise IcaError("unmixing matrix contains non-finite entries")
-    canonical, _, _ = _canonicalize_details(w)
+    canonical, _ = _canonicalize_details(w)
     return canonical
+
+
+def _checked_canonical(canonical, p: int, m: int) -> np.ndarray:
+    c = np.asarray(canonical, dtype=float)
+    d = p + m + 1
+    if c.shape != (d, d):
+        raise IcaError(f"canonical matrix must have shape {(d, d)}, got {c.shape}")
+    if np.max(np.abs(np.diag(c) - 1.0)) > PIVOT_DEGENERACY_TOL:
+        raise IcaError("canonical matrix must have a unit diagonal")
+    return c
 
 
 def extract_effects(canonical: np.ndarray, p: int, m: int,
@@ -308,12 +318,7 @@ def extract_effects(canonical: np.ndarray, p: int, m: int,
     columns (xi, eta, eps), so after unit-diagonal scaling the effects
     are the negated treatment entries of the last row.
     """
-    c = np.asarray(canonical, dtype=float)
-    d = p + m + 1
-    if c.shape != (d, d):
-        raise IcaError(f"canonical matrix must have shape {(d, d)}, got {c.shape}")
-    if np.max(np.abs(np.diag(c) - 1.0)) > PIVOT_DEGENERACY_TOL:
-        raise IcaError("canonical matrix must have a unit diagonal")
+    c = _checked_canonical(canonical, p, m)
     theta_hat = -c[p + m, p : p + m].copy()
     return EffectEstimate(
         theta_hat=theta_hat,
@@ -332,13 +337,7 @@ def extract_effects_from_mixing(canonical: np.ndarray, p: int, m: int,
     exact input; on estimated input the two reads differ because inversion
     reweights the estimation error, so their sampling variances differ.
     """
-    c = np.asarray(canonical, dtype=float)
-    d = p + m + 1
-    if c.shape != (d, d):
-        raise IcaError(f"canonical matrix must have shape {(d, d)}, got {c.shape}")
-    if np.max(np.abs(np.diag(c) - 1.0)) > PIVOT_DEGENERACY_TOL:
-        raise IcaError("canonical matrix must have a unit diagonal")
-    mixing = np.linalg.inv(c)
+    mixing = np.linalg.inv(_checked_canonical(canonical, p, m))
     theta_hat = mixing[p + m, p : p + m].copy()
     return EffectEstimate(
         theta_hat=theta_hat,
@@ -375,7 +374,7 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed)
     est = assemble_unmixing(result, k, means, contrast)
-    canonical, pivots, _ = _canonicalize_details(est.w_total)
+    canonical, pivots = _canonicalize_details(est.w_total)
     diag = Diagnostics(
         converged=result.converged,
         iterations=result.iterations,

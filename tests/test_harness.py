@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from plrica import (
     ConfigError,
     NoiseSpec,
     PlrSpec,
+    ResultRecord,
     ScenarioConfig,
     aggregate,
     band_verdict,
@@ -110,6 +112,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             tiny_config(methods=("ica", "ridge")).validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("scales", "inf"), ("locations", "nan"), ("coefficient_values", "nan"),
+        ("beta_values", "inf"), ("leaky_slopes", "inf"),
+    ])
+    def test_non_finite_float_axis_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} entries must be finite"):
+            scenario_from_config(f"scenario = custom\n{key} = [1.0, {value}]")
+
     def test_builtins_all_validate(self):
         for name, text in BUILTIN_SCENARIOS.items():
             assert isinstance(text, str), name
@@ -133,6 +143,22 @@ class TestCellSeeds:
         # frozen: the digest-derived seed must never drift across releases
         assert cell_seed("default_test", {"n": 200, "dim_x": 2, "contrast": "logcosh"}, 0) \
             == 1586863246163916480
+
+    def test_all_axes_order_and_seed_stable(self):
+        # frozen like the value above, for a grid that sets every axis
+        cfg = ScenarioConfig(
+            scenario="all_axes", plr=PlrSpec(p=3),
+            sample_sizes=(300,), covariate_dims=(3,), treatment_counts=(1,),
+            beta_values=(1.5,), nonlinearities=("tanh",), leaky_slopes=(0.3,),
+            locations=(0.5,), scales=(2.0,), contrasts=("cube",),
+            sparsity_levels=(0.6,), coefficient_values=(0.25,),
+        )
+        (cell,) = cfg.cells()
+        assert list(cell) == ["n", "dim_x", "n_treat", "beta", "nonlinearity", "slope",
+                              "location", "scale", "contrast", "sparsity", "coefficient"]
+        assert cell_seed(cfg.scenario, cell, 4) == 1042894417430622746
+        assert scenario_id_for_cell(cfg, cell) == \
+            "all_axes[slope=0.3,location=0.5,scale=2,sparsity=0.6,coefficient=0.25]"
 
 
 class TestSpecForCell:
@@ -281,6 +307,65 @@ class TestRunAndEmit:
         assert keys[0] == ("tiny", 120, 2, 1, None, "linear", "", "ols")
         assert keys[1] == ("tiny", 120, 2, 1, None, "linear", "logcosh", "ica")
         assert all(isinstance(v, CellStats) for v in stats.values())
+
+
+def hand_records():
+    return [
+        ResultRecord(scenario="tiny", n=200, dim_x=2, n_treat=1, beta=None,
+                     nonlinearity="linear", contrast="logcosh", method="ica", seed=12345,
+                     theta_true=np.array([1.5]), theta_hat=np.array([1.25]), mse=0.25,
+                     relative_error=1 / 6, converged=True, wall_ms=3.5),
+        ResultRecord(scenario="tiny[slope=0.1,scale=2]", n=500, dim_x=5, n_treat=2, beta=1.5,
+                     nonlinearity="tanh", contrast="", method="ols", seed=2**62,
+                     theta_true=np.array([1.55, 0.65]), theta_hat=np.array([math.nan, 0.5]),
+                     mse=math.nan, relative_error=math.nan, converged=False, wall_ms=0.125),
+    ]
+
+
+class TestCsvFormat:
+    def test_exact_text(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv(hand_records(), path)
+        assert path.read_bytes().decode("utf-8") == (
+            "scenario,n,dim_x,n_treat,beta,nonlinearity,contrast,method,seed,"
+            "theta_true,theta_hat,mse,rel_err,converged,wall_ms\r\n"
+            "tiny,200,2,1,,linear,logcosh,ica,12345,1.5,1.25,0.25,0.16666666666666666,"
+            "true,3.5\r\n"
+            '"tiny[slope=0.1,scale=2]",500,5,2,1.5,tanh,,ols,4611686018427387904,'
+            "1.55;0.65000000000000002,nan;0.5,nan,nan,false,0.125\r\n"
+        )
+
+    def test_round_trip_every_field(self, tmp_path):
+        path = tmp_path / "out.csv"
+        recs = hand_records()
+        emit_csv(recs, path)
+        back = read_records(path)
+        assert len(back) == len(recs)
+        for ra, rb in zip(recs, back):
+            for f in dataclasses.fields(ResultRecord):
+                a, b = getattr(ra, f.name), getattr(rb, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b, equal_nan=True), f.name
+                elif isinstance(a, float) and math.isnan(a):
+                    assert math.isnan(b), f.name
+                else:
+                    assert a == b and type(a) is type(b), f.name
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv(hand_records(), path)
+        path.write_text(path.read_text().replace("rel_err", "relative_error", 1))
+        with pytest.raises(ConfigError, match="header"):
+            read_records(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv(hand_records(), path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="expected 15 columns, got 14"):
+            read_records(path)
 
 
 class TestBands:
