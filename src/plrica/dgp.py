@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .distributions import NoiseSpec
 
@@ -54,7 +53,8 @@ def apply_nonlinearity(name: str, x, slope: float = 0.2) -> np.ndarray:
     if name == "leaky_relu":
         return np.where(u >= 0.0, u, slope * u)
     if name == "sigmoid":
-        return expit(u)
+        with np.errstate(over="ignore"):  # exp(-u) = inf gives the exact limit 0
+            return 1.0 / (1.0 + np.exp(-u))
     if name == "tanh":
         return np.tanh(u)
     raise UnknownNonlinearityError(

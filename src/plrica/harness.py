@@ -676,10 +676,31 @@ def _as_tuple(value) -> tuple:
     return tuple(value) if isinstance(value, list) else (value,)
 
 
+def _as_int(value) -> int:
+    """An integer config value; floats such as 500.7 and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_bool(value) -> bool:
+    """A boolean config value: the parsed words true and false, nothing else."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
 # process keys a scenario config may set, with their converters; p is
 # accepted only by spec configs, since covariate_dims sets it per cell
 _SPEC_KEYS = {
-    "m": int,
+    "m": _as_int,
     "theta": lambda v: [float(x) for x in _as_tuple(v)],
     "nuisance": str,
     "leaky_slope": float,
@@ -687,11 +708,12 @@ _SPEC_KEYS = {
     "noise_t": parse_noise,
     "noise_y": parse_noise,
     "sparsity_keep_prob": float,
-    "standardize_noise": bool,
-    "tie_ab": bool,
+    "standardize_noise": _as_bool,
+    "tie_ab": _as_bool,
 }
-_LIST_KEYS = {name: kind for _, name, kind in AXES} | {"methods": str}
-_SCALAR_KEYS = {"seeds": int, "folds": int, "max_iter": int,
+_LIST_KEYS = ({name: _as_int if kind is int else kind for _, name, kind in AXES}
+              | {"methods": str})
+_SCALAR_KEYS = {"seeds": _as_int, "folds": _as_int, "max_iter": _as_int,
                 "lambda_scale": float, "tol": float, "ica_mode": str, "label": str}
 
 
@@ -701,7 +723,7 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
     A new treatment count without theta redraws theta from
     multi_treatment_theta.
     """
-    converters = {"p": int, **_SPEC_KEYS}
+    converters = {"p": _as_int, **_SPEC_KEYS}
     unknown = set(overrides) - set(converters)
     if unknown:
         raise ConfigError(f"unknown spec keys {sorted(unknown)}; expected {tuple(converters)}")
@@ -714,7 +736,7 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
             sparsity_keep_prob=0.4,
         )
     try:
-        changes = {key: converters[key](value) for key, value in overrides.items()}
+        changes = {key: _convert(key, converters[key], value) for key, value in overrides.items()}
         if "theta" not in changes and changes.get("m", base.m) != base.m:
             changes["theta"] = multi_treatment_theta(changes["m"])
         return replace(base, **changes)
@@ -739,9 +761,9 @@ def _apply_keys(config: ScenarioConfig, keys: dict) -> None:
     kwargs: dict = {}
     for key in list(d):
         if key in _LIST_KEYS:
-            kwargs[key] = tuple(_LIST_KEYS[key](v) for v in _as_tuple(d.pop(key)))
+            kwargs[key] = tuple(_convert(key, _LIST_KEYS[key], v) for v in _as_tuple(d.pop(key)))
         elif key in _SCALAR_KEYS:
-            kwargs[key] = _SCALAR_KEYS[key](d.pop(key))
+            kwargs[key] = _convert(key, _SCALAR_KEYS[key], d.pop(key))
     if d:
         known = sorted({"scenario", *_LIST_KEYS, *_SCALAR_KEYS, *_SPEC_KEYS})
         raise ConfigError(f"unknown config keys {sorted(d)}; expected a subset of {known}")

@@ -1,15 +1,15 @@
 """Dense numeric kernels shared by the estimators.
 
 Symmetric eigendecomposition, a cyclic coordinate-descent lasso, and
-minimum-cost assignment. Everything operates on float64 arrays and is a
-pure function of its inputs.
+minimum-cost assignment, the last implemented here by shortest augmenting
+paths so that the package needs numpy only. Everything operates on
+float64 arrays and is a pure function of its inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class KernelError(ValueError):
@@ -159,9 +159,62 @@ class Assignment:
 
 
 def hungarian(cost) -> Assignment:
-    """Exact minimum-cost assignment on a square cost matrix."""
+    """Exact minimum-cost assignment on a square cost matrix.
+
+    Shortest augmenting paths with dual potentials u (rows) and v
+    (columns): Jonker & Volgenant, Computing 1987, in the form of Crouse,
+    IEEE TAES 2016. Row reduction (u = row minima, v = 0) and a greedy
+    match of each row to its argmin column, when that column is free,
+    give a feasible warm start; only rows left unmatched then search for
+    an augmenting path. Each search is a Dijkstra pass over reduced costs
+    c - u - v >= 0, vectorized over columns. On a tie for the nearest
+    column a free one is taken, so the search ends as early as it can.
+    """
     c = _as_square(cost, "cost")
-    rows, cols = linear_sum_assignment(c)
-    mapping = np.empty(c.shape[0], dtype=int)
-    mapping[rows] = cols
-    return Assignment(mapping=tuple(int(v) for v in mapping))
+    d = c.shape[0]
+    if d == 0:
+        return Assignment(mapping=())
+    u = c.min(axis=1)
+    v = np.zeros(d)
+    col4row = np.full(d, -1)
+    row4col = np.full(d, -1)
+    for row, col in enumerate(c.argmin(axis=1)):
+        if row4col[col] < 0:
+            row4col[col] = row
+            col4row[row] = col
+
+    for free_row in np.flatnonzero(col4row < 0):
+        dist = np.full(d, np.inf)  # shortest reduced path cost to each open column
+        path = np.zeros(d, dtype=int)  # row preceding each column on its path
+        shift = -v  # becomes +inf once a column is scanned, closing it
+        cols, levels = [], []  # scanned columns and their final path costs
+        row, reach = free_row, 0.0
+        while True:
+            r = c[row] + (reach - u[row]) + shift
+            path[r < dist] = row
+            np.minimum(dist, r, out=dist)
+            reach = dist.min()
+            nearest = np.flatnonzero(dist == reach)
+            col = nearest[0]
+            if len(nearest) > 1:
+                free = nearest[row4col[nearest] < 0]
+                col = free[0] if free.size else col
+            cols.append(col)
+            levels.append(reach)
+            dist[col] = shift[col] = np.inf
+            if row4col[col] < 0:
+                break
+            row = row4col[col]
+
+        gain = reach - np.array(levels)  # zero at the sink, the last column
+        u[free_row] += reach
+        u[row4col[cols[:-1]]] += gain[:-1]
+        v[cols] -= gain
+
+        while True:  # flip the matching along the path ending at col
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+            if row == free_row:
+                break
+    return Assignment(mapping=tuple(int(col) for col in col4row))

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,3 +146,29 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 2
+
+
+IMPORT_PROBE = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import plrica.cli
+    from plrica import apply_nonlinearity, estimate_ica, scenario_from_config, simulate
+    from plrica.harness import spec_for_cell
+    config = scenario_from_config("scenario = default_test")
+    cell = config.cells()[0]
+    estimate = estimate_ica(simulate(spec_for_cell(config, cell), cell["n"], seed=0))
+    assert np.isfinite(estimate.theta_hat).all()
+    apply_nonlinearity("sigmoid", np.linspace(-3.0, 3.0, 7))
+    print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+""")
+
+
+def test_runtime_loads_no_scipy():
+    """The CLI, a scenario, one ICA fit and the sigmoid need numpy only."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ""

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +50,21 @@ class TestNonlinearities:
     def test_unknown_name(self):
         with pytest.raises(UnknownNonlinearityError):
             apply_nonlinearity("swish", np.zeros(1))
+
+    def test_sigmoid_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = apply_nonlinearity("sigmoid", np.array([-800.0, 800.0]))
+        assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_sigmoid_matches_scalar_formula(self):
+        x = np.linspace(-700.0, 700.0, 14001)
+        got = apply_nonlinearity("sigmoid", x)
+        want = np.array([1.0 / (1.0 + math.exp(-t)) for t in x])
+        # np.exp may differ from libm's exp by one ulp, a relative eps; the
+        # add and the divide round once more on each side, so the two
+        # values agree to 3 eps relative
+        assert np.all(np.abs(got - want) <= 3 * np.finfo(float).eps * want)
 
 
 class TestPlrSpecValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plrica import baselines
+from plrica.harness import AXES
 from plrica import (
     BUILTIN_SCENARIOS,
     CellStats,
@@ -499,3 +500,44 @@ class TestConfigParsing:
     def test_spec_from_config(self):
         spec = spec_from_config("p = 4\nm = 2\ntheta = [1.0, -1.0]\n")
         assert spec.p == 4 and spec.m == 2
+
+
+INT_AXES = [name for _, name, kind in AXES if kind is int]
+
+
+class TestStrictConfigValues:
+    @pytest.mark.parametrize("key", INT_AXES)
+    @pytest.mark.parametrize("value", ["500.7", "2.0", "true", "big"])
+    def test_int_axis_rejects_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = [1, {value}]")
+
+    @pytest.mark.parametrize("key", ["seeds", "folds", "max_iter"])
+    @pytest.mark.parametrize("value", ["2.9", "3.0", "false"])
+    def test_int_scalar_rejects_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = {value}")
+
+    @pytest.mark.parametrize("value", ["1.5", "1.0", "true"])
+    def test_treatment_count_rejects_non_integers(self, value):
+        with pytest.raises(ConfigError, match="bad value for 'm'"):
+            scenario_from_config(f"scenario = custom\nm = {value}")
+        with pytest.raises(ConfigError, match="bad value for 'p'"):
+            spec_from_config(f"p = {value}")
+
+    def test_integers_accepted(self):
+        cfg = scenario_from_config("scenario = custom\nsample_sizes = [500]\nseeds = 2\nm = 2")
+        assert cfg.sample_sizes == (500,) and cfg.seeds == 2 and cfg.plr.m == 2
+
+    @pytest.mark.parametrize("key", ["standardize_noise", "tie_ab"])
+    @pytest.mark.parametrize("value", ["no", "off", "yes", "1", "True"])
+    def test_flags_accept_only_true_false(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = {value}")
+
+    def test_flag_words_parse(self):
+        cfg = scenario_from_config("scenario = custom\nstandardize_noise = false")
+        assert cfg.plr.standardize_noise is False
+        cfg = scenario_from_config("scenario = appF_robustness")
+        assert cfg.plr.tie_ab is True
+        assert cfg.cells()

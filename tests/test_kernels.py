@@ -9,11 +9,18 @@ from plrica import (
     Assignment,
     KernelError,
     NotSymmetricError,
+    assemble_unmixing,
+    fastica,
     hungarian,
     lasso_fit,
+    scenario_from_config,
+    simulate,
     soft_threshold,
     sym_eig,
+    whiten,
 )
+from plrica.harness import cell_seed, spec_for_cell
+from plrica.ica import LOG_CLIP
 
 
 def random_symmetric(d, seed):
@@ -177,3 +184,77 @@ class TestHungarian:
         inv = fwd.inverse()
         recomposed = tuple(fwd.mapping[inv[i]] for i in range(2))
         assert recomposed == (0, 1)
+
+
+def assignment_cost(cost, mapping):
+    return cost[np.arange(len(mapping)), list(mapping)].sum()
+
+
+def brute_force_min_cost(cost):
+    d = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(d))))
+    return cost[np.arange(d), perms].sum(axis=1).min()
+
+
+class TestAssignmentExact:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_minimal_cost_permutation(self, d):
+        rng = np.random.default_rng(40 + d)
+        costs = [rng.standard_normal((d, d)) for _ in range(3)]
+        costs += [-np.log(np.abs(rng.standard_normal((d, d))))]
+        for cost in costs:
+            mapping = hungarian(cost).mapping
+            assert sorted(mapping) == list(range(d))
+            assert assignment_cost(cost, mapping) == pytest.approx(brute_force_min_cost(cost),
+                                                                   abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_integer_costs_with_ties(self, d):
+        rng = np.random.default_rng(70 + d)
+        costs = [rng.integers(0, 3, (d, d)).astype(float) for _ in range(4)]
+        costs += [np.ones((d, d)), np.tile(np.arange(d, dtype=float), (d, 1))]
+        for cost in costs:
+            mapping = hungarian(cost).mapping
+            assert sorted(mapping) == list(range(d))
+            # integer sums are exact, so the cost must equal the minimum
+            assert assignment_cost(cost, mapping) == brute_force_min_cost(cost)
+
+    def test_empty_and_scalar(self):
+        empty = hungarian(np.zeros((0, 0)))
+        assert empty.mapping == () and empty.inverse() == ()
+        assert hungarian([[-2.5]]).mapping == (0,)
+
+    def test_constant_cost_gives_identity(self):
+        assert hungarian(np.zeros((6, 6))).mapping == tuple(range(6))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(KernelError):
+            hungarian(np.ones((2, 3)))
+        with pytest.raises(KernelError):
+            hungarian([[0.0, np.inf], [1.0, 0.0]])
+
+
+class TestAssignmentMatchesScipy:
+    @pytest.fixture(scope="class")
+    def linear_sum_assignment(self):
+        return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+    @pytest.mark.parametrize("d", [10, 52, 100])
+    def test_random_costs(self, linear_sum_assignment, d):
+        rng = np.random.default_rng(d)
+        for cost in (rng.random((d, d)), -np.log(np.abs(rng.standard_normal((d, d))))):
+            _, cols = linear_sum_assignment(cost)
+            assert hungarian(cost).mapping == tuple(int(c) for c in cols)
+
+    def test_fastica_unmixing_costs(self, linear_sum_assignment):
+        # the cost canonicalize builds, on fits from the p = 20 and p = 50 cells of fig2
+        config = scenario_from_config("scenario = fig2_linear_homl\n"
+                                      "sample_sizes = [500, 1000]\ncovariate_dims = [20, 50]")
+        for cell in config.cells():
+            seed = cell_seed(config.scenario, cell, 0)
+            data = simulate(spec_for_cell(config, cell), cell["n"], seed)
+            whitened, k, means = whiten(data.columns)
+            w = assemble_unmixing(fastica(whitened, max_iter=200, seed=seed), k, means).w_total
+            cost = -np.log(np.maximum(np.abs(w), LOG_CLIP))
+            _, cols = linear_sum_assignment(cost)
+            assert hungarian(cost).mapping == tuple(int(c) for c in cols)
