@@ -16,7 +16,7 @@ import numpy as np
 
 from .dgp import Dataset
 from .ica import CONTRASTS, Diagnostics, EffectEstimate
-from .kernels import lasso_fit
+from .kernels import lasso_fits
 
 HOML_DENOMINATOR_FLOOR = 1e-6
 _HOML_CONTRAST = CONTRASTS["cube"]  # var_homl is the limit for this contrast only
@@ -60,6 +60,8 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
 
     Fold k is the rows with index % folds == k. The penalty is
     lambda_scale * sqrt(log(p + m + 1) / n_train) for each training split.
+    The m + 1 targets of a split share one standardized design and Gram
+    matrix (kernels.lasso_fits).
     """
     if folds < 2:
         raise BaselineError("need at least 2 folds for cross-fitting")
@@ -78,12 +80,12 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
         train = ~test
         lam = lambda_scale * math.sqrt(math.log(dataset.p + dataset.m + 1) / int(train.sum()))
         lam_used = lam
-        x_tr, x_te = x[train], x[test]
-        for j in range(dataset.m):
-            fit = lasso_fit(x_tr, t[train, j], lam, tol=tol, max_iter=max_iter)
+        targets = [t[train, j] for j in range(dataset.m)] + [y[train]]
+        fits = lasso_fits(x[train], targets, lam, tol=tol, max_iter=max_iter)
+        x_te = x[test]
+        for j, fit in enumerate(fits[:-1]):
             predictions_t[test, j] = fit.predict(x_te)
-        fit = lasso_fit(x_tr, y[train], lam, tol=tol, max_iter=max_iter)
-        predictions_y[test] = fit.predict(x_te)
+        predictions_y[test] = fits[-1].predict(x_te)
     return NuisanceFit(
         predictions_t=predictions_t,
         predictions_y=predictions_y,

@@ -683,6 +683,13 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_float(value) -> float:
+    """A real config value; integers are taken, booleans and strings refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _as_bool(value) -> bool:
     """A boolean config value: the parsed words true and false, nothing else."""
     if not isinstance(value, bool):
@@ -701,20 +708,20 @@ def _convert(key: str, convert, value):
 # accepted only by spec configs, since covariate_dims sets it per cell
 _SPEC_KEYS = {
     "m": _as_int,
-    "theta": lambda v: [float(x) for x in _as_tuple(v)],
+    "theta": lambda v: [_as_float(x) for x in _as_tuple(v)],
     "nuisance": str,
-    "leaky_slope": float,
+    "leaky_slope": _as_float,
     "noise_x": parse_noise,
     "noise_t": parse_noise,
     "noise_y": parse_noise,
-    "sparsity_keep_prob": float,
+    "sparsity_keep_prob": _as_float,
     "standardize_noise": _as_bool,
     "tie_ab": _as_bool,
 }
-_LIST_KEYS = ({name: _as_int if kind is int else kind for _, name, kind in AXES}
+_LIST_KEYS = ({name: {int: _as_int, float: _as_float}.get(kind, kind) for _, name, kind in AXES}
               | {"methods": str})
 _SCALAR_KEYS = {"seeds": _as_int, "folds": _as_int, "max_iter": _as_int,
-                "lambda_scale": float, "tol": float, "ica_mode": str, "label": str}
+                "lambda_scale": _as_float, "tol": _as_float, "ica_mode": str, "label": str}
 
 
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:

@@ -120,6 +120,21 @@ class TestOlsJoint:
         est = ols_joint(ds)
         assert np.allclose(est.theta_hat, [1.5, -0.5], atol=0.03)
 
+    def test_duplicated_covariate_reports_rank(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 3))
+        x[:, 2] = x[:, 0]
+        t = x[:, :1] + rng.laplace(size=(300, 1))
+        y = 3.0 * t[:, 0] + x[:, 0] - x[:, 1] + rng.laplace(size=300)
+        full = ols_joint(Dataset(columns=np.column_stack([x, t, y]), p=3, m=1))
+        assert full.diagnostics.notes == "rank-deficient design"
+        assert full.diagnostics.condition_value == 4.0  # 1 + 3 + 1 columns, one repeated
+        assert np.all(np.isfinite(full.theta_hat))
+        assert full.theta_hat[0] == pytest.approx(3.0, abs=0.2)
+        distinct = ols_joint(Dataset(columns=np.column_stack([x[:, :2], t, y]), p=2, m=1))
+        assert distinct.diagnostics.notes == ""
+        assert distinct.diagnostics.condition_value == 4.0
+
     def test_omitted_covariates_bias(self):
         # dropping X from the regression biases the slope by a*b/(a^2+1)
         spec = laplace_spec(p=1, theta=0.0, a_block=[[1.0]], b_block=[1.0])

@@ -21,6 +21,7 @@ from plrica import (
     emit_csv,
     estimate_homl,
     estimate_oml,
+    lasso_fit,
     metrics,
     overlap_band,
     read_records,
@@ -233,6 +234,33 @@ class TestRunAndEmit:
         want_homl = estimate_homl(dataset, **settings)[0].theta_hat
         assert np.array_equal(recs[0].theta_hat, want_oml)
         assert np.array_equal(recs[1].theta_hat, want_homl)
+
+    def test_nuisance_fit_builds_one_gram_per_fold(self, monkeypatch):
+        # each fold standardizes its training design once and fits all
+        # m + 1 targets on it; the predictions are those of one lasso_fit
+        # call per target
+        calls = []
+        real_fits = baselines.lasso_fits
+
+        def counting_fits(design, targets, *args, **kwargs):
+            calls.append(len(targets))
+            return real_fits(design, targets, *args, **kwargs)
+
+        spec = PlrSpec(p=5, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP)
+        dataset = simulate(spec, 300, seed=3)
+        monkeypatch.setattr(baselines, "lasso_fits", counting_fits)
+        fit = baselines.fit_nuisance(dataset, folds=3)
+        assert calls == [3, 3, 3]
+        columns = np.column_stack([dataset.t, dataset.y])
+        predictions = np.column_stack([fit.predictions_t, fit.predictions_y])
+        for k in range(3):
+            test = fit.fold_assignment == k
+            train = ~test
+            lam = math.sqrt(math.log(5 + 2 + 1) / int(train.sum()))
+            for j in range(3):
+                single = lasso_fit(dataset.x[train], columns[train, j], lam)
+                want = single.predict(dataset.x[test])
+                assert np.max(np.abs(predictions[test, j] - want)) <= 1e-12
 
     def test_failure_becomes_nan_record(self):
         # oml and homl require a single treatment; with m=2 each record must
@@ -503,6 +531,7 @@ class TestConfigParsing:
 
 
 INT_AXES = [name for _, name, kind in AXES if kind is int]
+FLOAT_AXES = [name for _, name, kind in AXES if kind is float]
 
 
 class TestStrictConfigValues:
@@ -528,6 +557,30 @@ class TestStrictConfigValues:
     def test_integers_accepted(self):
         cfg = scenario_from_config("scenario = custom\nsample_sizes = [500]\nseeds = 2\nm = 2")
         assert cfg.sample_sizes == (500,) and cfg.seeds == 2 and cfg.plr.m == 2
+
+    @pytest.mark.parametrize("key", FLOAT_AXES)
+    @pytest.mark.parametrize("value", ["true", "false", "big"])
+    def test_float_axis_rejects_non_numbers(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = [1.0, {value}]")
+
+    @pytest.mark.parametrize("key", ["lambda_scale", "tol", "leaky_slope", "sparsity_keep_prob"])
+    @pytest.mark.parametrize("value", ["true", "false", "big"])
+    def test_float_scalar_rejects_non_numbers(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = {value}")
+
+    @pytest.mark.parametrize("value", ["[1.0, true]", "true"])
+    def test_theta_rejects_booleans(self, value):
+        with pytest.raises(ConfigError, match="bad value for 'theta'"):
+            scenario_from_config(f"scenario = custom\nm = 2\ntheta = {value}")
+
+    def test_floats_accept_integers(self):
+        cfg = scenario_from_config("scenario = custom\nlambda_scale = 2\ntol = 1e-5\n"
+                                   "scales = [1, 2.5]\nm = 2\ntheta = [3, -1]")
+        assert cfg.lambda_scale == 2.0 and cfg.tol == 1e-5
+        assert cfg.scales == (1.0, 2.5)
+        assert list(cfg.plr.theta) == [3.0, -1.0]
 
     @pytest.mark.parametrize("key", ["standardize_noise", "tie_ab"])
     @pytest.mark.parametrize("value", ["no", "off", "yes", "1", "True"])

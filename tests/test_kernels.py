@@ -13,6 +13,7 @@ from plrica import (
     fastica,
     hungarian,
     lasso_fit,
+    lasso_fits,
     scenario_from_config,
     simulate,
     soft_threshold,
@@ -76,6 +77,58 @@ class TestSoftThreshold:
             assert out == pytest.approx(value + threshold)
         else:
             assert out == 0.0
+
+
+def _residual_update_lasso(design, target, lam, tol=1e-4, max_iter=1000):
+    """Reference cyclic coordinate descent that keeps the full residual and
+    takes each step from an O(n) product with a design column; the
+    Gram-matrix loop in lasso_fit must take the same steps up to rounding.
+    Returns (weights, intercept, converged, sweeps)."""
+    x = np.asarray(design, dtype=float)
+    y = np.asarray(target, dtype=float)
+    n, p = x.shape
+    means, scales = x.mean(axis=0), x.std(axis=0)
+    alive = scales > 1e-12
+    safe = np.where(alive, scales, 1.0)
+    xs = (x - means) / safe
+    resid = y - y.mean()
+    w = np.zeros(p)
+    converged, sweeps = False, 0
+    while sweeps < max_iter and not converged:
+        sweeps += 1
+        max_delta = 0.0
+        for j in np.flatnonzero(alive):
+            w_new = soft_threshold(float(xs[:, j] @ resid) / n + w[j], lam)
+            if w_new != w[j]:
+                resid += xs[:, j] * (w[j] - w_new)
+                max_delta = max(max_delta, abs(w_new - w[j]))
+                w[j] = w_new
+        converged = max_delta < tol
+    weights = np.where(alive, w / safe, 0.0)
+    return weights, y.mean() - means @ weights, converged, sweeps
+
+
+def _lasso_design(kind, rng):
+    """(design, target, lam) for the reference comparisons."""
+    if kind == "constant column":
+        x = rng.standard_normal((80, 4))
+        x[:, 1] = 4.2
+        return x, x[:, 0] - x[:, 2] + rng.standard_normal(80), 0.01
+    if kind == "p close to n":
+        x = rng.standard_normal((40, 36))
+        return x, x[:, :3] @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(40), 0.05
+    if kind == "p close to n, zero penalty":
+        x = rng.standard_normal((40, 36))
+        return x, x[:, :3] @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(40), 0.0
+    if kind == "correlated, zero penalty":
+        x = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 5))
+        return x, x @ rng.standard_normal(5) + rng.standard_normal(200), 0.0
+    x = rng.standard_normal((100, 6))  # large penalty: every weight stays 0
+    return x, x @ rng.standard_normal(6) + rng.standard_normal(100), 50.0
+
+
+LASSO_DESIGNS = ("constant column", "p close to n", "p close to n, zero penalty",
+                 "correlated, zero penalty", "large penalty")
 
 
 class TestLasso:
@@ -148,6 +201,37 @@ class TestLasso:
     def test_rejects_bad_penalty(self):
         with pytest.raises(KernelError):
             lasso_fit(np.ones((4, 1)), np.ones(4), lam=-0.1)
+
+    @pytest.mark.parametrize("kind", LASSO_DESIGNS)
+    def test_matches_residual_update_reference(self, kind):
+        x, y, lam = _lasso_design(kind, np.random.default_rng(0))
+        w_ref, b_ref, converged_ref, sweeps_ref = _residual_update_lasso(x, y, lam)
+        fit = lasso_fit(x, y, lam)
+        assert fit.n_sweeps == sweeps_ref
+        assert fit.converged == converged_ref
+        scale = max(1.0, np.max(np.abs(w_ref)))
+        assert np.max(np.abs(fit.weights - w_ref)) <= 1e-12 * scale
+        assert fit.intercept == pytest.approx(b_ref, abs=1e-12 * scale * np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("kind", LASSO_DESIGNS)
+    def test_shared_gram_equals_single_target_calls(self, kind):
+        rng = np.random.default_rng(1)
+        x, y, lam = _lasso_design(kind, rng)
+        targets = [y, rng.standard_normal(len(y)), x[:, 0] + 0.5 * y]
+        fits = lasso_fits(x, targets, lam)
+        assert len(fits) == len(targets)
+        for fit, target in zip(fits, targets):
+            single = lasso_fit(x, target, lam)
+            assert np.array_equal(fit.weights, single.weights)
+            assert fit.intercept == single.intercept
+            assert (fit.n_sweeps, fit.converged, fit.lam) == (single.n_sweeps, single.converged,
+                                                              single.lam)
+
+    def test_shared_gram_checks_every_target(self):
+        x = np.ones((5, 2))
+        with pytest.raises(KernelError, match="target shape"):
+            lasso_fits(x, [np.ones(5), np.ones(4)], lam=0.1)
+        assert lasso_fits(x, [], lam=0.1) == []
 
 
 def brute_force_assignment(cost):
