@@ -134,11 +134,10 @@ def var_ica_mixing(a_block, b_block, theta, moments_x: MomentReport,
     """Exact limit of n * Var(theta_hat_i) for the mixing read.
 
     The estimator is extract_effects_from_mixing after whiten and
-    fastica(contrast="cube", mode="parallel"). moments_x, moments_t and
-    moments_y describe the noises the data are drawn from (the effective
-    ones: standardized unless the spec disables it); all covariates share
-    moments_x and all treatments moments_t. Returns one value per
-    treatment.
+    fastica(contrast="cube"). moments_x, moments_t and moments_y describe
+    the noises the data are drawn from (the effective ones: standardized
+    unless the spec disables it); all covariates share moments_x and all
+    treatments moments_t. Returns one value per treatment.
 
     With gain matrix G = W_hat A = I + E in unit-variance sources and
     r = sd(eps) / sd(eta), the read linearises to

@@ -32,12 +32,13 @@ class NuisanceFit:
 
     predictions_t[i, j] and predictions_y[i] were produced by the model
     trained on the folds NOT containing row i (fold_assignment[i]).
+    penalties[k] is the lasso penalty of the model that predicts fold k.
     """
 
     predictions_t: np.ndarray
     predictions_y: np.ndarray
     fold_assignment: np.ndarray
-    lam: float
+    penalties: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,12 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     fold_assignment = np.arange(n) % folds
     predictions_t = np.empty_like(t)
     predictions_y = np.empty(n)
-    lam_used = math.nan
+    penalties = []
     for k in range(folds):
         test = fold_assignment == k
         train = ~test
         lam = lambda_scale * math.sqrt(math.log(dataset.p + dataset.m + 1) / int(train.sum()))
-        lam_used = lam
+        penalties.append(lam)
         targets = [t[train, j] for j in range(dataset.m)] + [y[train]]
         fits = lasso_fits(x[train], targets, lam, tol=tol, max_iter=max_iter)
         x_te = x[test]
@@ -90,7 +91,7 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
         predictions_t=predictions_t,
         predictions_y=predictions_y,
         fold_assignment=fold_assignment,
-        lam=lam_used,
+        penalties=tuple(penalties),
     )
 
 

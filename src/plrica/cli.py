@@ -13,18 +13,19 @@ import sys
 import numpy as np
 
 from .asymptotics import variance_report
-from .baselines import estimate_homl, estimate_oml, ols_joint
 from .dgp import Dataset, simulate
 from .harness import (
-    WORKERS_ENV,
     BUILTIN_SCENARIOS,
+    METHOD_NAMES,
+    WORKERS_ENV,
     csv_digest,
     emit_csv,
+    estimate,
     run_scenario,
     scenario_from_config,
     spec_from_config,
 )
-from .ica import CONTRASTS, estimate_ica
+from .ica import CONTRASTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -47,9 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate effects from a dataset CSV")
     p_est.add_argument("--data", required=True, help="dataset CSV (x_*,t_*,y header)")
-    p_est.add_argument("--method", required=True, choices=("ica", "oml", "homl", "ols"))
+    p_est.add_argument("--method", required=True, choices=METHOD_NAMES)
     p_est.add_argument("--contrast", default="logcosh", choices=tuple(CONTRASTS))
-    p_est.add_argument("--mode", default="parallel", choices=("parallel", "deflation"))
     p_est.add_argument("--seed", type=int, default=0, help="iteration start seed (ica)")
     p_est.add_argument("--lambda-scale", type=float, default=1.0)
     p_est.add_argument("--folds", type=int, default=2)
@@ -88,17 +88,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     with open(args.data, "r", encoding="utf-8") as fh:
         dataset = Dataset.from_csv(fh)
-    if args.method == "ica":
-        est = estimate_ica(dataset, contrast=args.contrast, tol=args.tol,
-                           max_iter=args.max_iter, mode=args.mode, seed=args.seed)
-    elif args.method == "oml":
-        est = estimate_oml(dataset, lambda_scale=args.lambda_scale, folds=args.folds,
-                           tol=args.tol, max_iter=args.max_iter)
-    elif args.method == "homl":
-        est, _ = estimate_homl(dataset, lambda_scale=args.lambda_scale, folds=args.folds,
-                               tol=args.tol, max_iter=args.max_iter)
-    else:
-        est = ols_joint(dataset)
+    est = estimate(args.method, dataset, contrast=args.contrast, seed=args.seed, tol=args.tol,
+                   max_iter=args.max_iter, lambda_scale=args.lambda_scale, folds=args.folds)
     print(f"method={est.method}")
     print("theta_hat=" + ";".join("%.17g" % v for v in np.atleast_1d(est.theta_hat)))
     print(f"converged={'true' if est.diagnostics.converged else 'false'}")

@@ -19,14 +19,14 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
 from .dgp import NONLINEARITY_NAMES, Dataset, PlrSpec, multi_treatment_theta, simulate
 from .distributions import NoiseSpec
-from .ica import CONTRASTS, estimate_ica
+from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
 WORKERS_ENV = "PLRICA_WORKERS"
 METHOD_NAMES = ("ica", "oml", "homl", "ols")
@@ -165,7 +165,7 @@ class ScenarioConfig:
     folds: int = 2
     tol: float = 1e-4
     max_iter: int = 1000
-    ica_mode: str = "parallel"
+    ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 1
 
     def validate(self) -> None:
         if not self.scenario or not isinstance(self.scenario, str):
@@ -197,8 +197,6 @@ class ScenarioConfig:
             raise ConfigError("seeds must be at least 1")
         if self.folds < 2 or self.max_iter < 1 or not self.tol > 0 or not self.lambda_scale > 0:
             raise ConfigError("invalid estimator settings (folds/max_iter/tol/lambda_scale)")
-        if self.ica_mode not in ("parallel", "deflation"):
-            raise ConfigError(f"unknown ica_mode {self.ica_mode!r}")
         dims_vary = any(d != self.plr.p for d in self.covariate_dims)
         treat_vary = bool(self.treatment_counts)
         if (dims_vary or treat_vary or self.sparsity_levels) and (
@@ -271,17 +269,27 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
     return replace(base, **changes)
 
 
-def _estimate_for_method(method: str, dataset: Dataset, config: ScenarioConfig,
-                         cell: dict, ica_seed, residuals):
+def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: float = 1e-4,
+             max_iter: int = 1000, lambda_scale: float = 1.0, folds: int = 2,
+             residuals: Optional[Callable[[], tuple]] = None) -> EffectEstimate:
+    """The effect estimate of one method in METHOD_NAMES on one dataset.
+
+    ica uses contrast, seed, tol and max_iter. oml and homl take their
+    (outcome, treatment) residuals from calling residuals, or fit them with
+    single_treatment_residuals from lambda_scale, folds, tol and max_iter
+    when it is None. ols uses no setting.
+    """
     if method == "ica":
-        return estimate_ica(dataset, contrast=cell["contrast"], tol=config.tol,
-                            max_iter=config.max_iter, mode=config.ica_mode, seed=ica_seed)
-    if method == "oml":
-        return oml_estimate(*residuals())
-    if method == "homl":
-        estimate, _ = homl_estimate(*residuals())
-        return estimate
-    return ols_joint(dataset)
+        return estimate_ica(dataset, contrast=contrast, tol=tol, max_iter=max_iter, seed=seed)
+    if method in ("oml", "homl"):
+        fit = residuals or functools.partial(single_treatment_residuals, dataset,
+                                             lambda_scale=lambda_scale, folds=folds,
+                                             tol=tol, max_iter=max_iter)
+        ry, rt = fit()
+        return oml_estimate(ry, rt) if method == "oml" else homl_estimate(ry, rt)[0]
+    if method == "ols":
+        return ols_joint(dataset)
+    raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
 
 
 def _record_beta(cell: dict, spec: PlrSpec) -> Optional[float]:
@@ -315,7 +323,8 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
         start = time.perf_counter()
         notes = ""
         try:
-            est = _estimate_for_method(method, dataset, config, cell, ica_seq, residuals)
+            est = estimate(method, dataset, contrast=cell["contrast"], seed=ica_seq,
+                           tol=config.tol, max_iter=config.max_iter, residuals=residuals)
             theta_hat = np.atleast_1d(np.asarray(est.theta_hat, dtype=float))
             converged = est.diagnostics.converged
             notes = est.diagnostics.notes
@@ -721,7 +730,7 @@ _SPEC_KEYS = {
 _LIST_KEYS = ({name: {int: _as_int, float: _as_float}.get(kind, kind) for _, name, kind in AXES}
               | {"methods": str})
 _SCALAR_KEYS = {"seeds": _as_int, "folds": _as_int, "max_iter": _as_int,
-                "lambda_scale": _as_float, "tol": _as_float, "ica_mode": str, "label": str}
+                "lambda_scale": _as_float, "tol": _as_float, "label": str}
 
 
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:

@@ -162,64 +162,12 @@ def _sym_decorrelation(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
-def _fastica_parallel(z, con, tol, max_iter, w):
-    n = z.shape[0]
-    w = _sym_decorrelation(w)
-    it = 0
-    for it in range(1, max_iter + 1):
-        g, gp = con.evaluate(z @ w.T)
-        w1 = _sym_decorrelation((g.T @ z) / n - gp[:, None] * w)
-        lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
-        w = w1
-        if lim < tol:
-            return w, True, it
-    return w, False, it
-
-
-def _fastica_deflation(z, con, tol, max_iter, w_start, rng):
-    n, d = z.shape
-    w = np.zeros((d, d))
-    converged = True
-    worst_iters = 0
-    for i in range(d):
-        vec = w_start[i].copy()
-        for _ in range(100):
-            vec -= w[:i].T @ (w[:i] @ vec)
-            nrm = np.linalg.norm(vec)
-            if nrm > 1e-10:
-                break
-            vec = rng.standard_normal(d)
-        else:
-            raise IcaError("could not initialize a direction orthogonal to earlier rows")
-        vec /= nrm
-        comp_done = False
-        it = 0
-        for it in range(1, max_iter + 1):
-            g, gp = con.evaluate(z @ vec)
-            new = g @ z / n - gp * vec
-            new -= w[:i].T @ (w[:i] @ new)
-            nrm = np.linalg.norm(new)
-            if nrm < 1e-12:
-                break
-            new /= nrm
-            lim = abs(abs(float(new @ vec)) - 1.0)
-            vec = new
-            if lim < tol:
-                comp_done = True
-                break
-        w[i] = vec
-        worst_iters = max(worst_iters, it)
-        converged = converged and comp_done
-    return w, converged, worst_iters
-
-
 def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 1000,
             mode: str = "parallel", seed=0, w_init=None) -> FastIcaResult:
     """Fixed-point contrast iteration on whitened data.
 
-    mode "parallel" updates all rows jointly with symmetric
-    decorrelation; "deflation" extracts rows one at a time with
-    Gram-Schmidt. Convergence means 1 - |cos| of the angle between every
+    All rows update jointly, each update followed by symmetric
+    decorrelation. Convergence means 1 - |cos| of the angle between every
     row and its last update is below tol. That leaves a converged row up
     to about sqrt(2 tol) rad from the fixed point (1.4e-2 at the default
     tol). A non-converged result is still returned with converged=False.
@@ -229,22 +177,25 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         raise IcaError("whitened data must be 2-d with more rows than columns")
     if tol <= 0 or max_iter < 1:
         raise IcaError("tol must be positive and max_iter at least 1")
-    if mode not in ("parallel", "deflation"):
-        raise IcaError(f"unknown mode {mode!r}; expected 'parallel' or 'deflation'")
+    if mode != "parallel":  # mode leaves with the benchmark change in ROADMAP item 1
+        raise IcaError(f"unknown mode {mode!r}; the iteration is 'parallel' only")
     con = get_contrast(contrast)
-    d = z.shape[1]
-    rng = np.random.default_rng(seed)
+    n, d = z.shape
     if w_init is None:
-        w0 = rng.standard_normal((d, d))
+        w = np.random.default_rng(seed).standard_normal((d, d))
     else:
-        w0 = np.array(w_init, dtype=float)
-        if w0.shape != (d, d):
-            raise IcaError(f"w_init must have shape {(d, d)}, got {w0.shape}")
-    if mode == "parallel":
-        w, ok, iters = _fastica_parallel(z, con, tol, max_iter, w0)
-    else:
-        w, ok, iters = _fastica_deflation(z, con, tol, max_iter, w0, rng)
-    return FastIcaResult(w_rotation=w, converged=ok, iterations=iters)
+        w = np.array(w_init, dtype=float)
+        if w.shape != (d, d):
+            raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
+    w = _sym_decorrelation(w)
+    for it in range(1, max_iter + 1):
+        g, gp = con.evaluate(z @ w.T)
+        w1 = _sym_decorrelation((g.T @ z) / n - gp[:, None] * w)
+        lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
+        w = w1
+        if lim < tol:
+            return FastIcaResult(w_rotation=w, converged=True, iterations=it)
+    return FastIcaResult(w_rotation=w, converged=False, iterations=it)
 
 
 def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.ndarray,
@@ -371,6 +322,7 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     match was barely identified.
     """
     whitened, k, means = whiten(dataset.columns)
+    # mode leaves with the benchmark change in ROADMAP item 1
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed)
     est = assemble_unmixing(result, k, means, contrast)

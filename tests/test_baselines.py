@@ -33,7 +33,15 @@ class TestFitNuisance:
         ds = simulate(laplace_spec(p=4), 200, seed=1)
         fit = fit_nuisance(ds, lambda_scale=2.0, folds=2)
         want = 2.0 * math.sqrt(math.log(4 + 1 + 1) / 100)
-        assert fit.lam == pytest.approx(want)
+        assert fit.penalties == pytest.approx((want, want))
+
+    def test_penalties_follow_each_fold_training_size(self):
+        # n = 101 in 2 folds: fold 0 holds the 51 even rows, so its model
+        # trained on 50 rows; fold 1's model trained on 51
+        ds = simulate(laplace_spec(p=2), 101, seed=0)
+        fit = fit_nuisance(ds, folds=2)
+        assert fit.penalties == (math.sqrt(math.log(4) / 50), math.sqrt(math.log(4) / 51))
+        assert fit.penalties == pytest.approx((0.16651, 0.16487), abs=1e-5)
 
     def test_prediction_shapes(self):
         spec = PlrSpec(p=3, m=2, noise_x=NoiseSpec.laplace(),

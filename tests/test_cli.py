@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plrica import Dataset
+from plrica.harness import METHOD_NAMES, estimate
 from plrica.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -84,6 +85,24 @@ class TestEstimate:
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", data_csv, "--method", "ridge"])
         assert exc.value.code == 2
+
+    def test_mode_flag_removed(self, data_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", data_csv, "--method", "ica", "--mode", "deflation"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_prints_harness_dispatch_bits(self, data_csv, capsys, method):
+        # every flag is passed on: each differs from its default here
+        code = main(["estimate", "--data", data_csv, "--method", method, "--contrast", "exp",
+                     "--seed", "7", "--lambda-scale", "0.5", "--folds", "3", "--tol", "1e-5",
+                     "--max-iter", "500"])
+        assert code == EXIT_OK
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        want = estimate(method, Dataset.from_csv(data_csv), contrast="exp", seed=7,
+                        lambda_scale=0.5, folds=3, tol=1e-5, max_iter=500)
+        got = np.array([float(v) for v in lines["theta_hat"].split(";")])
+        assert np.array_equal(got, want.theta_hat)
 
 
 class TestExperiment:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from plrica import baselines
+from plrica import baselines, harness
 from plrica.harness import AXES
 from plrica import (
     BUILTIN_SCENARIOS,
@@ -31,6 +31,7 @@ from plrica import (
     spec_from_config,
 )
 from plrica.harness import (
+    estimate,
     parse_config_text,
     parse_noise,
     resolve_workers,
@@ -262,6 +263,20 @@ class TestRunAndEmit:
                 want = single.predict(dataset.x[test])
                 assert np.max(np.abs(predictions[test, j] - want)) <= 1e-12
 
+    def test_replication_routes_every_method_through_estimate(self, monkeypatch):
+        seen = []
+        real_estimate = harness.estimate
+
+        def recording_estimate(method, dataset, **kwargs):
+            seen.append(method)
+            return real_estimate(method, dataset, **kwargs)
+
+        cfg = tiny_config(methods=("ica", "oml", "homl", "ols"))
+        monkeypatch.setattr(harness, "estimate", recording_estimate)
+        recs = run_cell_replication(cfg, cfg.cells()[0], 0)
+        assert seen == ["ica", "oml", "homl", "ols"]
+        assert all(np.isfinite(r.mse) for r in recs)
+
     def test_failure_becomes_nan_record(self):
         # oml and homl require a single treatment; with m=2 each record must
         # survive with nan metrics and the error name in the notes, even
@@ -349,6 +364,24 @@ def hand_records():
                      theta_true=np.array([1.55, 0.65]), theta_hat=np.array([math.nan, 0.5]),
                      mse=math.nan, relative_error=math.nan, converged=False, wall_ms=0.125),
     ]
+
+
+class TestEstimateDispatch:
+    def dataset(self):
+        spec = PlrSpec(p=3, m=1, theta=[2.0], noise_x=LAP, noise_t=LAP, noise_y=LAP)
+        return simulate(spec, 400, seed=5)
+
+    def test_residual_methods_fit_their_own_residuals(self):
+        ds = self.dataset()
+        settings = dict(lambda_scale=0.5, folds=3, tol=1e-6, max_iter=200)
+        got_oml = estimate("oml", ds, **settings)
+        got_homl = estimate("homl", ds, **settings)
+        assert np.array_equal(got_oml.theta_hat, estimate_oml(ds, **settings).theta_hat)
+        assert np.array_equal(got_homl.theta_hat, estimate_homl(ds, **settings)[0].theta_hat)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigError, match="unknown method 'ridge'"):
+            estimate("ridge", self.dataset())
 
 
 class TestCsvFormat:
@@ -480,6 +513,13 @@ class TestConfigParsing:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             scenario_from_config("scenario = default_test\nbogus = 1\n")
+
+    def test_ica_mode_is_not_a_config_key(self):
+        # the contrast iteration is symmetric only
+        with pytest.raises(ConfigError, match=r"unknown config keys \['ica_mode'\]"):
+            scenario_from_config("ica_mode = deflation")
+        assert "ica_mode" not in {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert ScenarioConfig.ica_mode == "parallel"
 
     def test_custom_spec_keys(self):
         text = """
