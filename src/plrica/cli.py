@@ -17,7 +17,6 @@ from .dgp import Dataset, simulate
 from .harness import (
     BUILTIN_SCENARIOS,
     METHOD_NAMES,
-    WORKERS_ENV,
     csv_digest,
     emit_csv,
     estimate,
@@ -59,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a scenario grid to a results CSV")
     p_exp.add_argument("--config", help="scenario config file")
     p_exp.add_argument("--out", help="output results CSV")
-    p_exp.add_argument("--workers", type=int, default=None,
-                       help=f"parallel workers (default: ${WORKERS_ENV} or 1)")
+    p_exp.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
     p_exp.add_argument("--list", action="store_true", dest="list_builtins",
                        help="list builtin scenario names and exit")
 

@@ -140,11 +140,6 @@ class PlrSpec:
                 raise DgpError("tie_ab only applies when the blocks are drawn, not supplied")
 
     @property
-    def dim(self) -> int:
-        """Total column count p + m + 1."""
-        return self.p + self.m + 1
-
-    @property
     def is_resolved(self) -> bool:
         return self.a_block is not None and self.b_block is not None
 

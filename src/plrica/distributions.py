@@ -84,8 +84,8 @@ class NoiseSpec:
         if self.scale <= 0:
             raise DistributionError(f"scale must be positive, got {self.scale}")
         if self.family == "generalized_normal":
-            if self.shape_beta is None or not (self.shape_beta > 0):
-                raise DistributionError("generalized_normal requires shape_beta > 0")
+            if self.shape_beta is None or not (0 < self.shape_beta < math.inf):
+                raise DistributionError("generalized_normal requires a finite shape_beta > 0")
         elif self.shape_beta is not None:
             raise DistributionError(f"shape_beta is only meaningful for generalized_normal")
         if self.family == "discrete_symmetric":

@@ -14,21 +14,19 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
-from .dgp import NONLINEARITY_NAMES, Dataset, PlrSpec, multi_treatment_theta, simulate
+from .dgp import Dataset, PlrSpec, multi_treatment_theta, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
-WORKERS_ENV = "PLRICA_WORKERS"
 METHOD_NAMES = ("ica", "oml", "homl", "ols")
 
 # Grid axes in canonical order: (cell key, ScenarioConfig field and config
@@ -47,6 +45,19 @@ AXES = (
     ("sparsity", "sparsity_levels", float),
     ("coefficient", "coefficient_values", float),
 )
+
+# Process keys each process axis sets through build_plr_spec, the path
+# scalar config keys take, so the spec constructors judge both alike.
+# location and scale move all three noises instead, and coefficient pins
+# the blocks after the build, since blocks are not config keys.
+_AXIS_SPEC_KEYS = {
+    "dim_x": lambda v: {"p": v},
+    "n_treat": lambda v: {"m": v},
+    "beta": lambda v: {"noise_x": NoiseSpec.generalized_normal(v)},
+    "nonlinearity": lambda v: {"nuisance": v},
+    "slope": lambda v: {"leaky_slope": v},
+    "sparsity": lambda v: {"sparsity_keep_prob": v},
+}
 
 
 class ConfigError(ValueError):
@@ -124,10 +135,6 @@ class ResultRecord:
     wall_ms: float
     notes: str = ""
 
-    @property
-    def squared_error(self) -> float:
-        return self.mse * self.mse
-
 
 # ------------------------------------------------------------- scenarios
 
@@ -138,12 +145,12 @@ class ScenarioConfig:
 
     Swept axes multiply: every combination of the non-empty axis lists
     becomes one cell, run with `seeds` independent replications. The plr
-    field is a template; per cell its dimensions, noises, and coefficient
-    policy are rewritten by the axis values (a dim_x or n_treat value that
-    differs from the template therefore requires drawn, not supplied,
-    coefficient blocks). location/scale axes additionally disable noise
-    standardization, since they exist to move the noise away from the
-    standardized regime.
+    field is a template, and spec_for_cell builds each cell's process from
+    it with build_plr_spec, so an axis value obeys the same rules as its
+    scalar key (leaky_slopes entries as leaky_slope, treatment_counts as m,
+    and so on). A treatment count other than the template's redraws theta.
+    location/scale axes additionally disable noise standardization, since
+    they exist to move the noise away from the standardized regime.
     """
 
     scenario: str
@@ -168,25 +175,20 @@ class ScenarioConfig:
     ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 1
 
     def validate(self) -> None:
+        """Raise ConfigError unless every cell can run.
+
+        Checks what no process constructor judges, then builds every cell's
+        spec; a process value the constructors refuse is reported with the
+        cell it occurs in, by config key.
+        """
         if not self.scenario or not isinstance(self.scenario, str):
             raise ConfigError("scenario must be a non-empty name")
         for name in ("sample_sizes", "covariate_dims", "contrasts", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        for _, name, kind in AXES:
-            vals = getattr(self, name)
-            if kind is int and any((not isinstance(v, int)) or v < 1 for v in vals):
-                raise ConfigError(f"{name} entries must be positive integers, got {vals}")
-            if kind is float and not all(math.isfinite(v) for v in vals):
-                raise ConfigError(f"{name} entries must be finite, got {vals}")
-        for name in ("beta_values", "leaky_slopes", "scales"):
-            if any(not v > 0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be positive")
-        if any(not 0 < v <= 1 for v in self.sparsity_levels):
-            raise ConfigError("sparsity_levels must lie in (0, 1]")
-        for v in self.nonlinearities:
-            if v not in NONLINEARITY_NAMES:
-                raise ConfigError(f"unknown nonlinearity {v!r}; expected one of {NONLINEARITY_NAMES}")
+        if any((not isinstance(v, int)) or v < 1 for v in self.sample_sizes):
+            raise ConfigError(
+                f"sample_sizes entries must be positive integers, got {self.sample_sizes}")
         for v in self.contrasts:
             if v not in CONTRASTS:
                 raise ConfigError(f"unknown contrast {v!r}; expected one of {tuple(CONTRASTS)}")
@@ -197,17 +199,15 @@ class ScenarioConfig:
             raise ConfigError("seeds must be at least 1")
         if self.folds < 2 or self.max_iter < 1 or not self.tol > 0 or not self.lambda_scale > 0:
             raise ConfigError("invalid estimator settings (folds/max_iter/tol/lambda_scale)")
-        dims_vary = any(d != self.plr.p for d in self.covariate_dims)
-        treat_vary = bool(self.treatment_counts)
-        if (dims_vary or treat_vary or self.sparsity_levels) and (
-            self.plr.a_block is not None or self.plr.b_block is not None
-        ):
-            raise ConfigError(
-                "dim/treatment/sparsity sweeps need drawn coefficient blocks; "
-                "remove a_block/b_block from the template"
-            )
-        if self.coefficient_values and self.plr.tie_ab:
-            raise ConfigError("coefficient_values supplies blocks; incompatible with tie_ab")
+        if self.sparsity_levels and (self.plr.a_block is not None or self.plr.b_block is not None):
+            raise ConfigError("sparsity sweeps need drawn coefficient blocks; "
+                              "remove a_block/b_block from the template")
+        for cell in self.cells():
+            try:
+                spec_for_cell(self, cell)
+            except ValueError as exc:
+                where = ", ".join(f"{name} = {cell[key]}" for key, name, _ in AXES if key in cell)
+                raise ConfigError(f"cell ({where}): {exc}") from None
 
     def cells(self) -> list[dict]:
         """All combinations of the non-empty axes, in canonical order."""
@@ -238,35 +238,23 @@ def cell_seed(scenario: str, cell: dict, index: int) -> int:
 
 
 def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
-    """Instantiate the plr template at one grid cell."""
+    """The plr template at one grid cell, built by build_plr_spec."""
     base = config.plr
-    p = cell["dim_x"]
-    m = cell.get("n_treat", base.m)
-    changes = dict(p=p, m=m,
-                   a_block=base.a_block if p == base.p and m == base.m else None,
-                   b_block=base.b_block if p == base.p else None)
-    if "n_treat" in cell:
-        changes["theta"] = multi_treatment_theta(m)
-    if "coefficient" in cell:
-        a_block, b_block = np.zeros((m, p)), np.zeros(p)
-        a_block[:, 0] = b_block[0] = cell["coefficient"]
-        changes.update(a_block=a_block, b_block=b_block)
-    if "beta" in cell:
-        changes["noise_x"] = NoiseSpec.generalized_normal(cell["beta"])
-    if "nonlinearity" in cell:
-        changes["nuisance"] = cell["nonlinearity"]
-    if "slope" in cell:
-        changes["leaky_slope"] = cell["slope"]
-    if "sparsity" in cell:
-        changes["sparsity_keep_prob"] = cell["sparsity"]
+    keys = {}
+    for key, to_keys in _AXIS_SPEC_KEYS.items():
+        if key in cell:
+            keys.update(to_keys(cell[key]))
     shift = {key: float(cell[key]) for key in ("location", "scale") if key in cell}
     if shift:
         for name in ("noise_x", "noise_t", "noise_y"):
-            changes[name] = replace(changes.get(name, getattr(base, name)), **shift)
-        changes["standardize_noise"] = False
-    changes["tie_ab"] = (base.tie_ab and changes["a_block"] is None
-                         and changes["b_block"] is None)
-    return replace(base, **changes)
+            keys[name] = replace(keys.get(name, getattr(base, name)), **shift)
+        keys["standardize_noise"] = False
+    spec = build_plr_spec(keys, base=base)
+    if "coefficient" in cell:
+        a_block, b_block = np.zeros((spec.m, spec.p)), np.zeros(spec.p)
+        a_block[:, 0] = b_block[0] = cell["coefficient"]
+        spec = replace(spec, a_block=a_block, b_block=b_block)
+    return spec
 
 
 def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: float = 1e-4,
@@ -292,14 +280,6 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
     raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
 
 
-def _record_beta(cell: dict, spec: PlrSpec) -> Optional[float]:
-    if "beta" in cell:
-        return float(cell["beta"])
-    if spec.noise_x.family == "generalized_normal":
-        return float(spec.noise_x.shape_beta)
-    return None
-
-
 def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list[ResultRecord]:
     """One simulated dataset, every configured method.
 
@@ -316,7 +296,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
         dataset, lambda_scale=config.lambda_scale, folds=config.folds,
         tol=config.tol, max_iter=config.max_iter))
     truth = dataset.ground_truth.theta
-    resolved = dataset.ground_truth.spec
+    beta = dataset.ground_truth.spec.noise_x.shape_beta
     scenario_id = scenario_id_for_cell(config, cell)
     records = []
     for method in config.methods:
@@ -343,7 +323,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
             n=int(cell["n"]),
             dim_x=int(cell["dim_x"]),
             n_treat=int(spec.m),
-            beta=_record_beta(cell, resolved),
+            beta=None if beta is None else float(beta),
             nonlinearity=spec.nuisance,
             contrast=cell["contrast"] if method == "ica" else "",
             method=method,
@@ -363,23 +343,7 @@ def _run_task(args) -> list[ResultRecord]:
     return run_cell_replication(*args)
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Explicit argument wins, then the PLRICA_WORKERS variable, then 1."""
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-        else:
-            workers = 1
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    return workers
-
-
-def run_scenario(config: ScenarioConfig, workers: Optional[int] = None) -> list[ResultRecord]:
+def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]:
     """Run every (cell, replication, method) combination.
 
     Output order and content are independent of the worker count; each
@@ -387,7 +351,8 @@ def run_scenario(config: ScenarioConfig, workers: Optional[int] = None) -> list[
     failures become nan-valued records instead of aborting the sweep.
     """
     config.validate()
-    workers = resolve_workers(workers)
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     tasks = [(config, cell, i) for cell in config.cells() for i in range(config.seeds)]
     if workers == 1 or len(tasks) <= 1:
         chunks = map(_run_task, tasks)

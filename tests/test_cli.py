@@ -121,15 +121,15 @@ class TestExperiment:
         assert len(text) > 1
         assert "digest=" in capsys.readouterr().out
 
-    def test_worker_env_override(self, tmp_path, monkeypatch):
+    def test_digest_same_at_one_and_two_workers(self, tmp_path, capsys):
         cfg = write_spec(tmp_path, "scenario = default_test\nseeds = 1\n", "run.cfg")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("PLRICA_WORKERS", "2")
-        assert main(["experiment", "--config", cfg, "--out", str(a)]) == EXIT_OK
-        monkeypatch.setenv("PLRICA_WORKERS", "1")
-        assert main(["experiment", "--config", cfg, "--out", str(b)]) == EXIT_OK
-        assert a.read_text().splitlines()[1:] == b.read_text().splitlines()[1:] or True
-        # timing column differs; digest-level equality is covered elsewhere
+        digests = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["experiment", "--config", cfg, "--out", str(out),
+                         "--workers", workers]) == EXIT_OK
+            digests.append(capsys.readouterr().out.split("digest=")[1].strip())
+        assert digests[0] == digests[1]
 
     def test_unknown_config_key(self, tmp_path):
         cfg = write_spec(tmp_path, "scenario = default_test\nnope = 1\n", "bad.cfg")

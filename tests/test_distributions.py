@@ -179,6 +179,13 @@ class TestValidation:
         with pytest.raises(DistributionError):
             NoiseSpec.generalized_normal(0.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_gennorm_needs_finite_beta(self, beta):
+        # an infinite beta would pass construction and then fail in moments()
+        # with a math domain error, and sample() would draw only +-1
+        with pytest.raises(DistributionError, match="finite shape_beta"):
+            NoiseSpec.generalized_normal(beta)
+
     def test_discrete_needs_matching_probs(self):
         with pytest.raises(DistributionError):
             NoiseSpec("discrete_symmetric", support=(-1.0, 1.0), probabilities=(1.0,))

@@ -34,7 +34,6 @@ from plrica.harness import (
     estimate,
     parse_config_text,
     parse_noise,
-    resolve_workers,
     run_cell_replication,
     scenario_id_for_cell,
     spec_for_cell,
@@ -120,8 +119,42 @@ class TestScenarioConfig:
         ("beta_values", "inf"), ("leaky_slopes", "inf"),
     ])
     def test_non_finite_float_axis_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key} entries must be finite"):
+        with pytest.raises(ConfigError, match=f"{key} = {value}"):
             scenario_from_config(f"scenario = custom\n{key} = [1.0, {value}]")
+
+    @pytest.mark.parametrize("text,where", [
+        ("treatment_counts = [1, 6]", "treatment_counts = 6"),
+        ("noise_x = gennorm(inf)", r"'noise_x'.*gennorm\(inf\)"),
+        ("tie_ab = true\nnonlinearities = [relu]", "nonlinearities = relu"),
+        ("tie_ab = true\ntreatment_counts = [2]", "treatment_counts = 2"),
+    ])
+    def test_process_values_the_spec_refuses_are_config_errors(self, text, where):
+        # each of these used to pass validation and stop the grid at its first bad cell
+        with pytest.raises(ConfigError, match=where):
+            scenario_from_config(f"scenario = custom\n{text}")
+
+    def test_error_names_the_cell_by_config_key(self):
+        with pytest.raises(ConfigError) as err:
+            scenario_from_config("scenario = custom\nscales = [1.0, inf]")
+        assert str(err.value).startswith("cell (sample_sizes = 1000, covariate_dims = 10, "
+                                         "scales = inf, contrasts = logcosh): ")
+
+    def test_bad_cell_stops_the_grid_before_any_replication(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run_cell_replication", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="treatment_counts = 6"):
+            run_scenario(tiny_config(treatment_counts=(1, 6)), workers=1)
+        assert calls == []
+
+    def test_slope_axis_takes_the_scalar_key_rules(self):
+        cfg = scenario_from_config("scenario = custom\nnuisance = leaky_relu\nleaky_slopes = [0.0]")
+        scalar = scenario_from_config("scenario = custom\nnuisance = leaky_relu\nleaky_slope = 0.0")
+        assert spec_for_cell(cfg, cfg.cells()[0]).leaky_slope == scalar.plr.leaky_slope == 0.0
+
+    def test_theta_redrawn_only_for_a_new_treatment_count(self):
+        cfg = scenario_from_config("scenario = custom\ntheta = 3.0\ntreatment_counts = [1, 2]")
+        thetas = [spec_for_cell(cfg, cell).theta.tolist() for cell in cfg.cells()]
+        assert thetas == [[3.0], [1.55, 0.65]]
 
     def test_builtins_all_validate(self):
         for name, text in BUILTIN_SCENARIOS.items():
@@ -447,23 +480,10 @@ class TestBands:
         assert band_verdict(a, c) == "overlap"
 
 
-class TestWorkerResolution:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("PLRICA_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_environment_fallback(self, monkeypatch):
-        monkeypatch.setenv("PLRICA_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("PLRICA_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("PLRICA_WORKERS", "zero")
-        with pytest.raises(ConfigError):
-            resolve_workers(None)
+class TestWorkers:
+    def test_fewer_than_one_rejected(self):
+        with pytest.raises(ConfigError, match="workers must be at least 1, got 0"):
+            run_scenario(tiny_config(), workers=0)
 
 
 class TestConfigParsing:
