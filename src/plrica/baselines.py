@@ -4,7 +4,7 @@ scores, and plain joint least squares.
 The first two follow the standard two-stage recipe: cross-fitted lasso
 regressions of T on X and Y on X produce out-of-fold residuals, then a
 method-of-moments step on the residuals yields the effect. They target a
-single treatment. ols_joint regresses Y on (T, X, 1) jointly and works for
+single treatment. ols_joint regresses Y on (X, T, 1) jointly and works for
 any number of treatments.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .ica import CONTRASTS, Diagnostics, EffectEstimate
 from .kernels import lasso_fits
 
 HOML_DENOMINATOR_FLOOR = 1e-6
+RANK_CERTIFICATE = 1e-8  # lower bound on the eigenvalue ratio of A^T A that ols_joint certifies
 _HOML_CONTRAST = CONTRASTS["cube"]  # var_homl is the limit for this contrast only
 
 
@@ -184,26 +185,59 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, t
 
 
 def ols_joint(dataset: Dataset, include_covariates: bool = True) -> EffectEstimate:
-    """Least squares of Y on treatments (plus covariates and an intercept).
+    """Least squares of Y on covariates, treatments and an intercept, (X, T, 1).
 
     With include_covariates=False the covariates are omitted, which biases
     the treatment coefficients whenever X drives both T and Y.
+
+    The fit solves the normal equations from one cross-product matrix G =
+    A^T A when G certifies full rank: ||G||_F * ||G^-1||_F < 1 /
+    RANK_CERTIFICATE implies lambda_min(G) > RANK_CERTIFICATE *
+    lambda_max(G), which puts the design's singular-value ratio above 1e-4,
+    far above np.linalg.lstsq's eps * max(n, k) cutoff, so lstsq would
+    report full rank too. One step of iterative refinement on y - A beta
+    follows. Designs without that certificate go to lstsq on the explicit
+    design, so the reported rank is lstsq's on every input.
     """
     n = dataset.n
-    blocks = [dataset.t]
-    if include_covariates:
-        blocks.append(dataset.x)
-    blocks.append(np.ones((n, 1)))
-    design = np.column_stack(blocks)
-    if n <= design.shape[1]:
-        raise BaselineError(f"need more than {design.shape[1]} rows, got {n}")
-    coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=None)
+    cols = dataset.columns if include_covariates else dataset.columns[:, dataset.p:]
+    q = cols.shape[1] - 1  # regressors before the intercept; Y is the last column
+    if n <= q + 1:
+        raise BaselineError(f"need more than {q + 1} rows, got {n}")
+    coef = _certified_normal_solve(cols)
+    rank = q + 1
+    if coef is None:
+        design = np.column_stack([cols[:, :q], np.ones(n)])
+        coef, _, rank, _ = np.linalg.lstsq(design, cols[:, q], rcond=None)
     return EffectEstimate(
-        theta_hat=coef[: dataset.m].copy(),
+        theta_hat=coef[q - dataset.m : q].copy(),
         method="ols",
         diagnostics=Diagnostics(
             converged=True,
             condition_value=float(rank),
-            notes="" if rank == design.shape[1] else "rank-deficient design",
+            notes="" if rank == q + 1 else "rank-deficient design",
         ),
     )
+
+
+def _certified_normal_solve(cols: np.ndarray) -> np.ndarray | None:
+    """Least-squares coefficients of the last column on the others and an
+    intercept, or None when the cross-product matrix does not certify full
+    rank."""
+    n, q = cols.shape[0], cols.shape[1] - 1
+    cross = cols.T @ cols  # one product gives A^T A (less its intercept row) and A^T y
+    sums = np.ones(n) @ cols  # a matrix-vector product; far faster than cols.sum(axis=0) here
+    gram = np.empty((q + 1, q + 1))
+    gram[:q, :q] = cross[:q, :q]
+    gram[:q, q] = gram[q, :q] = sums[:q]
+    gram[q, q] = n
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # exactly singular
+        return None
+    if not np.linalg.norm(gram) * np.linalg.norm(inv) < 1.0 / RANK_CERTIFICATE:  # False on nan too
+        return None
+    coef = inv @ np.append(cross[:q, q], sums[q])
+    resid = cols[:, q] - cols[:, :q] @ coef[:q] - coef[q]
+    coef += inv @ np.append(cols[:, :q].T @ resid, resid.sum())
+    return coef

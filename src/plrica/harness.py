@@ -195,6 +195,8 @@ class ScenarioConfig:
         for v in self.methods:
             if v not in METHOD_NAMES:
                 raise ConfigError(f"unknown method {v!r}; expected one of {METHOD_NAMES}")
+        for name in ("seeds", "folds", "max_iter"):  # configs built in Python skip _apply_keys
+            _convert(name, _as_int, getattr(self, name))
         if self.seeds < 1:
             raise ConfigError("seeds must be at least 1")
         if self.folds < 2 or self.max_iter < 1 or not self.tol > 0 or not self.lambda_scale > 0:

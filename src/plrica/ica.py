@@ -38,26 +38,27 @@ class CanonicalizationError(IcaError):
 class Contrast:
     """Elementwise contrast t fused with the mean of its derivative.
 
-    evaluate(s) returns (t(s), axis-0 mean of t'(s)) from one pass over s:
-    the mean is per column for 2-d s and a scalar for 1-d s. It never
-    writes into s.
+    evaluate(s, out=None) returns (t(s), axis-0 mean of t'(s)) from one
+    pass over s: the mean is per column for 2-d s and a scalar for 1-d s.
+    t(s) is written into out when given (an array shaped like s, not s
+    itself) and into a new array otherwise. It never writes into s.
     """
 
     name: str
-    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def _col_mean_of_product(a, b):  # no n x d temporary: allocating it costs more than a*b
     return np.einsum("i...,i...->...", a, b) / a.shape[0]
 
 
-def _logcosh(u):
-    g = np.tanh(u)
+def _logcosh(u, out=None):
+    g = np.tanh(u, out=out)
     return g, 1.0 - _col_mean_of_product(g, g)
 
 
-def _exp(u):
-    g = u * u
+def _exp(u, out=None):
+    g = np.multiply(u, u, out=out)
     g *= -0.5
     np.exp(g, out=g)
     e_mean = g.mean(axis=0)
@@ -65,8 +66,8 @@ def _exp(u):
     return g, e_mean - _col_mean_of_product(u, g)
 
 
-def _cube(u):
-    g = u * u
+def _cube(u, out=None):
+    g = np.multiply(u, u, out=out)
     g *= u
     return g, 3.0 * _col_mean_of_product(u, u)
 
@@ -188,8 +189,10 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         if w.shape != (d, d):
             raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
     w = _sym_decorrelation(w)
+    s, g = np.empty((n, d)), np.empty((n, d))  # sources and t(sources), refilled every iteration
     for it in range(1, max_iter + 1):
-        g, gp = con.evaluate(z @ w.T)
+        np.matmul(z, w.T, out=s)
+        _, gp = con.evaluate(s, out=g)
         w1 = _sym_decorrelation((g.T @ z) / n - gp[:, None] * w)
         lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
         w = w1

@@ -151,6 +151,54 @@ class TestOlsJoint:
         assert est.theta_hat[0] == pytest.approx(0.5, abs=0.02)
 
 
+def _lstsq_reference(ds, include_covariates=True):
+    """Rank and treatment coefficients from np.linalg.lstsq on the explicit (X, T, 1) design."""
+    blocks = ([ds.x] if include_covariates else []) + [ds.t, np.ones((ds.n, 1))]
+    design = np.column_stack(blocks)
+    coef, _, rank, _ = np.linalg.lstsq(design, ds.y, rcond=None)
+    q = design.shape[1] - 1
+    return rank, design.shape[1], coef[q - ds.m : q]
+
+
+def _collinear_design(covariate_noise, treatment_noise=1.0):
+    """x_2 = x_0 + covariate_noise * N(0, 1) and t = x_0 + treatment_noise * Laplace."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((400, 3))
+    x[:, 2] = x[:, 0] + covariate_noise * rng.standard_normal(400)
+    t = x[:, :1] + treatment_noise * rng.laplace(size=(400, 1))
+    y = 3.0 * t[:, 0] + x[:, 0] - x[:, 1] + rng.laplace(size=400)
+    return Dataset(columns=np.column_stack([x, t, y]), p=3, m=1)
+
+
+_LOCSCALE_NOISE = NoiseSpec.laplace(location=4.0, scale=0.5)
+
+OLS_CASES = {
+    "three_treatments": (lambda: simulate(PlrSpec(p=5, m=3, theta=[1.5, -0.5, 2.0]), 2000, seed=21), True),
+    "no_covariates": (lambda: simulate(laplace_spec(p=4), 2000, seed=22), False),
+    "near_duplicate_covariate": (lambda: _collinear_design(1e-9), True),
+    "exact_duplicate_covariate": (lambda: _collinear_design(0.0), True),
+    "all_zero_covariate": (lambda: Dataset(columns=np.column_stack(
+        [np.zeros(400), _collinear_design(1.0).columns]), p=4, m=1), True),
+    # certified, but the normal equations alone miss theta by ~5e-10: needs the refinement step
+    "treatment_near_covariate": (lambda: _collinear_design(1.0, treatment_noise=1e-3), True),
+    "location_4_scale_half": (lambda: simulate(PlrSpec(
+        p=10, theta=[1.55], noise_x=_LOCSCALE_NOISE, noise_t=_LOCSCALE_NOISE,
+        noise_y=_LOCSCALE_NOISE, standardize_noise=False), 5000, seed=23), True),
+}
+
+
+@pytest.mark.parametrize("case", list(OLS_CASES))
+def test_ols_joint_matches_lstsq(case):
+    make, include_covariates = OLS_CASES[case]
+    ds = make()
+    rank, columns, theta = _lstsq_reference(ds, include_covariates)
+    est = ols_joint(ds, include_covariates=include_covariates)
+    assert est.diagnostics.condition_value == float(rank)
+    assert est.diagnostics.notes == ("" if rank == columns else "rank-deficient design")
+    assert est.theta_hat.shape == (ds.m,)
+    assert np.max(np.abs(est.theta_hat - theta)) <= 1e-10 * np.max(np.abs(theta))
+
+
 class TestDegeneracyFlagAcrossSeeds:
     def test_gaussian_treatment_noise_flags(self):
         flagged = 0

@@ -114,6 +114,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             tiny_config(methods=("ica", "ridge")).validate()
 
+    @pytest.mark.parametrize("key", ["seeds", "folds", "max_iter"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, True])
+    def test_integer_settings_refuse_non_integers(self, key, value):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            tiny_config(**{key: value}).validate()
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            run_scenario(tiny_config(**{key: value}))
+
     @pytest.mark.parametrize("key,value", [
         ("scales", "inf"), ("locations", "nan"), ("coefficient_values", "nan"),
         ("beta_values", "inf"), ("leaky_slopes", "inf"),

@@ -99,6 +99,16 @@ class TestContrasts:
         get_contrast(name).evaluate(s)
         assert np.array_equal(s, before)
 
+    @pytest.mark.parametrize("name", sorted(CONTRASTS))
+    def test_out_buffer_gives_identical_values(self, name):
+        con = get_contrast(name)
+        s = np.random.default_rng(9).standard_normal((50, 4))
+        g, gp = con.evaluate(s)
+        buf = np.full_like(s, np.nan)
+        g_out, gp_out = con.evaluate(s, out=buf)
+        assert g_out is buf
+        assert np.array_equal(g_out, g) and np.array_equal(gp_out, gp)
+
     def test_unknown(self):
         with pytest.raises(IcaError):
             get_contrast("quartic")
