@@ -105,9 +105,9 @@ class PlrSpec:
     tie_ab: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
+        if isinstance(self.p, bool) or not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
             raise DgpError(f"p must be a positive integer, got {self.p!r}")
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
+        if isinstance(self.m, bool) or not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
             raise DgpError(f"m must be a positive integer, got {self.m!r}")
         self.p = int(self.p)
         self.m = int(self.m)
@@ -309,7 +309,7 @@ def simulate(spec: PlrSpec, n: int, seed) -> Dataset:
     blocks are drawn first from the same stream, then sources in the fixed
     order xi, eta, eps, so output is bitwise reproducible.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DgpError(f"n must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     resolved = resolve(spec, rng)

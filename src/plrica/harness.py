@@ -29,22 +29,86 @@ from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
 METHOD_NAMES = ("ica", "oml", "homl", "ols")
 
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent scenario configuration."""
+
+
+class MetricError(ValueError):
+    """Incomparable effect vectors."""
+
+
+def _as_int(value) -> int:
+    """An integer config value; floats such as 500.7 and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    """A real config value; integers are taken, booleans and strings refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_bool(value) -> bool:
+    """A boolean config value: the parsed words true and false, nothing else."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
+def _as_name(value) -> str:
+    """A non-empty name; numbers, flags and None are refused."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"expected a non-empty name, got {value!r}")
+    return str(value)
+
+
+def _one_of(names):
+    """Converter to a name in names."""
+    def convert(value):
+        if _as_name(value) not in names:
+            raise ConfigError(f"expected one of {tuple(names)}, got {value!r}")
+        return str(value)
+    return convert
+
+
+def _each(convert):
+    """Converter of a list value: every item through convert, a bare value as one item."""
+    return lambda v: tuple(map(convert, v if isinstance(v, (list, tuple, np.ndarray)) else (v,)))
+
+
+def _convert(key: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from None
+
+
 # Grid axes in canonical order: (cell key, ScenarioConfig field and config
-# key, element type). cells() and cell_seed follow this order; axes
-# without a results column are folded into the scenario id.
+# key, converter of each entry). cells() and cell_seed follow this order;
+# axes without a results column are folded into the scenario id.
 AXES = (
-    ("n", "sample_sizes", int),
-    ("dim_x", "covariate_dims", int),
-    ("n_treat", "treatment_counts", int),
-    ("beta", "beta_values", float),
-    ("nonlinearity", "nonlinearities", str),
-    ("slope", "leaky_slopes", float),
-    ("location", "locations", float),
-    ("scale", "scales", float),
-    ("contrast", "contrasts", str),
-    ("sparsity", "sparsity_levels", float),
-    ("coefficient", "coefficient_values", float),
+    ("n", "sample_sizes", _as_int),
+    ("dim_x", "covariate_dims", _as_int),
+    ("n_treat", "treatment_counts", _as_int),
+    ("beta", "beta_values", _as_float),
+    ("nonlinearity", "nonlinearities", _as_name),
+    ("slope", "leaky_slopes", _as_float),
+    ("location", "locations", _as_float),
+    ("scale", "scales", _as_float),
+    ("contrast", "contrasts", _one_of(CONTRASTS)),
+    ("sparsity", "sparsity_levels", _as_float),
+    ("coefficient", "coefficient_values", _as_float),
 )
+
+# Every ScenarioConfig field but plr, with its converter: the one judge of
+# a field's type, for configs built in Python and from config text alike.
+_FIELDS = ({name: _each(convert) for _, name, convert in AXES}
+           | {"methods": _each(_one_of(METHOD_NAMES)), "scenario": _as_name, "seeds": _as_int,
+              "folds": _as_int, "max_iter": _as_int, "lambda_scale": _as_float, "tol": _as_float})
 
 # Process keys each process axis sets through build_plr_spec, the path
 # scalar config keys take, so the spec constructors judge both alike.
@@ -58,14 +122,6 @@ _AXIS_SPEC_KEYS = {
     "slope": lambda v: {"leaky_slope": v},
     "sparsity": lambda v: {"sparsity_keep_prob": v},
 }
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent scenario configuration."""
-
-
-class MetricError(ValueError):
-    """Incomparable effect vectors."""
 
 
 # ---------------------------------------------------------------- metrics
@@ -139,7 +195,7 @@ class ResultRecord:
 # ------------------------------------------------------------- scenarios
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ScenarioConfig:
     """Grid of settings for one study.
 
@@ -151,6 +207,10 @@ class ScenarioConfig:
     and so on). A treatment count other than the template's redraws theta.
     location/scale axes additionally disable noise standardization, since
     they exist to move the noise away from the standardized regime.
+
+    Every field but plr goes through its config key's converter (_FIELDS)
+    at construction, so a config built in Python is refused where config
+    text is, and gets the same cells and cell seeds.
     """
 
     scenario: str
@@ -174,33 +234,24 @@ class ScenarioConfig:
     max_iter: int = 1000
     ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 1
 
+    def __post_init__(self):
+        for name, convert in _FIELDS.items():
+            object.__setattr__(self, name, _convert(name, convert, getattr(self, name)))
+
     def validate(self) -> None:
         """Raise ConfigError unless every cell can run.
 
-        Checks what no process constructor judges, then builds every cell's
-        spec; a process value the constructors refuse is reported with the
-        cell it occurs in, by config key.
+        Checks lengths and ranges no converter or process constructor judges,
+        then builds every cell's spec; a process value the constructors refuse
+        is reported with the cell it occurs in, by config key.
         """
-        if not self.scenario or not isinstance(self.scenario, str):
-            raise ConfigError("scenario must be a non-empty name")
         for name in ("sample_sizes", "covariate_dims", "contrasts", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-        if any((not isinstance(v, int)) or v < 1 for v in self.sample_sizes):
-            raise ConfigError(
-                f"sample_sizes entries must be positive integers, got {self.sample_sizes}")
-        for v in self.contrasts:
-            if v not in CONTRASTS:
-                raise ConfigError(f"unknown contrast {v!r}; expected one of {tuple(CONTRASTS)}")
-        for v in self.methods:
-            if v not in METHOD_NAMES:
-                raise ConfigError(f"unknown method {v!r}; expected one of {METHOD_NAMES}")
-        for name in ("seeds", "folds", "max_iter"):  # configs built in Python skip _apply_keys
-            _convert(name, _as_int, getattr(self, name))
-        if self.seeds < 1:
-            raise ConfigError("seeds must be at least 1")
-        if self.folds < 2 or self.max_iter < 1 or not self.tol > 0 or not self.lambda_scale > 0:
-            raise ConfigError("invalid estimator settings (folds/max_iter/tol/lambda_scale)")
+        if (min(self.sample_sizes) < 1 or self.seeds < 1 or self.folds < 2 or self.max_iter < 1
+                or not self.tol > 0 or not self.lambda_scale > 0):
+            raise ConfigError("out of range: need sample_sizes, seeds and max_iter >= 1, "
+                              "folds >= 2, tol > 0 and lambda_scale > 0")
         if self.sparsity_levels and (self.plr.a_block is not None or self.plr.b_block is not None):
             raise ConfigError("sparsity sweeps need drawn coefficient blocks; "
                               "remove a_block/b_block from the template")
@@ -213,19 +264,15 @@ class ScenarioConfig:
 
     def cells(self) -> list[dict]:
         """All combinations of the non-empty axes, in canonical order."""
-        axes = [(key, tuple(getattr(self, name))) for key, name, _ in AXES
-                if getattr(self, name)]
-        return [dict(zip([key for key, _ in axes], combo))
-                for combo in itertools.product(*(vals for _, vals in axes))]
+        axes = {key: getattr(self, name) for key, name, _ in AXES if getattr(self, name)}
+        return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
     """Scenario name, suffixed with axis values that lack CSV columns."""
     extras = [f"{key}={cell[key]:g}" for key, _, _ in AXES
               if key in cell and key not in _HEADER]
-    if extras:
-        return f"{config.scenario}[{','.join(extras)}]"
-    return config.scenario
+    return f"{config.scenario}[{','.join(extras)}]" if extras else config.scenario
 
 
 def cell_seed(scenario: str, cell: dict, index: int) -> int:
@@ -246,7 +293,7 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
     for key, to_keys in _AXIS_SPEC_KEYS.items():
         if key in cell:
             keys.update(to_keys(cell[key]))
-    shift = {key: float(cell[key]) for key in ("location", "scale") if key in cell}
+    shift = {key: cell[key] for key in ("location", "scale") if key in cell}
     if shift:
         for name in ("noise_x", "noise_t", "noise_y"):
             keys[name] = replace(keys.get(name, getattr(base, name)), **shift)
@@ -303,7 +350,6 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
     records = []
     for method in config.methods:
         start = time.perf_counter()
-        notes = ""
         try:
             est = estimate(method, dataset, contrast=cell["contrast"], seed=ica_seq,
                            tol=config.tol, max_iter=config.max_iter, residuals=residuals)
@@ -322,9 +368,9 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
         met = metrics(truth, theta_hat, multi_match=spec.m > 1)
         records.append(ResultRecord(
             scenario=scenario_id,
-            n=int(cell["n"]),
-            dim_x=int(cell["dim_x"]),
-            n_treat=int(spec.m),
+            n=cell["n"],
+            dim_x=cell["dim_x"],
+            n_treat=spec.m,
             beta=None if beta is None else float(beta),
             nonlinearity=spec.nuisance,
             contrast=cell["contrast"] if method == "ica" else "",
@@ -341,10 +387,6 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
     return records
 
 
-def _run_task(args) -> list[ResultRecord]:
-    return run_cell_replication(*args)
-
-
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]:
     """Run every (cell, replication, method) combination.
 
@@ -355,13 +397,14 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]
     config.validate()
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    tasks = [(config, cell, i) for cell in config.cells() for i in range(config.seeds)]
-    if workers == 1 or len(tasks) <= 1:
-        chunks = map(_run_task, tasks)
-        return [rec for chunk in chunks for rec in chunk]
-    chunksize = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_run_task, tasks, chunksize=chunksize))
+    cells = [cell for cell in config.cells() for _ in range(config.seeds)]
+    tasks = (itertools.repeat(config), cells, itertools.cycle(range(config.seeds)))
+    if workers == 1 or len(cells) <= 1:
+        chunks = map(run_cell_replication, *tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(run_cell_replication, *tasks,
+                                   chunksize=max(1, len(cells) // (workers * 8))))
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -648,44 +691,12 @@ def parse_noise(text) -> NoiseSpec:
         raise ConfigError(f"bad noise {text!r}: {exc}") from None
 
 
-def _as_tuple(value) -> tuple:
-    return tuple(value) if isinstance(value, list) else (value,)
-
-
-def _as_int(value) -> int:
-    """An integer config value; floats such as 500.7 and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(value) -> float:
-    """A real config value; integers are taken, booleans and strings refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value) -> bool:
-    """A boolean config value: the parsed words true and false, nothing else."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}")
-    return bool(value)
-
-
-def _convert(key: str, convert, value):
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
-
-
 # process keys a scenario config may set, with their converters; p is
 # accepted only by spec configs, since covariate_dims sets it per cell
 _SPEC_KEYS = {
     "m": _as_int,
-    "theta": lambda v: [_as_float(x) for x in _as_tuple(v)],
-    "nuisance": str,
+    "theta": _each(_as_float),
+    "nuisance": _as_name,
     "leaky_slope": _as_float,
     "noise_x": parse_noise,
     "noise_t": parse_noise,
@@ -694,10 +705,6 @@ _SPEC_KEYS = {
     "standardize_noise": _as_bool,
     "tie_ab": _as_bool,
 }
-_LIST_KEYS = ({name: {int: _as_int, float: _as_float}.get(kind, kind) for _, name, kind in AXES}
-              | {"methods": str})
-_SCALAR_KEYS = {"seeds": _as_int, "folds": _as_int, "max_iter": _as_int,
-                "lambda_scale": _as_float, "tol": _as_float, "label": str}
 
 
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
@@ -729,33 +736,25 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
 
 def spec_from_config(source) -> PlrSpec:
     """PlrSpec from config text or a parsed dict (process keys only)."""
-    d = dict(parse_config_text(source)) if isinstance(source, str) else dict(source)
-    return build_plr_spec(d)
+    return build_plr_spec(parse_config_text(source) if isinstance(source, str) else dict(source))
 
 
-def _apply_keys(config: ScenarioConfig, keys: dict) -> None:
-    """Set parsed scenario keys on config in place.
+def _apply_keys(config: ScenarioConfig, keys: dict) -> ScenarioConfig:
+    """config with parsed scenario keys applied.
 
     Process keys rebuild config.plr through build_plr_spec with the current
-    template as base; `label` renames the scenario; the rest set fields.
+    template as base; `label` renames the scenario; the rest replace fields,
+    which the ScenarioConfig converters judge.
     """
     d = dict(keys)
     spec_overrides = {k: d.pop(k) for k in list(d) if k in _SPEC_KEYS}
-    kwargs: dict = {}
-    for key in list(d):
-        if key in _LIST_KEYS:
-            kwargs[key] = tuple(_convert(key, _LIST_KEYS[key], v) for v in _as_tuple(d.pop(key)))
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = _convert(key, _SCALAR_KEYS[key], d.pop(key))
-    if d:
-        known = sorted({"scenario", *_LIST_KEYS, *_SCALAR_KEYS, *_SPEC_KEYS})
-        raise ConfigError(f"unknown config keys {sorted(d)}; expected a subset of {known}")
-    if spec_overrides:
-        config.plr = build_plr_spec(spec_overrides, base=config.plr)
-    if "label" in kwargs:
-        kwargs["scenario"] = kwargs.pop("label")
-    for key, value in kwargs.items():
-        setattr(config, key, value)
+    known = {"label", *_FIELDS, *_SPEC_KEYS}
+    if set(d) - known:
+        raise ConfigError(f"unknown config keys {sorted(set(d) - known)}; "
+                          f"expected a subset of {sorted(known)}")
+    if "label" in d:
+        d["scenario"] = d.pop("label")
+    return replace(config, plr=build_plr_spec(spec_overrides, base=config.plr), **d)
 
 
 def scenario_from_config(source) -> ScenarioConfig:
@@ -773,8 +772,7 @@ def scenario_from_config(source) -> ScenarioConfig:
             f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
         )
     config = ScenarioConfig(scenario=name, plr=build_plr_spec({}))
-    _apply_keys(config, parse_config_text(BUILTIN_SCENARIOS[name]))
-    _apply_keys(config, d)
+    config = _apply_keys(_apply_keys(config, parse_config_text(BUILTIN_SCENARIOS[name])), d)
     config.validate()
     return config
 

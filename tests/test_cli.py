@@ -1,4 +1,6 @@
+import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -7,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plrica import Dataset
+from plrica import Dataset, cli
 from plrica.harness import METHOD_NAMES, estimate
 from plrica.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_spec(tmp_path, text, name="spec.cfg"):
@@ -182,12 +186,31 @@ IMPORT_PROBE = textwrap.dedent("""
 """)
 
 
+def run_python(*args):
+    """A fresh interpreter with this checkout's src first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_runtime_loads_no_scipy():
     """The CLI, a scenario, one ICA fit and the sigmoid need numpy only."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python("-c", IMPORT_PROBE)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == ""
+
+
+def test_module_entry_point_lists_builtins():
+    proc = run_python("-m", "plrica", "experiment", "--list")
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    assert "default_test" in proc.stdout.split()
+
+
+def test_console_script_target_is_cli_main():
+    # read by pattern: requires-python allows 3.10, which has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\nplrica = "([\w.]+):(\w+)"$', text, re.M)
+    assert target is not None
+    module, attr = target.groups()
+    assert getattr(importlib.import_module(module), attr) is cli.main

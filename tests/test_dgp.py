@@ -80,6 +80,14 @@ class TestPlrSpecValidation:
         with pytest.raises(DgpError):
             PlrSpec(p=0)
 
+    def test_boolean_p_refused(self):
+        with pytest.raises(DgpError, match="p must be a positive integer, got True"):
+            PlrSpec(p=True)
+
+    def test_boolean_m_refused(self):
+        with pytest.raises(DgpError, match="m must be a positive integer, got True"):
+            PlrSpec(p=2, m=True)
+
     def test_tie_ab_restrictions(self):
         with pytest.raises(DgpError):
             PlrSpec(p=2, m=2, tie_ab=True)
@@ -212,6 +220,10 @@ class TestSimulate:
     def test_bad_n(self):
         with pytest.raises(DgpError):
             simulate(PlrSpec(p=1), 0, seed=0)
+
+    def test_boolean_n_refused(self):
+        with pytest.raises(DgpError, match="n must be a positive integer, got True"):
+            simulate(PlrSpec(p=1), True, seed=0)
 
 
 class TestMixingMatrices:

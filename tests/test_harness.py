@@ -493,6 +493,13 @@ class TestWorkers:
         with pytest.raises(ConfigError, match="workers must be at least 1, got 0"):
             run_scenario(tiny_config(), workers=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_follow_cells_then_replications(self, workers):
+        cfg = tiny_config(sample_sizes=(120, 150), seeds=3, methods=("ols",))
+        recs = run_scenario(cfg, workers=workers)
+        assert [(r.n, r.seed) for r in recs] == [(cell["n"], cell_seed(cfg.scenario, cell, i))
+                                                 for cell in cfg.cells() for i in range(3)]
+
 
 class TestConfigParsing:
     def test_flat_keys_and_comments(self):
@@ -598,11 +605,44 @@ class TestConfigParsing:
         assert spec.p == 4 and spec.m == 2
 
 
-INT_AXES = [name for _, name, kind in AXES if kind is int]
-FLOAT_AXES = [name for _, name, kind in AXES if kind is float]
+INT_AXES = [name for _, name, convert in AXES if convert is harness._as_int]
+FLOAT_AXES = [name for _, name, convert in AXES if convert is harness._as_float]
+LIST_FIELDS = [name for _, name, _ in AXES] + ["methods"]
+# one value config text refuses per rule, for every ScenarioConfig field but plr
+BAD_FIELD_VALUES = (
+    [(key, v) for key in INT_AXES + ["seeds", "folds", "max_iter"] for v in (True, 2.5)]
+    + [(key, v) for key in FLOAT_AXES + ["lambda_scale", "tol"] for v in (False, "x")]
+    + [(key, v) for key in ("nonlinearities", "contrasts", "methods", "scenario")
+       for v in (None, 3)]
+    + [("contrasts", "bogus"), ("methods", "ridge"), ("scenario", "")]
+)
 
 
 class TestStrictConfigValues:
+    def test_bad_values_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"plr"}
+        assert {key for key, _ in BAD_FIELD_VALUES} == fields
+
+    @pytest.mark.parametrize("key,value", BAD_FIELD_VALUES)
+    def test_python_config_refuses_what_text_refuses(self, key, value):
+        # the field converters judge a config at construction, not at validate()
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            tiny_config(**{key: (value,) if key in LIST_FIELDS else value})
+
+    def test_python_config_matches_its_config_text(self):
+        text = scenario_from_config("scenario = custom\nlabel = tiny\nsample_sizes = 120\n"
+                                    "covariate_dims = [2]\nbeta_values = [1]\nmethods = ica")
+        built = ScenarioConfig(scenario="tiny", plr=text.plr, sample_sizes=120,
+                               covariate_dims=(2,), beta_values=(1,), methods="ica")
+        assert repr(built.cells()) == repr(text.cells())
+        assert [cell_seed(built.scenario, cell, 0) for cell in built.cells()] \
+            == [cell_seed(text.scenario, cell, 0) for cell in text.cells()]
+        assert built.methods == text.methods == ("ica",)
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_config().seeds = 3
+
     @pytest.mark.parametrize("key", INT_AXES)
     @pytest.mark.parametrize("value", ["500.7", "2.0", "true", "big"])
     def test_int_axis_rejects_non_integers(self, key, value):
