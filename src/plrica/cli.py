@@ -84,8 +84,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with open(args.data, "r", encoding="utf-8") as fh:
-        dataset = Dataset.from_csv(fh)
+    dataset = Dataset.from_csv(args.data)
     est = estimate(args.method, dataset, contrast=args.contrast, seed=args.seed, tol=args.tol,
                    max_iter=args.max_iter, lambda_scale=args.lambda_scale, folds=args.folds)
     print(f"method={est.method}")

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._converters import _as_bool, _as_float, _as_int, _as_name, _convert, _each
 from .distributions import NoiseSpec
 
 NONLINEARITY_NAMES = ("linear", "relu", "leaky_relu", "sigmoid", "tanh")
@@ -75,7 +76,23 @@ def _coerce_block(value, shape, name):
     return arr.copy()
 
 
-@dataclass(eq=False)
+def _as_noise(value) -> NoiseSpec:
+    """A NoiseSpec; config text reaches here through harness.parse_noise."""
+    if not isinstance(value, NoiseSpec):
+        raise TypeError(f"expected a NoiseSpec, got {value!r}")
+    return value
+
+
+# PlrSpec field converters, the ones its config keys use (noise keys parse
+# to a NoiseSpec first); a_block and b_block go through _coerce_block
+_FIELDS = {"p": _as_int, "m": _as_int,
+           "theta": lambda v: None if v is None else _each(_as_float)(v),
+           "nuisance": _as_name, "leaky_slope": _as_float, "noise_x": _as_noise,
+           "noise_t": _as_noise, "noise_y": _as_noise, "sparsity_keep_prob": _as_float,
+           "standardize_noise": _as_bool, "tie_ab": _as_bool}
+
+
+@dataclass(eq=False, frozen=True)
 class PlrSpec:
     """Specification of one partially linear process.
 
@@ -84,10 +101,15 @@ class PlrSpec:
     uniform on [-1, 1] masked entrywise by Bernoulli(sparsity_keep_prob);
     for nonlinear nuisances they are unit-norm Gaussian directions (no
     mask) so the nonlinearity operates in its responsive range. tie_ab
-    forces the drawn single-treatment a row to equal b.
+    forces the drawn single-treatment a row to equal b. theta left None is
+    the first m entries of DEFAULT_MULTI_THETA.
 
     standardize_noise replaces each noise family member by its zero-mean
     unit-variance version before sampling (on by default).
+
+    Every other field goes through its config key's converter (_FIELDS) at
+    construction, so a spec built in Python is refused where config text
+    is. The spec is frozen; use dataclasses.replace for a variant.
     """
 
     p: int
@@ -105,21 +127,15 @@ class PlrSpec:
     tie_ab: bool = False
 
     def __post_init__(self):
-        if isinstance(self.p, bool) or not (isinstance(self.p, (int, np.integer)) and self.p >= 1):
-            raise DgpError(f"p must be a positive integer, got {self.p!r}")
-        if isinstance(self.m, bool) or not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise DgpError(f"m must be a positive integer, got {self.m!r}")
-        self.p = int(self.p)
-        self.m = int(self.m)
-        if self.theta is None:
-            self.theta = multi_treatment_theta(self.m)
-        else:
-            th = np.atleast_1d(np.asarray(self.theta, dtype=float))
-            if th.shape != (self.m,):
-                raise DgpError(f"theta must have {self.m} entries, got shape {th.shape}")
-            if not np.all(np.isfinite(th)):
-                raise DgpError("theta contains non-finite entries")
-            self.theta = th.copy()
+        for name, convert in _FIELDS.items():
+            object.__setattr__(self, name, _convert(name, convert, getattr(self, name), DgpError))
+        if self.p < 1 or self.m < 1:
+            raise DgpError(f"p and m must be at least 1, got p={self.p}, m={self.m}")
+        theta = multi_treatment_theta(self.m) if self.theta is None else np.asarray(self.theta)
+        if theta.shape != (self.m,):
+            raise DgpError(f"theta must have {self.m} entries, got shape {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise DgpError("theta contains non-finite entries")
         if self.nuisance not in NONLINEARITY_NAMES:
             raise UnknownNonlinearityError(
                 f"unknown nuisance {self.nuisance!r}; expected one of {NONLINEARITY_NAMES}"
@@ -128,11 +144,10 @@ class PlrSpec:
             raise DgpError("leaky_slope must be finite and nonnegative")
         if not 0.0 < self.sparsity_keep_prob <= 1.0:
             raise DgpError("sparsity_keep_prob must lie in (0, 1]")
-        self.a_block = _coerce_block(self.a_block, (self.m, self.p), "a_block")
-        self.b_block = _coerce_block(self.b_block, (self.p,), "b_block")
-        for name in ("noise_x", "noise_t", "noise_y"):
-            if not isinstance(getattr(self, name), NoiseSpec):
-                raise DgpError(f"{name} must be a NoiseSpec")
+        for name, value in (("theta", theta),
+                            ("a_block", _coerce_block(self.a_block, (self.m, self.p), "a_block")),
+                            ("b_block", _coerce_block(self.b_block, (self.p,), "b_block"))):
+            object.__setattr__(self, name, value)
         if self.tie_ab:
             if self.m != 1 or self.nuisance != "linear":
                 raise DgpError("tie_ab requires a single treatment and a linear nuisance")
@@ -280,11 +295,8 @@ class Dataset:
 
     @staticmethod
     def from_csv(path) -> "Dataset":
-        if isinstance(path, io.IOBase):
-            text = path.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         lines = text.strip().splitlines()
         if len(lines) < 2:
             raise DgpError("csv needs a header line and at least one row")
@@ -309,14 +321,15 @@ def simulate(spec: PlrSpec, n: int, seed) -> Dataset:
     blocks are drawn first from the same stream, then sources in the fixed
     order xi, eta, eps, so output is bitwise reproducible.
     """
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DgpError(f"n must be a positive integer, got {n!r}")
+    n = _convert("n", _as_int, n, DgpError)
+    if n < 1:
+        raise DgpError(f"n must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     resolved = resolve(spec, rng)
     nx, nt, ny = resolved.effective_noises()
-    xi = nx.sample((int(n), spec.p), rng)
-    eta = nt.sample((int(n), spec.m), rng)
-    eps = ny.sample(int(n), rng)
+    xi = nx.sample((n, spec.p), rng)
+    eta = nt.sample((n, spec.m), rng)
+    eps = ny.sample(n, rng)
     x = xi
     t = nuisance_t(resolved, x) + eta
     y = nuisance_y(resolved, x) + t @ resolved.theta + eps

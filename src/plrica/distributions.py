@@ -13,11 +13,17 @@ from typing import Optional
 
 import numpy as np
 
+from ._converters import _as_float, _convert, _one_of
+
 FAMILIES = ("gaussian", "laplace", "uniform", "generalized_normal", "discrete_symmetric")
 
-# default discrete support: three points with unit variance and zero mean
+# the discrete_symmetric law: three points with unit variance and zero mean
 THREE_POINT_SUPPORT = (-math.sqrt(2.0), 0.0, math.sqrt(2.0))
 THREE_POINT_PROBABILITIES = (0.25, 0.5, 0.25)
+
+# NoiseSpec field converters, the ones the noise syntax implies
+_FIELDS = {"family": _one_of(FAMILIES), "location": _as_float, "scale": _as_float,
+           "shape_beta": lambda v: None if v is None else _as_float(v)}
 
 
 class DistributionError(ValueError):
@@ -65,20 +71,23 @@ class NoiseSpec:
     The variable is location + scale * B where B is the family's base
     member: standard normal, standard Laplace, uniform on
     [-sqrt(3), sqrt(3)], a generalized normal with density proportional to
-    exp(-|x|^beta), or a finite symmetric distribution on `support` with
-    `probabilities`.
+    exp(-|x|^shape_beta), or, for discrete_symmetric, the three-point law
+    on THREE_POINT_SUPPORT with THREE_POINT_PROBABILITIES.
+
+    Every field goes through the converter its config spelling uses
+    (family a known name, location, scale and shape_beta numbers, booleans
+    refused), so a spec built in Python is refused where config text is.
     """
 
     family: str
     location: float = 0.0
     scale: float = 1.0
     shape_beta: Optional[float] = None
-    support: Optional[tuple[float, ...]] = None
-    probabilities: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DistributionError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name, convert in _FIELDS.items():
+            object.__setattr__(self, name, _convert(name, convert, getattr(self, name),
+                                                    DistributionError))
         if not (math.isfinite(self.location) and math.isfinite(self.scale)):
             raise DistributionError("location and scale must be finite")
         if self.scale <= 0:
@@ -88,21 +97,6 @@ class NoiseSpec:
                 raise DistributionError("generalized_normal requires a finite shape_beta > 0")
         elif self.shape_beta is not None:
             raise DistributionError(f"shape_beta is only meaningful for generalized_normal")
-        if self.family == "discrete_symmetric":
-            if self.support is None or self.probabilities is None:
-                raise DistributionError("discrete_symmetric requires support and probabilities")
-            sup = tuple(float(v) for v in self.support)
-            pr = tuple(float(v) for v in self.probabilities)
-            if len(sup) != len(pr) or len(sup) == 0:
-                raise DistributionError("support and probabilities must have equal nonzero length")
-            if not all(math.isfinite(v) for v in sup):
-                raise DistributionError("support must be finite")
-            if any(v < 0 for v in pr) or abs(sum(pr) - 1.0) > 1e-12:
-                raise DistributionError("probabilities must be nonnegative and sum to 1")
-            object.__setattr__(self, "support", sup)
-            object.__setattr__(self, "probabilities", pr)
-        elif self.support is not None or self.probabilities is not None:
-            raise DistributionError("support/probabilities are only meaningful for discrete_symmetric")
 
     # ---- constructors ----
 
@@ -127,8 +121,7 @@ class NoiseSpec:
     @classmethod
     def three_point(cls, location: float = 0.0, scale: float = 1.0) -> "NoiseSpec":
         """Symmetric three-point distribution on {-sqrt(2), 0, sqrt(2)}."""
-        return cls("discrete_symmetric", location, scale,
-                   support=THREE_POINT_SUPPORT, probabilities=THREE_POINT_PROBABILITIES)
+        return cls("discrete_symmetric", location, scale)
 
     # ---- base-member moments ----
 
@@ -146,8 +139,8 @@ class NoiseSpec:
                 return 0.0
             b = self.shape_beta
             return math.exp(math.lgamma((k + 1) / b) - math.lgamma(1.0 / b))
-        # discrete
-        return float(sum(p * s**k for s, p in zip(self.support, self.probabilities)))
+        # three-point
+        return float(sum(p * s**k for s, p in zip(THREE_POINT_SUPPORT, THREE_POINT_PROBABILITIES)))
 
     def mean(self) -> float:
         return self.location + self.scale * self._base_raw_moment(1)
@@ -212,8 +205,9 @@ class NoiseSpec:
             g = rng.standard_gamma(1.0 / b, size)
             signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
             return self.location + self.scale * signs * g ** (1.0 / b)
-        idx = rng.choice(len(self.support), size=size, p=np.asarray(self.probabilities))
-        return self.location + self.scale * np.asarray(self.support)[idx]
+        idx = rng.choice(len(THREE_POINT_SUPPORT), size=size,
+                         p=np.asarray(THREE_POINT_PROBABILITIES))
+        return self.location + self.scale * np.asarray(THREE_POINT_SUPPORT)[idx]
 
     # ---- transforms and densities ----
 

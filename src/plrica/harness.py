@@ -22,8 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._converters import _as_float, _as_int, _as_name, _convert, _each, _one_of
 from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
-from .dgp import Dataset, PlrSpec, multi_treatment_theta, simulate
+from .dgp import Dataset, PlrSpec, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
@@ -36,55 +37,6 @@ class ConfigError(ValueError):
 
 class MetricError(ValueError):
     """Incomparable effect vectors."""
-
-
-def _as_int(value) -> int:
-    """An integer config value; floats such as 500.7 and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _as_float(value) -> float:
-    """A real config value; integers are taken, booleans and strings refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_bool(value) -> bool:
-    """A boolean config value: the parsed words true and false, nothing else."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}")
-    return bool(value)
-
-
-def _as_name(value) -> str:
-    """A non-empty name; numbers, flags and None are refused."""
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"expected a non-empty name, got {value!r}")
-    return str(value)
-
-
-def _one_of(names):
-    """Converter to a name in names."""
-    def convert(value):
-        if _as_name(value) not in names:
-            raise ConfigError(f"expected one of {tuple(names)}, got {value!r}")
-        return str(value)
-    return convert
-
-
-def _each(convert):
-    """Converter of a list value: every item through convert, a bare value as one item."""
-    return lambda v: tuple(map(convert, v if isinstance(v, (list, tuple, np.ndarray)) else (v,)))
-
-
-def _convert(key: str, convert, value):
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
 
 # Grid axes in canonical order: (cell key, ScenarioConfig field and config
@@ -236,7 +188,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name, convert in _FIELDS.items():
-            object.__setattr__(self, name, _convert(name, convert, getattr(self, name)))
+            value = _convert(name, convert, getattr(self, name), ConfigError)
+            object.__setattr__(self, name, value)
 
     def validate(self) -> None:
         """Raise ConfigError unless every cell can run.
@@ -632,15 +585,10 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-_NOISE_ALIASES = {
-    "gaussian": "gaussian", "normal": "gaussian",
-    "laplace": "laplace",
-    "uniform": "uniform",
-    "gennorm": "generalized_normal", "generalized_normal": "generalized_normal",
-    "three_point": "discrete_symmetric", "discrete": "discrete_symmetric",
-}
-_NOISE_ARG_ALIASES = {"loc": "location", "location": "location",
-                      "scale": "scale", "beta": "shape_beta", "shape_beta": "shape_beta"}
+_NOISE_ALIASES = {"gaussian": "gaussian", "normal": "gaussian", "laplace": "laplace",
+                  "uniform": "uniform", "gennorm": "generalized_normal",
+                  "three_point": "discrete_symmetric"}
+_NOISE_ARG_ALIASES = {"loc": "location", "scale": "scale"}
 
 
 def parse_noise(text) -> NoiseSpec:
@@ -680,43 +628,29 @@ def parse_noise(text) -> NoiseSpec:
                 raise ConfigError(f"argument {k!r} given twice in {text!r}")
             kwargs[k] = v
     try:
-        if family == "generalized_normal":
-            if "shape_beta" not in kwargs:
-                raise ConfigError(f"gennorm needs a beta value, e.g. gennorm(1.5): {text!r}")
-            return NoiseSpec.generalized_normal(kwargs.pop("shape_beta"), **kwargs)
-        if family == "discrete_symmetric":
-            return NoiseSpec.three_point(**kwargs)
         return NoiseSpec(family, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"bad noise {text!r}: {exc}") from None
 
 
-# process keys a scenario config may set, with their converters; p is
-# accepted only by spec configs, since covariate_dims sets it per cell
-_SPEC_KEYS = {
-    "m": _as_int,
-    "theta": _each(_as_float),
-    "nuisance": _as_name,
-    "leaky_slope": _as_float,
-    "noise_x": parse_noise,
-    "noise_t": parse_noise,
-    "noise_y": parse_noise,
-    "sparsity_keep_prob": _as_float,
-    "standardize_noise": _as_bool,
-    "tie_ab": _as_bool,
-}
+# process keys a scenario config may set; p is accepted only by spec
+# configs, since covariate_dims sets it per cell. The PlrSpec constructor
+# judges every value; noise keys are parsed to a NoiseSpec first.
+_SPEC_KEYS = ("m", "theta", "nuisance", "leaky_slope", "noise_x", "noise_t", "noise_y",
+              "sparsity_keep_prob", "standardize_noise", "tie_ab")
+_NOISE_KEYS = ("noise_x", "noise_t", "noise_y")
 
 
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
     """PlrSpec from flat config keys, on top of an optional template.
 
-    A new treatment count without theta redraws theta from
-    multi_treatment_theta.
+    A new treatment count without theta unsets theta, so the spec takes
+    the first m default effects (multi_treatment_theta).
     """
-    converters = {"p": _as_int, **_SPEC_KEYS}
-    unknown = set(overrides) - set(converters)
+    keys = ("p", *_SPEC_KEYS)
+    unknown = set(overrides) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown spec keys {sorted(unknown)}; expected {tuple(converters)}")
+        raise ConfigError(f"unknown spec keys {sorted(unknown)}; expected {keys}")
     if base is None:
         base = PlrSpec(
             p=10, m=1, theta=[3.0],
@@ -726,9 +660,10 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
             sparsity_keep_prob=0.4,
         )
     try:
-        changes = {key: _convert(key, converters[key], value) for key, value in overrides.items()}
+        changes = {key: _convert(key, parse_noise, value, ConfigError) if key in _NOISE_KEYS
+                   else value for key, value in overrides.items()}
         if "theta" not in changes and changes.get("m", base.m) != base.m:
-            changes["theta"] = multi_treatment_theta(changes["m"])
+            changes["theta"] = None
         return replace(base, **changes)
     except ValueError as exc:
         raise ConfigError(f"bad process spec: {exc}") from None
@@ -753,7 +688,7 @@ def _apply_keys(config: ScenarioConfig, keys: dict) -> ScenarioConfig:
         raise ConfigError(f"unknown config keys {sorted(set(d) - known)}; "
                           f"expected a subset of {sorted(known)}")
     if "label" in d:
-        d["scenario"] = d.pop("label")
+        d["scenario"] = _convert("label", _as_name, d.pop("label"), ConfigError)
     return replace(config, plr=build_plr_spec(spec_overrides, base=config.plr), **d)
 
 

@@ -79,9 +79,7 @@ CONTRASTS = {
 }
 
 
-def get_contrast(name) -> Contrast:
-    if isinstance(name, Contrast):
-        return name
+def get_contrast(name: str) -> Contrast:
     try:
         return CONTRASTS[name]
     except KeyError:
@@ -212,7 +210,7 @@ def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.nd
         means=np.asarray(means, dtype=float),
         converged=result.converged,
         iterations=result.iterations,
-        contrast=contrast if isinstance(contrast, str) else contrast.name,
+        contrast=contrast,
     )
 
 

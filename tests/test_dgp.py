@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -17,6 +18,14 @@ from plrica import (
     resolve,
     simulate,
 )
+
+# one value config text refuses per field, for every PlrSpec field but the blocks
+BAD_SPEC_FIELDS = [
+    ("p", True), ("p", 2.0), ("m", True), ("m", 1.5), ("theta", "3"), ("theta", [1.0, True]),
+    ("nuisance", 3), ("nuisance", ""), ("leaky_slope", True), ("noise_x", "laplace"),
+    ("noise_t", None), ("noise_y", 1.0), ("sparsity_keep_prob", True),
+    ("standardize_noise", "no"), ("standardize_noise", 1), ("tie_ab", 1),
+]
 
 
 class TestThetaPrefix:
@@ -81,11 +90,11 @@ class TestPlrSpecValidation:
             PlrSpec(p=0)
 
     def test_boolean_p_refused(self):
-        with pytest.raises(DgpError, match="p must be a positive integer, got True"):
+        with pytest.raises(DgpError, match="bad value for 'p': expected an integer, got True"):
             PlrSpec(p=True)
 
     def test_boolean_m_refused(self):
-        with pytest.raises(DgpError, match="m must be a positive integer, got True"):
+        with pytest.raises(DgpError, match="bad value for 'm': expected an integer, got True"):
             PlrSpec(p=2, m=True)
 
     def test_tie_ab_restrictions(self):
@@ -107,6 +116,27 @@ class TestPlrSpecValidation:
     def test_noise_type_check(self):
         with pytest.raises(DgpError):
             PlrSpec(p=2, noise_x="laplace")
+
+    def test_bad_values_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(PlrSpec)} - {"a_block", "b_block"}
+        assert {key for key, _ in BAD_SPEC_FIELDS} == fields
+
+    @pytest.mark.parametrize("key,value", BAD_SPEC_FIELDS)
+    def test_constructor_refuses_what_config_text_refuses(self, key, value):
+        with pytest.raises(DgpError, match=f"bad value for '{key}'"):
+            PlrSpec(**{"p": 2, key: value})
+
+    def test_fields_take_canonical_types(self):
+        spec = PlrSpec(p=np.int64(3), m=2, theta=[1, np.float32(0.5)], leaky_slope=1,
+                       sparsity_keep_prob=1)
+        assert type(spec.p) is int and spec.theta.dtype == float
+        assert spec.theta.tolist() == [1.0, 0.5]
+        assert type(spec.leaky_slope) is float and type(spec.sparsity_keep_prob) is float
+
+    def test_spec_is_frozen(self):
+        spec = PlrSpec(p=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.m = 2
 
 
 class TestResolve:
@@ -222,7 +252,7 @@ class TestSimulate:
             simulate(PlrSpec(p=1), 0, seed=0)
 
     def test_boolean_n_refused(self):
-        with pytest.raises(DgpError, match="n must be a positive integer, got True"):
+        with pytest.raises(DgpError, match="bad value for 'n': expected an integer, got True"):
             simulate(PlrSpec(p=1), True, seed=0)
 
 

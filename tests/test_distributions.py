@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from plrica import (
     THREE_POINT_SUPPORT,
     DiscreteDensityError,
     DistributionError,
+    MomentReport,
     NoiseSpec,
     check_nongaussianity,
     homl_condition_value,
@@ -35,6 +37,18 @@ def standard_specs():
         "three_point": NoiseSpec.three_point(),
         "gennorm_1.5": NoiseSpec.generalized_normal(1.5).standardized(),
     }
+
+
+# one value the noise syntax cannot express per field, for every NoiseSpec field
+BAD_NOISE_FIELDS = [
+    ("family", lambda: NoiseSpec(3)),
+    ("family", lambda: NoiseSpec("cauchy")),
+    ("location", lambda: NoiseSpec.laplace(location=True)),
+    ("location", lambda: NoiseSpec.gaussian("1")),
+    ("scale", lambda: NoiseSpec.uniform(scale=False)),
+    ("shape_beta", lambda: NoiseSpec.generalized_normal(True)),
+    ("shape_beta", lambda: NoiseSpec.generalized_normal("1.5")),
+]
 
 
 class TestMoments:
@@ -186,17 +200,39 @@ class TestValidation:
         with pytest.raises(DistributionError, match="finite shape_beta"):
             NoiseSpec.generalized_normal(beta)
 
-    def test_discrete_needs_matching_probs(self):
-        with pytest.raises(DistributionError):
-            NoiseSpec("discrete_symmetric", support=(-1.0, 1.0), probabilities=(1.0,))
-
-    def test_discrete_probs_sum_to_one(self):
-        with pytest.raises(DistributionError):
-            NoiseSpec("discrete_symmetric", support=(-1.0, 1.0), probabilities=(0.3, 0.3))
-
     def test_scale_positive(self):
         with pytest.raises(DistributionError):
             NoiseSpec.laplace(scale=0.0)
+
+    def test_bad_values_cover_every_field(self):
+        fields = {f.name for f in dataclasses.fields(NoiseSpec)}
+        assert {key for key, _ in BAD_NOISE_FIELDS} == fields
+
+    @pytest.mark.parametrize("key,build", BAD_NOISE_FIELDS)
+    def test_constructor_refuses_what_noise_syntax_refuses(self, key, build):
+        with pytest.raises(DistributionError, match=f"bad value for '{key}'"):
+            build()
+
+    def test_fields_take_canonical_types(self):
+        spec = NoiseSpec.generalized_normal(np.int64(2), location=1, scale=np.float32(0.5))
+        assert [type(v) for v in (spec.shape_beta, spec.location, spec.scale)] == [float] * 3
+        assert spec == NoiseSpec("generalized_normal", 1.0, 0.5, 2.0)
+
+
+class TestThreePointLaw:
+    def test_draws_and_moments_pinned(self):
+        # three-point draws feed every builtin's default treatment noise, so
+        # these literals pin the results digests too
+        spec = NoiseSpec.three_point()
+        root2 = 1.4142135623730951
+        assert spec.sample(8, 0).tolist() == [0.0, 0.0, -root2, -root2, root2, root2, 0.0, 0.0]
+        assert spec.moments() == MomentReport(
+            mean=0.0, variance=1.0000000000000002, fourth_moment=1.9999999999999996,
+            sixth_moment=3.999999999999999, e_t=0.0, e_tprime=3.0,
+            e_eta_t=1.9999999999999996, var_t=3.999999999999999)
+
+    def test_family_name_is_the_three_point_law(self):
+        assert NoiseSpec("discrete_symmetric", 1.0, 2.0) == NoiseSpec.three_point(1.0, 2.0)
 
 
 class TestNonGaussianityCheck:

@@ -531,6 +531,14 @@ class TestConfigParsing:
     def test_bad_noise(self):
         with pytest.raises(ConfigError):
             parse_noise("cauchy")
+        with pytest.raises(ConfigError, match="bad noise 'gennorm'.*shape_beta"):
+            parse_noise("gennorm")
+
+    @pytest.mark.parametrize("text", ["generalized_normal(1.5)", "discrete", "laplace(location=1)",
+                                      "gennorm(beta=1.5)", "gennorm(shape_beta=1.5)"])
+    def test_only_documented_noise_spellings(self, text):
+        with pytest.raises(ConfigError, match="bad noise|unknown noise argument"):
+            parse_noise(text)
 
     def test_scenario_from_builtin_with_overrides(self):
         cfg = scenario_from_config("scenario = default_test\nseeds = 5\n")
@@ -540,6 +548,10 @@ class TestConfigParsing:
     def test_label_renames(self):
         cfg = scenario_from_config("scenario = default_test\nlabel = my_run\n")
         assert cfg.scenario == "my_run"
+
+    def test_bad_label_is_reported_by_its_key(self):
+        with pytest.raises(ConfigError, match="bad value for 'label': expected a non-empty name"):
+            scenario_from_config("scenario = custom\nlabel = 3")
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):

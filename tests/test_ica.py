@@ -113,6 +113,10 @@ class TestContrasts:
         with pytest.raises(IcaError):
             get_contrast("quartic")
 
+    def test_takes_names_only(self):
+        with pytest.raises(IcaError, match="unknown contrast"):
+            get_contrast(get_contrast("cube"))
+
 
 def _two_pass_parallel(z, contrast, tol, max_iter, w):
     """Reference parallel iteration with separate t and t' calls per step
