@@ -221,14 +221,26 @@ def nuisance_y(spec: PlrSpec, x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class GroundTruth:
-    """Resolved spec and the exact source draws behind a simulated dataset."""
+    """Resolved spec and the exact source draws behind a simulated dataset.
+
+    The draws are kept as blocks: xi (n, p), eta (n, m) and eps (n,).
+    Since X = xi, simulate stores xi as the covariate block of the
+    dataset's columns, so xi shares memory with columns.
+    """
 
     spec: PlrSpec
-    sources: np.ndarray  # (n, p + m + 1) columns xi, eta, eps
+    xi: np.ndarray
+    eta: np.ndarray
+    eps: np.ndarray
 
     @property
     def theta(self) -> np.ndarray:
         return self.spec.theta
+
+    @property
+    def sources(self) -> np.ndarray:
+        """(n, p + m + 1) columns xi, eta, eps, assembled when read."""
+        return np.column_stack([self.xi, self.eta, self.eps])
 
 
 @dataclass(eq=False)
@@ -283,10 +295,11 @@ class Dataset:
         """First k rows as a new dataset (ground truth sliced along)."""
         if not 1 <= k <= self.n:
             raise DgpError(f"k must be in [1, {self.n}], got {k}")
+        columns = self.columns[:k].copy()
         gt = self.ground_truth
         if gt is not None:
-            gt = GroundTruth(spec=gt.spec, sources=gt.sources[:k])
-        return Dataset(columns=self.columns[:k].copy(), p=self.p, m=self.m, ground_truth=gt)
+            gt = GroundTruth(spec=gt.spec, xi=columns[:, : self.p], eta=gt.eta[:k], eps=gt.eps[:k])
+        return Dataset(columns=columns, p=self.p, m=self.m, ground_truth=gt)
 
     def to_csv(self, path) -> None:
         """Write rows with a x_0,..,t_0,..,y header; floats round-trip."""
@@ -334,9 +347,9 @@ def simulate(spec: PlrSpec, n: int, seed) -> Dataset:
     t = nuisance_t(resolved, x) + eta
     y = nuisance_y(resolved, x) + t @ resolved.theta + eps
     columns = np.column_stack([x, t, y])
-    sources = np.column_stack([xi, eta, eps])
-    return Dataset(columns=columns, p=spec.p, m=spec.m,
-                   ground_truth=GroundTruth(spec=resolved, sources=sources))
+    # X = xi, so the covariate block of columns is the xi draw; no copy
+    truth = GroundTruth(spec=resolved, xi=columns[:, : spec.p], eta=eta, eps=eps)
+    return Dataset(columns=columns, p=spec.p, m=spec.m, ground_truth=truth)
 
 
 def build_linear_mixing(spec: PlrSpec) -> tuple[np.ndarray, np.ndarray]:

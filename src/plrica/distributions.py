@@ -200,11 +200,19 @@ class NoiseSpec:
             half = math.sqrt(3.0) * self.scale
             return rng.uniform(self.location - half, self.location + half, size)
         if self.family == "generalized_normal":
-            # |B|^beta is Gamma(1/beta, 1); attach a fair sign
+            # |B|^beta is Gamma(1/beta, 1); attach a fair sign, negative
+            # where u < 0.5. Transformed in place: two arrays of the given
+            # size, each value bitwise that of
+            # location + scale * where(u < 0.5, -1, 1) * g ** (1 / beta)
             b = self.shape_beta
-            g = rng.standard_gamma(1.0 / b, size)
-            signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
-            return self.location + self.scale * signs * g ** (1.0 / b)
+            x = rng.standard_gamma(1.0 / b, size)
+            u = rng.random(size)
+            x **= 1.0 / b  # keeps numpy's scalar-power fast paths, as g ** (1 / b) does
+            x *= self.scale
+            u -= 0.5
+            np.copysign(x, u, out=x)
+            x += self.location
+            return x
         idx = rng.choice(len(THREE_POINT_SUPPORT), size=size,
                          p=np.asarray(THREE_POINT_PROBABILITIES))
         return self.location + self.scale * np.asarray(THREE_POINT_SUPPORT)[idx]

@@ -16,7 +16,6 @@ import itertools
 import math
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -355,6 +354,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]
     if workers == 1 or len(cells) <= 1:
         chunks = map(run_cell_replication, *tasks)
     else:
+        # imported here: the pool costs a serial run or a plain import nothing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_cell_replication, *tasks,
                                    chunksize=max(1, len(cells) // (workers * 8))))
@@ -588,13 +589,18 @@ def parse_config_text(text: str) -> dict:
 _NOISE_ALIASES = {"gaussian": "gaussian", "normal": "gaussian", "laplace": "laplace",
                   "uniform": "uniform", "gennorm": "generalized_normal",
                   "three_point": "discrete_symmetric"}
-_NOISE_ARG_ALIASES = {"loc": "location", "scale": "scale"}
+# argument spellings of the noise syntax and the NoiseSpec field each sets;
+# beta is positional only
+_NOISE_ARGS = {"beta": "shape_beta", "loc": "location", "scale": "scale"}
+_NOISE_KEYWORDS = ("loc", "scale")
 
 
 def parse_noise(text) -> NoiseSpec:
     """Noise string like `laplace`, `gennorm(1.5)`, `uniform(loc=1, scale=2)`.
 
-    The positional argument is shape beta for gennorm, location otherwise.
+    The positional arguments are beta, loc, scale for gennorm and loc,
+    scale otherwise. Values are config atoms that must be numbers; a bad
+    or repeated one is reported under the spelling the text used.
     """
     if isinstance(text, NoiseSpec):
         return text
@@ -606,29 +612,30 @@ def parse_noise(text) -> NoiseSpec:
             "optionally with (args)"
         )
     family = _NOISE_ALIASES[m.group(1)]
-    kwargs: dict = {}
-    positional: list[float] = []
+    args: dict = {}  # spelling -> value text
+    positional: list[str] = []
     if m.group(2) is not None and m.group(2).strip():
         for item in _split_list_items(m.group(2)):
             if "=" in item:
                 k, _, v = item.partition("=")
                 k = k.strip()
-                if k not in _NOISE_ARG_ALIASES:
+                if k not in _NOISE_KEYWORDS:
                     raise ConfigError(f"unknown noise argument {k!r} in {text!r}")
-                kwargs[_NOISE_ARG_ALIASES[k]] = float(v)
+                if k in args:
+                    raise ConfigError(f"argument {k!r} given twice in {text!r}")
+                args[k] = v
             else:
-                positional.append(float(item))
-    if positional:
-        pos_keys = (["shape_beta", "location", "scale"] if family == "generalized_normal"
-                    else ["location", "scale"])
-        if len(positional) > len(pos_keys):
-            raise ConfigError(f"too many positional arguments in {text!r}")
-        for k, v in zip(pos_keys, positional):
-            if k in kwargs:
-                raise ConfigError(f"argument {k!r} given twice in {text!r}")
-            kwargs[k] = v
+                positional.append(item)
+    names = ("beta", "loc", "scale") if family == "generalized_normal" else ("loc", "scale")
+    if len(positional) > len(names):
+        raise ConfigError(f"too many positional arguments in {text!r}")
+    for k, v in zip(names, positional):
+        if k in args:
+            raise ConfigError(f"argument {k!r} given twice in {text!r}")
+        args[k] = v
     try:
-        return NoiseSpec(family, **kwargs)
+        return NoiseSpec(family, **{_NOISE_ARGS[k]: _convert(k, _as_float, _parse_atom(v), ConfigError)
+                                    for k, v in args.items()})
     except ValueError as exc:
         raise ConfigError(f"bad noise {text!r}: {exc}") from None
 

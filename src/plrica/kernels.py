@@ -118,19 +118,23 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
     if tol <= 0 or max_iter < 1:
         raise KernelError("tol must be positive and max_iter at least 1")
 
+    # one centered copy; its scales are x.std(axis=0) by the same reductions
     col_means = x.mean(axis=0)
-    col_scales = x.std(axis=0)
+    xs = x - col_means
+    col_scales = np.sqrt(np.add.reduce(xs * xs, axis=0) / n)
     alive = col_scales > 1e-12
     safe_scales = np.where(alive, col_scales, 1.0)
-    xs = (x - col_means) / safe_scales
+    xs /= safe_scales
     gram = xs.T @ xs / n  # symmetric, so row j is column j
     live = np.flatnonzero(alive).tolist()
+    rows = list(gram)  # row views made once, not one per update
+    step = np.empty(p)  # gram[j] * delta, refilled every update
 
     fits = []
     for y in ys:
         y_mean = float(y.mean())
         q = xs.T @ (y - y_mean) / n
-        w = np.zeros(p)
+        w = [0.0] * p  # Python floats: scalar arithmetic without numpy boxing
         converged = False
         sweeps = 0
         for _ in range(max_iter):
@@ -139,16 +143,18 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
             for j in live:
                 w_old = w[j]
                 # unit sample variance makes the coordinate divisor 1
-                w_new = soft_threshold(q[j] + w_old, lam)
+                w_new = soft_threshold(q.item(j) + w_old, lam)
                 if w_new != w_old:
-                    q -= gram[j] * (w_new - w_old)
+                    delta = w_new - w_old
+                    np.multiply(rows[j], delta, out=step)
+                    q -= step
                     w[j] = w_new
-                    max_delta = max(max_delta, abs(w_new - w_old))
+                    max_delta = max(max_delta, abs(delta))
             if max_delta < tol:
                 converged = True
                 break
 
-        weights = np.where(alive, w / safe_scales, 0.0)
+        weights = np.where(alive, np.array(w) / safe_scales, 0.0)
         fits.append(LassoFit(
             weights=weights,
             intercept=y_mean - float(col_means @ weights),

@@ -201,6 +201,14 @@ def test_runtime_loads_no_scipy():
     assert proc.stdout.strip() == ""
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    """concurrent.futures' process pool is imported only by a run with workers > 1."""
+    proc = run_python("-c", "import sys, plrica.cli; "
+                            "print('concurrent.futures.process' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point_lists_builtins():
     proc = run_python("-m", "plrica", "experiment", "--list")
     assert proc.returncode == EXIT_OK, proc.stderr[-2000:]

@@ -106,6 +106,35 @@ class TestSampling:
         assert abs(frac_zero - THREE_POINT_PROBABILITIES[1]) < 0.03
 
 
+def _gennorm_formula(spec, size, seed):
+    """The generalized-normal draw as one expression over the same two draws."""
+    rng = np.random.default_rng(seed)
+    b = spec.shape_beta
+    g = rng.standard_gamma(1.0 / b, size)
+    signs = np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    return spec.location + spec.scale * signs * g ** (1.0 / b)
+
+
+class TestGeneralizedNormalSampler:
+    # 0.5 and 2 put 1/beta on numpy's square and sqrt fast paths, 1 on the copy
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("location,scale", [(0.0, 1.0), (4.0, 0.5), (-1.3, 2.7)])
+    @pytest.mark.parametrize("size", [1001, (250, 7)])
+    def test_bitwise_equal_to_formula(self, beta, location, scale, size):
+        spec = NoiseSpec.generalized_normal(beta, location, scale)
+        got = spec.sample(size, 123)
+        want = _gennorm_formula(spec, size, 123)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+
+    def test_leaves_the_stream_where_the_formula_does(self):
+        spec = NoiseSpec.generalized_normal(1.5)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        spec.sample(300, rng_a)
+        _gennorm_formula(spec, 300, rng_b)
+        assert rng_a.random() == rng_b.random()
+
+
 class TestStandardized:
     @pytest.mark.parametrize("family,ctor", [
         ("laplace", lambda: NoiseSpec.laplace(location=1.0, scale=2.0)),

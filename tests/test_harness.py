@@ -540,6 +540,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad noise|unknown noise argument"):
             parse_noise(text)
 
+    @pytest.mark.parametrize("text,message", [
+        ("laplace(loc=abc)",
+         "bad noise 'laplace(loc=abc)': bad value for 'loc': expected a number, got 'abc'"),
+        ("gennorm(true)", "bad noise 'gennorm(true)': bad value for 'beta': expected a number, got True"),
+        ("uniform(1, '2')", "bad noise \"uniform(1, '2')\": bad value for 'scale': "
+                            "expected a number, got '2'"),
+        ("laplace(1, loc=2)", "argument 'loc' given twice in 'laplace(1, loc=2)'"),
+        ("laplace(scale=1, scale=2)", "argument 'scale' given twice in 'laplace(scale=1, scale=2)'"),
+    ])
+    def test_noise_arguments_reported_as_written(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_noise(text)
+        assert str(info.value) == message
+
     def test_scenario_from_builtin_with_overrides(self):
         cfg = scenario_from_config("scenario = default_test\nseeds = 5\n")
         assert cfg.scenario == "default_test"

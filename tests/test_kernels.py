@@ -131,6 +131,54 @@ LASSO_DESIGNS = ("constant column", "p close to n", "p close to n, zero penalty"
                  "correlated, zero penalty", "large penalty")
 
 
+def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000):
+    """Reference lasso_fits on numpy scalars: standardization through
+    x.std and (x - mean) / scale, and a loop that indexes float arrays for
+    w and q. Returns (weights, intercept, n_sweeps, converged) per target;
+    lasso_fits must match it bit for bit."""
+    x = np.asarray(design, dtype=float)
+    n, p = x.shape
+    ys = [np.asarray(target, dtype=float) for target in targets]
+    col_means = x.mean(axis=0)
+    col_scales = x.std(axis=0)
+    alive = col_scales > 1e-12
+    safe_scales = np.where(alive, col_scales, 1.0)
+    xs = (x - col_means) / safe_scales
+    gram = xs.T @ xs / n
+    live = np.flatnonzero(alive).tolist()
+    out = []
+    for y in ys:
+        y_mean = float(y.mean())
+        q = xs.T @ (y - y_mean) / n
+        w = np.zeros(p)
+        converged = False
+        sweeps = 0
+        for _ in range(max_iter):
+            sweeps += 1
+            max_delta = 0.0
+            for j in live:
+                w_old = w[j]
+                w_new = soft_threshold(q[j] + w_old, lam)
+                if w_new != w_old:
+                    q -= gram[j] * (w_new - w_old)
+                    w[j] = w_new
+                    max_delta = max(max_delta, abs(w_new - w_old))
+            if max_delta < tol:
+                converged = True
+                break
+        weights = np.where(alive, w / safe_scales, 0.0)
+        out.append((weights, y_mean - float(col_means @ weights), sweeps, converged))
+    return out
+
+
+def _wide_design(rng):
+    """p > n with a zero-variance column and a shifted, scaled one."""
+    x = rng.standard_normal((30, 60))
+    x[:, 5] = -2.5
+    x[:, 7] = 100.0 + 1e-3 * x[:, 7]
+    return x, x[:, :4] @ np.array([1.0, -1.0, 2.0, 0.5]) + 0.1 * rng.standard_normal(30), 0.02
+
+
 class TestLasso:
     def test_zero_penalty_matches_least_squares(self):
         rng = np.random.default_rng(7)
@@ -226,6 +274,22 @@ class TestLasso:
             assert fit.intercept == single.intercept
             assert (fit.n_sweeps, fit.converged, fit.lam) == (single.n_sweeps, single.converged,
                                                               single.lam)
+
+    @pytest.mark.parametrize("kind", LASSO_DESIGNS + ("p > n", "p > n, zero penalty"))
+    def test_bitwise_equal_to_numpy_scalar_loop(self, kind):
+        rng = np.random.default_rng(2)
+        if kind.startswith("p > n"):
+            x, y, lam = _wide_design(rng)
+            lam = 0.0 if kind.endswith("zero penalty") else lam
+        else:
+            x, y, lam = _lasso_design(kind, rng)
+        targets = [y, rng.standard_normal(len(y)), x[:, 0] - 3.0 * y]
+        fits = lasso_fits(x, targets, lam, max_iter=400)
+        want = _numpy_loop_lasso_fits(x, targets, lam, max_iter=400)
+        for fit, (weights, intercept, sweeps, converged) in zip(fits, want, strict=True):
+            assert fit.weights.tobytes() == weights.tobytes()
+            assert fit.intercept == intercept
+            assert (fit.n_sweeps, fit.converged) == (sweeps, converged)
 
     def test_shared_gram_checks_every_target(self):
         x = np.ones((5, 2))
