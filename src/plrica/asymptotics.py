@@ -4,6 +4,10 @@ All variance expressions are stated for the cubic contrast t(z) = z^3 on
 standardized noise and describe the limit of n * Var(theta_hat). The
 moment inputs are MomentReport values, so the same code paths serve exact
 analytic moments and (via a hand-built report) empirical ones.
+
+Every noise family is symmetric, so the contrast's statistics reduce to
+the fourth and sixth moments: E[t(z)] = 0, E[t'(z)] = 3, E[z t(z)] =
+E[z^4] and Var(t(z)) = E[z^6].
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ class VarianceReport:
 
 
 def _check_denominator(moments: MomentReport, what: str) -> float:
-    den = moments.e_eta_t - moments.e_tprime
+    den = moments.fourth_moment - 3.0  # E[z t(z)] - E[t'(z)]
     if abs(den) < DEGENERACY_TOL:
         raise AsymptoticsError(
             f"{what} is degenerate: E[z t(z)] - E[t'(z)] = {den:.3e} vanishes "
@@ -65,11 +69,7 @@ def var_homl(moments: MomentReport, eps_variance: float = 1.0) -> float:
     if eps_variance <= 0:
         raise AsymptoticsError("eps_variance must be positive")
     den = _check_denominator(moments, "higher-moment score")
-    numerator = (
-        moments.var_t
-        + moments.e_tprime**2
-        - 2.0 * moments.e_eta_t * moments.e_tprime
-    )
+    numerator = moments.sixth_moment + 9.0 - 6.0 * moments.fourth_moment
     return eps_variance * numerator / den**2
 
 
@@ -103,7 +103,7 @@ def var_ica_auddy(a_block, b_block, theta, moments: MomentReport) -> float:
     if abs(kurt) < DEGENERACY_TOL:
         raise AsymptoticsError("excess kurtosis vanishes; fourth-order separation is degenerate")
     multiplier = float(np.sum((b + a.T @ th) ** 2)) + 1.0
-    return multiplier * moments.var_t / kurt**2
+    return multiplier * moments.sixth_moment / kurt**2
 
 
 def _tau(moments: MomentReport) -> float:
@@ -186,8 +186,7 @@ def var_ica_hyvarinen(moments: MomentReport) -> float:
     (E[t(z)^2] - E[z t(z)]^2) / (E[z t(z)] - E[t'(z)])^2.
     """
     den = _check_denominator(moments, "contrast fixed point")
-    e_t_sq = moments.var_t + moments.e_t**2
-    return (e_t_sq - moments.e_eta_t**2) / den**2
+    return (moments.sixth_moment - moments.fourth_moment**2) / den**2
 
 
 def compare_numerators(moments: MomentReport) -> float:
@@ -195,12 +194,12 @@ def compare_numerators(moments: MomentReport) -> float:
 
     Both estimators' variances share the denominator
     (E[z t(z)] - E[t'(z)])^2 when treatment and outcome noise coincide.
-    The gap (E[t'(z)] - E[z t(z)])^2 - E[t(z)]^2 is the higher-moment
-    numerator minus the source-separation numerator: positive means the
-    source-separation route is strictly more efficient, zero (as in the
-    Gaussian limit) a tie.
+    The gap (E[t'(z)] - E[z t(z)])^2 - E[t(z)]^2 = (3 - E[z^4])^2 is the
+    higher-moment numerator minus the source-separation numerator:
+    positive means the source-separation route is strictly more
+    efficient, zero (as in the Gaussian limit) a tie.
     """
-    return (moments.e_tprime - moments.e_eta_t) ** 2 - moments.e_t**2
+    return (3.0 - moments.fourth_moment) ** 2
 
 
 def _classify(v_homl: float, v_ica: float) -> str:

@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_var.add_argument("--spec", required=True, help="process spec config file")
     p_var.add_argument("--seed", type=int, default=0,
                        help="seed for drawing unresolved coefficient blocks")
-    p_var.add_argument("--csv", default=None, help="also append a CSV row here")
     return parser
 
 
@@ -122,17 +121,6 @@ def _cmd_variance(args) -> int:
     print(f"var_ica_hyvarinen={report.var_ica_hyvarinen:.12g}")
     print(f"numerator_gap={report.numerator_gap:.12g}")
     print(f"regime={report.regime}")
-    if args.csv:
-        import os
-        header = "spec,var_homl,var_ica_auddy,var_ica_hyvarinen,numerator_gap,regime\n"
-        fresh = not os.path.exists(args.csv)
-        with open(args.csv, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write(header)
-            fh.write(
-                f"{args.spec},{report.var_homl:.17g},{report.var_ica_auddy:.17g},"
-                f"{report.var_ica_hyvarinen:.17g},{report.numerator_gap:.17g},{report.regime}\n"
-            )
     return EXIT_OK
 
 

@@ -291,16 +291,6 @@ class Dataset:
             + ["y"]
         )
 
-    def take(self, k: int) -> "Dataset":
-        """First k rows as a new dataset (ground truth sliced along)."""
-        if not 1 <= k <= self.n:
-            raise DgpError(f"k must be in [1, {self.n}], got {k}")
-        columns = self.columns[:k].copy()
-        gt = self.ground_truth
-        if gt is not None:
-            gt = GroundTruth(spec=gt.spec, xi=columns[:, : self.p], eta=gt.eta[:k], eps=gt.eps[:k])
-        return Dataset(columns=columns, p=self.p, m=self.m, ground_truth=gt)
-
     def to_csv(self, path) -> None:
         """Write rows with a x_0,..,t_0,..,y header; floats round-trip."""
         header = ",".join(self.column_names)

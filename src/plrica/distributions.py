@@ -38,20 +38,15 @@ class DiscreteDensityError(DistributionError):
 class MomentReport:
     """Population moments of a noise spec.
 
-    mean and variance describe the spec itself. The remaining fields
-    describe the standardized variable z = (X - mean)/sd under the cubic
-    contrast t(z) = z^3: e_t = E[t(z)], e_tprime = E[t'(z)], e_eta_t =
-    E[z t(z)] (the fourth moment), and var_t = Var(t(z)).
+    mean and variance describe the spec itself; fourth_moment and
+    sixth_moment are E[z^4] and E[z^6] of the standardized variable
+    z = (X - mean)/sd. Every family is symmetric, so E[z^3] = 0.
     """
 
     mean: float
     variance: float
     fourth_moment: float
     sixth_moment: float
-    e_t: float
-    e_tprime: float
-    e_eta_t: float
-    var_t: float
 
 
 @dataclass(frozen=True)
@@ -151,28 +146,15 @@ class NoiseSpec:
         return self.scale**2 * (m2 - m1 * m1)
 
     def moments(self) -> MomentReport:
-        """Analytic moment report; see MomentReport for field semantics."""
-        raw = [1.0] + [self._base_raw_moment(k) for k in range(1, 7)]
-        mu = raw[1]
-        central = [0.0] * 7
-        for k in range(2, 7):
-            central[k] = sum(math.comb(k, i) * raw[k - i] * (-mu) ** i for i in range(k + 1))
-        var0 = central[2]
+        """Analytic moment report; the base member's raw moments are central (mean 0)."""
+        var0 = self._base_raw_moment(2)
         if var0 <= 0:
             raise DistributionError("degenerate distribution: zero variance")
-        sd0 = math.sqrt(var0)
-        z3 = central[3] / sd0**3
-        z4 = central[4] / var0**2
-        z6 = central[6] / var0**3
         return MomentReport(
             mean=self.mean(),
             variance=self.variance(),
-            fourth_moment=z4,
-            sixth_moment=z6,
-            e_t=z3,
-            e_tprime=3.0,  # E[3 z^2] for a unit-variance variable
-            e_eta_t=z4,
-            var_t=z6 - z3 * z3,
+            fourth_moment=self._base_raw_moment(4) / var0**2,
+            sixth_moment=self._base_raw_moment(6) / var0**3,
         )
 
     # ---- sampling ----
@@ -249,17 +231,16 @@ class NoiseSpec:
 
 
 def homl_condition_value(spec: NoiseSpec) -> float:
-    """E[z t(z)] - E[t'(z)] for the cubic contrast on the standardized
-    variable. Zero means the orthogonal higher-moment score degenerates."""
-    report = spec.moments()
-    return report.e_eta_t - report.e_tprime
+    """E[z t(z)] - E[t'(z)] = E[z^4] - 3 for the cubic contrast t(z) = z^3
+    on the standardized variable. Zero means the orthogonal higher-moment
+    score degenerates."""
+    return spec.moments().fourth_moment - 3.0
 
 
 def ica_condition_value(spec: NoiseSpec) -> float:
     """Excess kurtosis E[z^4] - 3 of the standardized variable. Zero means
     fourth-order source separation degenerates."""
-    report = spec.moments()
-    return report.fourth_moment - 3.0
+    return spec.moments().fourth_moment - 3.0
 
 
 def check_nongaussianity(spec: NoiseSpec, n: int = 100_000, seed=0) -> NonGaussianityCheck:

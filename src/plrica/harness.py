@@ -183,7 +183,7 @@ class ScenarioConfig:
     folds: int = 2
     tol: float = 1e-4
     max_iter: int = 1000
-    ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 1
+    ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 4
 
     def __post_init__(self):
         for name, convert in _FIELDS.items():
@@ -410,12 +410,19 @@ def emit_csv(records: list[ResultRecord], path) -> None:
             writer.writerow([fmt(getattr(r, attr)) for _, attr, fmt, _ in RESULT_COLUMNS])
 
 
-def read_records(path) -> list[ResultRecord]:
-    """Parse a results CSV back into records (notes are not serialized)."""
+def _read_results_rows(path) -> list[list[str]]:
+    """Rows of a results CSV, header first. Raises ConfigError unless the
+    first row is the results header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != _HEADER:
         raise ConfigError(f"unexpected results header in {path}")
+    return rows
+
+
+def read_records(path) -> list[ResultRecord]:
+    """Parse a results CSV back into records (notes are not serialized)."""
+    rows = _read_results_rows(path)
     records = []
     for row in rows[1:]:
         if len(row) != len(RESULT_COLUMNS):
@@ -429,15 +436,12 @@ def csv_digest(path) -> str:
     """Content hash of a results CSV, ignoring the wall-clock column.
 
     Two runs of the same scenario (any worker count) produce the same
-    digest; wall_ms is the only field that legitimately differs.
+    digest; wall_ms is the only field that legitimately differs. A file
+    without the results header raises ConfigError, as read_records does.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ConfigError(f"empty csv {path}")
-    wall_idx = rows[0].index("wall_ms")
+    wall_idx = _HEADER.index("wall_ms")
     hasher = hashlib.sha256()
-    for row in rows:
+    for row in _read_results_rows(path):
         kept = row[:wall_idx] + row[wall_idx + 1 :]
         hasher.update("\x1f".join(kept).encode("utf-8"))
         hasher.update(b"\x1e")

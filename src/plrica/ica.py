@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dgp import Dataset
-from .kernels import hungarian, sym_eig
+from .kernels import hungarian
 
 PIVOT_DEGENERACY_TOL = 1e-8
 LOG_CLIP = 1e-300
@@ -146,7 +146,11 @@ def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     means = x.mean(axis=0)
     xc = x - means
     cov = xc.T @ xc / n
-    vals, vecs = sym_eig(cov)
+    if not np.all(np.isfinite(cov)):
+        raise IcaError("data contain non-finite values")
+    # numpy forms xc.T @ xc by syrk, so cov is exactly symmetric as eigh assumes
+    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending, so K's rows keep their order
     if vals[-1] <= vals[0] * 1e-12 or vals[-1] <= 0.0:
         raise RankDeficientError("data covariance is rank deficient")
     k = vecs.T / np.sqrt(vals)[:, None]
@@ -176,7 +180,7 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         raise IcaError("whitened data must be 2-d with more rows than columns")
     if tol <= 0 or max_iter < 1:
         raise IcaError("tol must be positive and max_iter at least 1")
-    if mode != "parallel":  # mode leaves with the benchmark change in ROADMAP item 1
+    if mode != "parallel":  # mode leaves with the benchmark change in ROADMAP item 4
         raise IcaError(f"unknown mode {mode!r}; the iteration is 'parallel' only")
     con = get_contrast(contrast)
     n, d = z.shape
@@ -323,7 +327,7 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     match was barely identified.
     """
     whitened, k, means = whiten(dataset.columns)
-    # mode leaves with the benchmark change in ROADMAP item 1
+    # mode leaves with the benchmark change in ROADMAP item 4
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed)
     est = assemble_unmixing(result, k, means, contrast)

@@ -1,10 +1,9 @@
 """Dense numeric kernels shared by the estimators.
 
-Symmetric eigendecomposition, a covariance-update coordinate-descent
-lasso on a shared Gram matrix, and minimum-cost assignment, the last
-implemented here by shortest augmenting paths so that the package needs
-numpy only. Everything operates on float64 arrays and is a pure function
-of its inputs.
+A covariance-update coordinate-descent lasso on a shared Gram matrix and
+minimum-cost assignment, the latter implemented here by shortest
+augmenting paths so that the package needs numpy only. Everything
+operates on float64 arrays and is a pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -17,10 +16,6 @@ class KernelError(ValueError):
     """Base class for kernel-level failures."""
 
 
-class NotSymmetricError(KernelError):
-    """Input matrix is not symmetric within tolerance."""
-
-
 def _as_square(mat, name: str) -> np.ndarray:
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -28,25 +23,6 @@ def _as_square(mat, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise KernelError(f"{name} contains non-finite entries")
     return a
-
-
-def sym_eig(mat, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted in
-    descending order and eigenvectors as orthonormal columns, so that
-    mat = V @ diag(vals) @ V.T.
-
-    Raises NotSymmetricError when max|mat - mat.T| exceeds sym_tol.
-    """
-    a = _as_square(mat, "mat")
-    if a.size and np.max(np.abs(a - a.T)) > sym_tol:
-        raise NotSymmetricError(
-            f"matrix asymmetry {np.max(np.abs(a - a.T)):.3e} exceeds {sym_tol:.1e}"
-        )
-    a = 0.5 * (a + a.T)  # kill roundoff asymmetry before LAPACK
-    vals, vecs = np.linalg.eigh(a)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
 def soft_threshold(value: float, threshold: float) -> float:

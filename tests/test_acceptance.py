@@ -222,7 +222,7 @@ def test_criterion_10_numerator_gap_matches_monte_carlo():
     for noise in (NoiseSpec.laplace().standardized(), NoiseSpec.uniform(),
                   NoiseSpec.three_point()):
         rep = noise.moments()
-        closed = (rep.e_tprime - rep.e_eta_t) ** 2 - rep.e_t**2
+        closed = (3.0 - rep.fourth_moment) ** 2
         draws = noise.sample(1_000_000, rng)
         t = draws**3
         a = 3.0 * draws**2 - draws * t

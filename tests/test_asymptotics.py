@@ -143,7 +143,7 @@ class TestNumeratorGap:
         # same standardized noise drives both
         for spec in (LAPLACE, UNIFORM):
             rep = spec.moments()
-            den = rep.e_eta_t - rep.e_tprime
+            den = rep.fourth_moment - 3.0
             diff = var_homl(rep) - var_ica_hyvarinen(rep)
             assert diff == pytest.approx(compare_numerators(rep) / den**2, abs=1e-9)
 
@@ -263,3 +263,76 @@ class TestScoreCrossDerivative:
                        np.random.default_rng(0))
         with pytest.raises(Exception):
             score_cross_derivative(spec, [0.0], [0.5], 0.0)
+
+
+# Pinned in float.hex: var_homl (eps_variance the noise's own variance),
+# var_ica_hyvarinen, var_ica_auddy, compare_numerators and var_ica_mixing on
+# PIN_NOISES' moments, then variance_report's var_ica_auddy. The other report
+# fields must equal the direct calls.
+PIN_NOISES = {
+    "laplace": NoiseSpec.laplace(location=0.5, scale=1.7),
+    "uniform": NoiseSpec.uniform(location=-1.0, scale=0.6),
+    "three_point": NoiseSpec.three_point(location=0.25, scale=2.0),
+    "gennorm0.5": NoiseSpec.generalized_normal(0.5, scale=0.8),
+    "gennorm1.5": NoiseSpec.generalized_normal(1.5, location=1.0, scale=1.3),
+    "gennorm3.7": NoiseSpec.generalized_normal(3.7, location=-2.0, scale=2.5),
+}
+PINNED_VARIANCES = {
+    ("laplace", "standardized"): (
+        "0x1.c000000000002p+2", "0x1.8000000000000p+2", "0x1.c200000000000p+5",
+        "0x1.2000000000000p+3", "0x1.fe4fffffffffep+6", "0x1.203024dd472a0p+4"),
+    ("laplace", "raw"): (
+        "0x1.43ae147ae147bp+5", "0x1.8000000000000p+2", "0x1.c200000000000p+5",
+        "0x1.2000000000000p+3", "0x1.c21f3993ee48bp+4", "0x1.203024dd472a0p+4"),
+    ("uniform", "standardized"): (
+        "0x1.6db6db6db6db6p+0", "0x1.b6db6db6db6dap-2", "0x1.e224924924925p+3",
+        "0x1.70a3d70a3d70ap+0", "0x1.e238f4cdfe81dp+6", "0x1.34c5de5acc3f5p+2"),
+    ("uniform", "raw"): (
+        "0x1.0750750750750p-1", "0x1.b6db6db6db6dap-2", "0x1.e224924924925p+3",
+        "0x1.70a3d70a3d70ap+0", "0x1.4996487abbea7p+8", "0x1.34c5de5acc3f5p+2"),
+    ("three_point", "standardized"): (
+        "0x1.000000000000dp+0", "0x1.ffffffffffff8p-51", "0x1.67ffffffffff9p+4",
+        "0x1.0000000000004p+0", "0x1.03a7fffffffffp+7", "0x1.cd19d4953ea91p+2"),
+    ("three_point", "raw"): (
+        "0x1.000000000000dp+2", "0x1.ffffffffffff8p-51", "0x1.67ffffffffff9p+4",
+        "0x1.0000000000004p+0", "0x1.137ffffffffffp+5", "0x1.cd19d4953ea91p+2"),
+    ("gennorm0.5", "standardized"): (
+        "0x1.c17ef8b5038f9p+2", "0x1.817ef8b5038fcp+2", "0x1.490929b354b76p+5",
+        "0x1.ecd70a3d709f5p+8", "0x1.a855ebdb8fea5p+7", "0x1.a570da77c3e4ap+3"),
+    ("gennorm0.5", "raw"): (
+        "0x1.0db295396889cp+9", "0x1.817ef8b5038fcp+2", "0x1.490929b354b76p+5",
+        "0x1.ecd70a3d709f5p+8", "0x1.406d37a09d02ep+3", "0x1.a570da77c3e4ap+3"),
+    ("gennorm1.5", "standardized"): (
+        "0x1.7163b6045c154p+4", "0x1.6163b6045c155p+4", "0x1.055b0b4c5ba21p+8",
+        "0x1.294107801ebccp-1", "0x1.883bf45a2952fp+7", "0x1.4ec0f08ba41dbp+6"),
+    ("gennorm1.5", "raw"): (
+        "0x1.cd03c21044a28p+4", "0x1.6163b6045c155p+4", "0x1.055b0b4c5ba21p+8",
+        "0x1.294107801ebccp-1", "0x1.422ffba5f41ffp+7", "0x1.4ec0f08ba41dbp+6"),
+    ("gennorm3.7", "standardized"): (
+        "0x1.1a6dd7b442187p+2", "0x1.b4dbaf688430bp+1", "0x1.10b7c64846ec6p+6",
+        "0x1.2733b6f16bfa4p-1", "0x1.32b083af7b498p+7", "0x1.5d4e8bb7407eap+4"),
+    ("gennorm3.7", "raw"): (
+        "0x1.3094025126e18p+3", "0x1.b4dbaf688430bp+1", "0x1.10b7c64846ec6p+6",
+        "0x1.2733b6f16bfa4p-1", "0x1.27c5d197a12dfp+6", "0x1.5d4e8bb7407eap+4"),
+}
+
+
+@pytest.mark.parametrize("name,form", sorted(PINNED_VARIANCES))
+def test_variances_pinned_bitwise(name, form):
+    noise = PIN_NOISES[name]
+    if form == "standardized":
+        noise = noise.standardized()
+    rep = noise.moments()
+    a_block, b_block, theta = [[0.5, -1.0]], [1.0, 0.25], [1.5]
+    direct = (var_homl(rep, eps_variance=rep.variance), var_ica_hyvarinen(rep),
+              var_ica_auddy(a_block, b_block, theta, rep), compare_numerators(rep),
+              float(var_ica_mixing(a_block, b_block, theta,
+                                   NoiseSpec.laplace(scale=2.0).moments(), rep, rep)[0]))
+    report = variance_report(PlrSpec(p=2, m=1, theta=theta, noise_x=NoiseSpec.laplace(),
+                                     noise_t=noise, noise_y=noise,
+                                     standardize_noise=form == "standardized"), seed=3)
+    got = [v.hex() for v in direct + (report.var_ica_auddy,)]
+    assert got == list(PINNED_VARIANCES[name, form])
+    assert (report.var_homl, report.var_ica_hyvarinen, report.numerator_gap) == (
+        direct[0], direct[1], direct[3])
+    assert report.regime == REGIME_ICA

@@ -90,6 +90,13 @@ class TestEstimate:
             main(["estimate", "--data", data_csv, "--method", "ridge"])
         assert exc.value.code == 2
 
+    def test_non_finite_cell_is_config_error(self, data_csv, capsys):
+        lines = Path(data_csv).read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        Path(data_csv).write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--data", data_csv, "--method", "ica"]) == EXIT_CONFIG
+        assert "data contain non-finite values" in capsys.readouterr().err
+
     def test_mode_flag_removed(self, data_csv):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", data_csv, "--method", "ica", "--mode", "deflation"])
@@ -152,6 +159,13 @@ class TestVariance:
         assert "var_homl=" in out
         assert "var_ica_hyvarinen=" in out
         assert "regime=ica_better" in out
+
+    def test_csv_flag_removed(self, tmp_path):
+        spec = write_spec(tmp_path, SCALAR_SPEC)
+        with pytest.raises(SystemExit) as exc:
+            main(["variance", "--spec", spec, "--csv", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_gaussian_treatment_noise_is_config_error(self, tmp_path):
         text = SCALAR_SPEC.replace("noise_t = laplace", "noise_t = normal")

@@ -286,15 +286,6 @@ class TestMixingMatrices:
 
 
 class TestDataset:
-    def test_take_prefix(self):
-        ds = simulate(PlrSpec(p=2, m=1), 40, seed=1)
-        head = ds.take(10)
-        assert head.n == 10
-        assert np.array_equal(head.columns, ds.columns[:10])
-        assert head.ground_truth is not None
-        with pytest.raises(DgpError):
-            ds.take(41)
-
     def test_csv_round_trip_bitwise(self, tmp_path):
         ds = simulate(PlrSpec(p=3, m=2), 25, seed=2)
         path = tmp_path / "sample.csv"
@@ -352,14 +343,6 @@ class TestGroundTruthBlocks:
         gt = ds.ground_truth
         assert np.shares_memory(gt.xi, ds.columns)
         assert gt.xi.shape == (50, 3) and gt.eta.shape == (50, 2) and gt.eps.shape == (50,)
-
-    @pytest.mark.parametrize("k", [1, 17, 60])
-    def test_take_gives_the_first_rows_of_sources(self, k):
-        ds = simulate(PlrSpec(p=3, m=2), 60, seed=5)
-        head = ds.take(k)
-        assert head.ground_truth.sources.tobytes() == ds.ground_truth.sources[:k].tobytes()
-        assert np.shares_memory(head.ground_truth.xi, head.columns)
-        assert not np.shares_memory(head.columns, ds.columns)
 
 
 @pytest.mark.parametrize("noise_x", [NoiseSpec.laplace(), NoiseSpec.generalized_normal(1.0)])

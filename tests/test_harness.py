@@ -373,6 +373,19 @@ class TestRunAndEmit:
         emit_csv(changed, p2)
         assert csv_digest(p1) != csv_digest(p2)
 
+    @pytest.mark.parametrize("header", [
+        "x_0,t_0,y",  # no wall_ms column
+        "spec,var_homl,wall_ms",  # a wall_ms column in another file
+        ",".join(reversed([name for name, _, _, _ in harness.RESULT_COLUMNS])),
+        None,  # empty file
+    ])
+    def test_digest_refuses_what_read_records_refuses(self, tmp_path, header):
+        path = tmp_path / "other.csv"
+        path.write_text("" if header is None else header + "\n1,2,3\n", encoding="utf-8")
+        for read in (csv_digest, read_records):
+            with pytest.raises(ConfigError, match="unexpected results header"):
+                read(path)
+
     def test_aggregate_matches_after_round_trip(self, tmp_path):
         cfg = tiny_config()
         recs = run_scenario(cfg, workers=1)

@@ -17,11 +17,12 @@ from plrica import (
     fastica,
     get_contrast,
     resolve,
+    scenario_from_config,
     simulate,
     stationarity_residual,
-    sym_eig,
     whiten,
 )
+from plrica.harness import cell_seed, spec_for_cell
 from plrica.ica import _sym_decorrelation
 
 
@@ -47,6 +48,38 @@ class TestWhiten:
         data = np.column_stack([col, 2 * col, rng.standard_normal(100)])
         with pytest.raises(RankDeficientError):
             whiten(data)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_raises(self, bad):
+        data = np.random.default_rng(2).standard_normal((50, 3))
+        data[7, 1] = bad
+        with pytest.raises(IcaError, match="data contain non-finite values"):
+            whiten(data)
+
+    @pytest.mark.parametrize("text", [
+        "scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [10]",
+        "scenario = appE_locscale\nsample_sizes = [2000]\ncovariate_dims = [10]\n"
+        "locations = [4.0]\nscales = [2.0]",
+        "scenario = appE_contrast\nsample_sizes = [500]\ncontrasts = [cube]",
+    ])
+    def test_bitwise_equal_to_symmetrized_eigh(self, text):
+        """whiten skips symmetrizing the covariance; on builtin cells that
+        changes no bit of its outputs."""
+        config = scenario_from_config(text)
+        cell = config.cells()[0]
+        data = simulate(spec_for_cell(config, cell), cell["n"],
+                        cell_seed(config.scenario, cell, 0)).columns
+        means = data.mean(axis=0)
+        xc = data - means
+        cov = xc.T @ xc / data.shape[0]
+        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+        k = vecs.T / np.sqrt(vals)[:, None]
+        want = (xc @ k.T, k, means)
+        got = whiten(data)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert [a.flags.c_contiguous for a in got] == [b.flags.c_contiguous for b in want]
 
 
 class TestContrasts:
@@ -120,8 +153,8 @@ class TestContrasts:
 
 def _two_pass_parallel(z, contrast, tol, max_iter, w):
     """Reference parallel iteration with separate t and t' calls per step
-    and decorrelation through sym_eig; the fused loop in fastica must
-    follow it up to rounding."""
+    and decorrelation through np.linalg.eigh; the fused loop in fastica
+    must follow it up to rounding."""
     t, tprime = {
         "logcosh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
         "exp": (lambda u: u * np.exp(-0.5 * u * u), lambda u: (1.0 - u * u) * np.exp(-0.5 * u * u)),
@@ -129,7 +162,7 @@ def _two_pass_parallel(z, contrast, tol, max_iter, w):
     }[contrast]
 
     def decorrelate(m):
-        vals, vecs = sym_eig(m @ m.T)
+        vals, vecs = np.linalg.eigh(m @ m.T)
         return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ m
 
     n = z.shape[0]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from plrica import (
     Assignment,
     KernelError,
-    NotSymmetricError,
     assemble_unmixing,
     fastica,
     hungarian,
@@ -17,46 +16,10 @@ from plrica import (
     scenario_from_config,
     simulate,
     soft_threshold,
-    sym_eig,
     whiten,
 )
 from plrica.harness import cell_seed, spec_for_cell
 from plrica.ica import LOG_CLIP
-
-
-def random_symmetric(d, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((d, d))
-    return m + m.T
-
-
-class TestSymEig:
-    def test_reconstruction(self):
-        for seed in range(5):
-            m = random_symmetric(7, seed)
-            vals, vecs = sym_eig(m)
-            rebuilt = vecs @ np.diag(vals) @ vecs.T
-            assert np.max(np.abs(rebuilt - m)) <= 1e-9 * max(1.0, np.max(np.abs(m)))
-
-    def test_descending_order(self):
-        vals, _ = sym_eig(random_symmetric(9, 3))
-        assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_orthonormal_vectors(self):
-        _, vecs = sym_eig(random_symmetric(6, 11))
-        gram = vecs.T @ vecs
-        assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
-
-    def test_rejects_asymmetric(self):
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(NotSymmetricError):
-            sym_eig(m)
-
-    def test_small_asymmetry_within_tol_accepted(self):
-        m = random_symmetric(4, 0)
-        m[0, 1] += 1e-12
-        vals, vecs = sym_eig(m)
-        assert vals.shape == (4,)
 
 
 class TestSoftThreshold:
