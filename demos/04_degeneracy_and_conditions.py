@@ -1,15 +1,17 @@
 """When each route breaks, and how to see it coming.
 
-Both identification routes lean on a fourth-moment quantity of the noise:
+Both identification routes lean on one fourth-moment quantity of the
+noise, ica_condition_value:
 
-  higher-moment score   needs E[z t(z)] - E[t'(z)] != 0   (homl_condition_value)
-  source separation     needs E[z^4] - 3 != 0             (ica_condition_value)
+  source separation     needs E[z^4] - 3 != 0
+  higher-moment score   needs E[z t(z)] - E[t'(z)] != 0
 
-For the cubic contrast these coincide: both equal the excess kurtosis.
+For the cubic contrast t(z) = z^3 the higher-moment condition is the
+excess kurtosis E[z^4] - 3 itself, so one value serves both routes.
 Gaussian noise is the canonical failure. The flip side is that looking
 pathological does not mean being degenerate: the symmetric three-point
 law on {-sqrt(2), 0, sqrt(2)} takes only three values, yet its excess
-kurtosis is -1, so both conditions hold and neither method objects.
+kurtosis is -1, so the condition holds and neither method objects.
 
 Run: python demos/04_degeneracy_and_conditions.py
 """
@@ -20,7 +22,6 @@ from plrica import (
     PlrSpec,
     check_nongaussianity,
     estimate_homl,
-    homl_condition_value,
     ica_condition_value,
     simulate,
 )
@@ -33,9 +34,9 @@ families = {
     "three-point": three_point,
 }
 
-print(f"{'family':>12} {'homl condition':>15} {'ica condition':>14}")
+print(f"{'family':>12} {'condition':>10}")
 for name, spec in families.items():
-    print(f"{name:>12} {homl_condition_value(spec):>15.4f} {ica_condition_value(spec):>14.4f}")
+    print(f"{name:>12} {ica_condition_value(spec):>10.4f}")
 
 # The population numbers above are exact. check_nongaussianity answers the
 # practical question from samples: can this data rule out zero kurtosis?
@@ -68,5 +69,5 @@ for label, noise_t in cases:
 # fails; the three-point law could not look less Gaussian and passes.
 chk = check_nongaussianity(three_point, seed=1)
 print(f"\nthree-point law: decisive = {chk.decisive} "
-      f"(excess = {chk.excess_kurtosis:+.4f}); the conditions ask about "
+      f"(excess = {chk.excess_kurtosis:+.4f}); the condition asks about "
       "this one number and nothing else")

@@ -1,7 +1,8 @@
 """Value converters shared by the process specs and the config parser.
 
 Each converter returns its value in canonical form or raises a plain
-TypeError/ValueError; _convert names the field and picks the error class.
+TypeError/ValueError (OverflowError for an integer past float range);
+_convert names the field and picks the error class.
 """
 from __future__ import annotations
 
@@ -16,10 +17,13 @@ def _as_int(value) -> int:
 
 
 def _as_float(value) -> float:
-    """A real value; integers are taken, booleans and strings refused."""
+    """A finite real value; integers are taken, booleans, strings, nan and inf refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    out = float(value)
+    if not np.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def _as_bool(value) -> bool:
@@ -54,5 +58,5 @@ def _convert(key: str, convert, value, error: type[Exception]):
     """convert(value), or error naming key when convert refuses the value."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"bad value for {key!r}: {exc}") from None

@@ -99,9 +99,7 @@ def var_ica_auddy(a_block, b_block, theta, moments: MomentReport) -> float:
     multipliers the exact value is about 1.19 times it.
     """
     a, b, th = _coefficient_blocks(a_block, b_block, theta)
-    kurt = moments.fourth_moment - 3.0
-    if abs(kurt) < DEGENERACY_TOL:
-        raise AsymptoticsError("excess kurtosis vanishes; fourth-order separation is degenerate")
+    kurt = _check_denominator(moments, "mixing-coefficient variance")
     multiplier = float(np.sum((b + a.T @ th) ** 2)) + 1.0
     return multiplier * moments.sixth_moment / kurt**2
 

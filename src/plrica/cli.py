@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from ._converters import _as_float
 from .asymptotics import variance_report
 from .dgp import Dataset, simulate
 from .harness import (
@@ -29,6 +30,14 @@ from .ica import CONTRASTS
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+
+
+def _finite_float(text: str) -> float:
+    """A flag's number, refused where the same config value would be."""
+    try:
+        return _as_float(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,9 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", required=True, choices=METHOD_NAMES)
     p_est.add_argument("--contrast", default="logcosh", choices=tuple(CONTRASTS))
     p_est.add_argument("--seed", type=int, default=0, help="iteration start seed (ica)")
-    p_est.add_argument("--lambda-scale", type=float, default=1.0)
+    p_est.add_argument("--lambda-scale", type=_finite_float, default=1.0)
     p_est.add_argument("--folds", type=int, default=2)
-    p_est.add_argument("--tol", type=float, default=1e-4)
+    p_est.add_argument("--tol", type=_finite_float, default=1e-4)
     p_est.add_argument("--max-iter", type=int, default=1000)
 
     p_exp = sub.add_parser("experiment", help="run a scenario grid to a results CSV")

@@ -9,7 +9,6 @@ its exact inverse.
 from __future__ import annotations
 
 import io
-import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -134,14 +133,12 @@ class PlrSpec:
         theta = multi_treatment_theta(self.m) if self.theta is None else np.asarray(self.theta)
         if theta.shape != (self.m,):
             raise DgpError(f"theta must have {self.m} entries, got shape {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise DgpError("theta contains non-finite entries")
         if self.nuisance not in NONLINEARITY_NAMES:
             raise UnknownNonlinearityError(
                 f"unknown nuisance {self.nuisance!r}; expected one of {NONLINEARITY_NAMES}"
             )
-        if not (math.isfinite(self.leaky_slope) and self.leaky_slope >= 0):
-            raise DgpError("leaky_slope must be finite and nonnegative")
+        if self.leaky_slope < 0:
+            raise DgpError("leaky_slope must be nonnegative")
         if not 0.0 < self.sparsity_keep_prob <= 1.0:
             raise DgpError("sparsity_keep_prob must lie in (0, 1]")
         for name, value in (("theta", theta),
@@ -265,6 +262,8 @@ class Dataset:
                 f"expected {self.p + self.m + 1} columns for p={self.p}, m={self.m}; "
                 f"got {cols.shape[1]}"
             )
+        if not np.isfinite(cols).all():
+            raise DgpError("data contain non-finite values")
         self.columns = cols
 
     @property

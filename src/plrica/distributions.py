@@ -83,13 +83,11 @@ class NoiseSpec:
         for name, convert in _FIELDS.items():
             object.__setattr__(self, name, _convert(name, convert, getattr(self, name),
                                                     DistributionError))
-        if not (math.isfinite(self.location) and math.isfinite(self.scale)):
-            raise DistributionError("location and scale must be finite")
         if self.scale <= 0:
             raise DistributionError(f"scale must be positive, got {self.scale}")
         if self.family == "generalized_normal":
-            if self.shape_beta is None or not (0 < self.shape_beta < math.inf):
-                raise DistributionError("generalized_normal requires a finite shape_beta > 0")
+            if self.shape_beta is None or self.shape_beta <= 0:
+                raise DistributionError("generalized_normal requires a shape_beta > 0")
         elif self.shape_beta is not None:
             raise DistributionError(f"shape_beta is only meaningful for generalized_normal")
 
@@ -230,16 +228,12 @@ class NoiseSpec:
         return const - np.abs(u) ** b
 
 
-def homl_condition_value(spec: NoiseSpec) -> float:
-    """E[z t(z)] - E[t'(z)] = E[z^4] - 3 for the cubic contrast t(z) = z^3
-    on the standardized variable. Zero means the orthogonal higher-moment
-    score degenerates."""
-    return spec.moments().fourth_moment - 3.0
-
-
 def ica_condition_value(spec: NoiseSpec) -> float:
-    """Excess kurtosis E[z^4] - 3 of the standardized variable. Zero means
-    fourth-order source separation degenerates."""
+    """Excess kurtosis E[z^4] - 3 of the standardized variable.
+
+    For the cubic contrast t(z) = z^3 it is also E[z t(z)] - E[t'(z)],
+    the higher-moment score's condition. Zero means both fourth-order
+    source separation and the orthogonal higher-moment score degenerate."""
     return spec.moments().fourth_moment - 3.0
 
 

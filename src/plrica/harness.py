@@ -88,13 +88,12 @@ class Metrics:
     relative_error: float
 
 
-def metrics(theta_true, theta_hat, multi_match: bool = False) -> Metrics:
-    """Distance between true and estimated effect vectors.
+def metrics(theta_true, theta_hat) -> Metrics:
+    """Distance between true and estimated effect vectors, entry by entry.
 
-    With multi_match the estimate is first aligned to the truth by the
-    best signed permutation (source labels and signs are not ordered
-    across treatments), which can only reduce the distance. Non-finite
-    estimates yield nan metrics.
+    Every estimator reads its effects in column order with signs fixed,
+    so a swapped or sign-flipped estimate scores its plain distance.
+    Non-finite estimates yield nan metrics.
     """
     tt = np.atleast_1d(np.asarray(theta_true, dtype=float))
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
@@ -105,15 +104,7 @@ def metrics(theta_true, theta_hat, multi_match: bool = False) -> Metrics:
     norm_true = float(np.linalg.norm(tt))
     if not np.all(np.isfinite(th)):
         return Metrics(mse=math.nan, relative_error=math.nan)
-    m = tt.size
-    if multi_match and m > 1:
-        best = math.inf
-        for perm in itertools.permutations(range(m)):
-            errs = np.minimum(np.abs(tt - th[list(perm)]), np.abs(tt + th[list(perm)]))
-            best = min(best, float(errs @ errs))
-        dist = math.sqrt(best)
-    else:
-        dist = float(np.linalg.norm(tt - th))
+    dist = float(np.linalg.norm(tt - th))
     rel = dist / norm_true if norm_true > 0 else math.nan
     return Metrics(mse=dist, relative_error=rel)
 
@@ -317,7 +308,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
             theta_hat = np.full(truth.shape, math.nan)
             converged = False
             notes = notes or "estimator returned wrong effect count"
-        met = metrics(truth, theta_hat, multi_match=spec.m > 1)
+        met = metrics(truth, theta_hat)
         records.append(ResultRecord(
             scenario=scenario_id,
             n=cell["n"],

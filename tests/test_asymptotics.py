@@ -10,7 +10,6 @@ from plrica import (
     NoiseSpec,
     PlrSpec,
     compare_numerators,
-    homl_condition_value,
     ica_condition_value,
     resolve,
     score_cross_derivative,
@@ -148,8 +147,19 @@ class TestNumeratorGap:
             assert diff == pytest.approx(compare_numerators(rep) / den**2, abs=1e-9)
 
     def test_shares_condition_denominator(self):
+        # the one condition value is the denominator every cube-contrast
+        # variance divides by, and the one check that refuses it at 0
         for spec in (LAPLACE, UNIFORM, THREE_POINT):
-            assert homl_condition_value(spec) == ica_condition_value(spec)
+            rep, den = spec.moments(), ica_condition_value(spec)
+            assert var_homl(rep) == (rep.sixth_moment + 9.0 - 6.0 * rep.fourth_moment) / den**2
+            assert var_ica_hyvarinen(rep) == (rep.sixth_moment - rep.fourth_moment**2) / den**2
+            assert var_ica_auddy([[0.0]], [0.0], [1.0], rep) == rep.sixth_moment / den**2
+        rep = NoiseSpec.gaussian().moments()
+        assert ica_condition_value(NoiseSpec.gaussian()) == 0.0
+        for variance in (var_homl, var_ica_hyvarinen,
+                         lambda r: var_ica_auddy([[0.0]], [0.0], [1.0], r)):
+            with pytest.raises(AsymptoticsError, match=r"E\[z t\(z\)\] - E\[t'\(z\)\] = 0"):
+                variance(rep)
 
     def test_monte_carlo_agreement(self):
         rng = np.random.default_rng(0)

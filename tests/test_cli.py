@@ -90,12 +90,24 @@ class TestEstimate:
             main(["estimate", "--data", data_csv, "--method", "ridge"])
         assert exc.value.code == 2
 
-    def test_non_finite_cell_is_config_error(self, data_csv, capsys):
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_non_finite_cell_is_config_error(self, data_csv, capsys, method, cell):
+        # loading refuses the cell for every method; ols on an inf cell used to spin
         lines = Path(data_csv).read_text().splitlines()
-        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        lines[5] = cell + "," + lines[5].split(",", 1)[1]
         Path(data_csv).write_text("\n".join(lines) + "\n")
-        assert main(["estimate", "--data", data_csv, "--method", "ica"]) == EXIT_CONFIG
-        assert "data contain non-finite values" in capsys.readouterr().err
+        assert main(["estimate", "--data", data_csv, "--method", method]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: data contain non-finite values\n"
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--tol", "--lambda-scale"])
+    def test_non_finite_flag_is_usage_error(self, data_csv, capsys, flag, value):
+        # refused as the same value in config text is; tol = inf used to "converge"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--data", data_csv, "--method", "oml", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number, got {value}" in capsys.readouterr().err
 
     def test_mode_flag_removed(self, data_csv):
         with pytest.raises(SystemExit) as exc:

@@ -24,7 +24,9 @@ from plrica.dgp import nuisance_t, nuisance_y
 # one value config text refuses per field, for every PlrSpec field but the blocks
 BAD_SPEC_FIELDS = [
     ("p", True), ("p", 2.0), ("m", True), ("m", 1.5), ("theta", "3"), ("theta", [1.0, True]),
-    ("nuisance", 3), ("nuisance", ""), ("leaky_slope", True), ("noise_x", "laplace"),
+    ("theta", [math.nan]), ("theta", math.inf), ("nuisance", 3), ("nuisance", ""),
+    ("leaky_slope", True), ("leaky_slope", math.nan), ("leaky_slope", math.inf),
+    ("noise_x", "laplace"),
     ("noise_t", None), ("noise_y", 1.0), ("sparsity_keep_prob", True),
     ("standardize_noise", "no"), ("standardize_noise", 1), ("tie_ab", 1),
 ]
@@ -304,6 +306,17 @@ class TestDataset:
     def test_direct_construction_checks(self):
         with pytest.raises(DgpError):
             Dataset(columns=np.zeros((5, 3)), p=3, m=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_refused(self, bad, tmp_path):
+        columns = simulate(PlrSpec(p=2), 10, seed=3).columns
+        columns[4, 1] = bad
+        with pytest.raises(DgpError, match="data contain non-finite values"):
+            Dataset(columns=columns, p=2, m=1)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x_0,x_1,t_0,y\n1,2,3,4\n5,{bad!r},7,8\n")
+        with pytest.raises(DgpError, match="data contain non-finite values"):
+            Dataset.from_csv(path)
 
 
 def _assemble(spec, n, seed):

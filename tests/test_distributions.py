@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plrica import (
+    CONTRASTS,
     FAMILIES,
     THREE_POINT_PROBABILITIES,
     THREE_POINT_SUPPORT,
@@ -15,7 +16,6 @@ from plrica import (
     MomentReport,
     NoiseSpec,
     check_nongaussianity,
-    homl_condition_value,
     ica_condition_value,
 )
 
@@ -45,7 +45,11 @@ BAD_NOISE_FIELDS = [
     ("family", lambda: NoiseSpec("cauchy")),
     ("location", lambda: NoiseSpec.laplace(location=True)),
     ("location", lambda: NoiseSpec.gaussian("1")),
+    ("location", lambda: NoiseSpec.laplace(location=math.nan)),
+    ("location", lambda: NoiseSpec.uniform(location=-math.inf)),
     ("scale", lambda: NoiseSpec.uniform(scale=False)),
+    ("scale", lambda: NoiseSpec.gaussian(scale=math.inf)),
+    ("scale", lambda: NoiseSpec.three_point(scale=math.nan)),
     ("shape_beta", lambda: NoiseSpec.generalized_normal(True)),
     ("shape_beta", lambda: NoiseSpec.generalized_normal("1.5")),
 ]
@@ -157,18 +161,16 @@ class TestStandardized:
 
 
 class TestConditionValues:
-    def test_ica_equals_homl_bitwise(self):
-        # the two module-level moment conditions must coincide exactly
-        specs = [
-            NoiseSpec.gaussian(), NoiseSpec.laplace(), NoiseSpec.uniform(),
-            NoiseSpec.three_point(), NoiseSpec.generalized_normal(0.7),
-            NoiseSpec.generalized_normal(1.0), NoiseSpec.generalized_normal(2.5),
-            NoiseSpec.laplace(scale=3.0).standardized(),
-            NoiseSpec.uniform(scale=0.2).standardized(),
-            NoiseSpec.generalized_normal(4.0).standardized(),
-        ]
-        for spec in specs:
-            assert ica_condition_value(spec) == homl_condition_value(spec)
+    @pytest.mark.parametrize("location,scale", [(0.0, 1.0), (2.0, 3.0), (-1.0, 0.25)])
+    def test_is_the_mean_cube_score_of_the_three_point_law(self, location, scale):
+        # exact expectation of z t(z) - t'(z) under the cube contrast over the
+        # three support points; one row, so the derivative mean is t'(z) itself
+        z = np.asarray(THREE_POINT_SUPPORT)[None, :]
+        t, tprime = CONTRASTS["cube"].evaluate(z)
+        score = float(np.dot(THREE_POINT_PROBABILITIES, z[0] * t[0] - tprime))
+        spec = NoiseSpec.three_point(location=location, scale=scale)
+        assert ica_condition_value(spec) == pytest.approx(score, abs=1e-12)
+        assert ica_condition_value(spec) == pytest.approx(-1.0, abs=1e-12)
 
     def test_signs(self):
         assert ica_condition_value(NoiseSpec.laplace().standardized()) == pytest.approx(3.0)
@@ -226,7 +228,7 @@ class TestValidation:
     def test_gennorm_needs_finite_beta(self, beta):
         # an infinite beta would pass construction and then fail in moments()
         # with a math domain error, and sample() would draw only +-1
-        with pytest.raises(DistributionError, match="finite shape_beta"):
+        with pytest.raises(DistributionError, match="'shape_beta': expected a finite number"):
             NoiseSpec.generalized_normal(beta)
 
     def test_scale_positive(self):

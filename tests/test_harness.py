@@ -66,19 +66,16 @@ class TestMetrics:
         assert m.mse == pytest.approx(0.5)
         assert m.relative_error == pytest.approx(0.5 / math.sqrt(2))
 
-    def test_signed_permutation_matching(self):
-        true = np.array([1.0, -2.0])
-        swapped = np.array([-2.05, 1.1])
-        plain = metrics(true, swapped, multi_match=False)
-        matched = metrics(true, swapped, multi_match=True)
-        assert matched.mse == pytest.approx(math.hypot(0.1, 0.05))
-        assert matched.mse < plain.mse
-
-    def test_sign_flip_matching(self):
-        true = np.array([1.0, -2.0])
-        flipped = np.array([-1.1, 2.0])
-        matched = metrics(true, flipped, multi_match=True)
-        assert matched.mse == pytest.approx(0.1)
+    @pytest.mark.parametrize("theta_hat,dist", [
+        ([-2.05, 1.1], math.hypot(3.05, 3.1)),
+        ([-1.1, 2.0], math.hypot(2.1, 4.0)),
+        ([2.0, -1.0], math.hypot(1.0, 1.0)),
+    ], ids=["swapped", "sign-flipped", "swapped-and-flipped"])
+    def test_swapped_or_flipped_estimate_scores_its_plain_distance(self, theta_hat, dist):
+        # effects are read in column order with fixed signs; no alignment hides a misread
+        m = metrics(np.array([1.0, -2.0]), np.array(theta_hat))
+        assert m.mse == pytest.approx(dist, rel=1e-15)
+        assert m.relative_error == pytest.approx(dist / math.sqrt(5.0), rel=1e-15)
 
     def test_nan_propagates(self):
         m = metrics(np.array([1.0]), np.array([np.nan]))
@@ -127,7 +124,7 @@ class TestScenarioConfig:
         ("beta_values", "inf"), ("leaky_slopes", "inf"),
     ])
     def test_non_finite_float_axis_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key} = {value}"):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
             scenario_from_config(f"scenario = custom\n{key} = [1.0, {value}]")
 
     @pytest.mark.parametrize("text,where", [
@@ -143,9 +140,10 @@ class TestScenarioConfig:
 
     def test_error_names_the_cell_by_config_key(self):
         with pytest.raises(ConfigError) as err:
-            scenario_from_config("scenario = custom\nscales = [1.0, inf]")
+            scenario_from_config("scenario = custom\nscales = [1.0, -1.0]")
         assert str(err.value).startswith("cell (sample_sizes = 1000, covariate_dims = 10, "
-                                         "scales = inf, contrasts = logcosh): ")
+                                         "scales = -1.0, contrasts = logcosh): ")
+        assert "scale must be positive" in str(err.value)
 
     def test_bad_cell_stops_the_grid_before_any_replication(self, monkeypatch):
         calls = []
@@ -650,7 +648,8 @@ LIST_FIELDS = [name for _, name, _ in AXES] + ["methods"]
 # one value config text refuses per rule, for every ScenarioConfig field but plr
 BAD_FIELD_VALUES = (
     [(key, v) for key in INT_AXES + ["seeds", "folds", "max_iter"] for v in (True, 2.5)]
-    + [(key, v) for key in FLOAT_AXES + ["lambda_scale", "tol"] for v in (False, "x")]
+    + [(key, v) for key in FLOAT_AXES + ["lambda_scale", "tol"]
+       for v in (False, "x", math.inf, math.nan)]
     + [(key, v) for key in ("nonlinearities", "contrasts", "methods", "scenario")
        for v in (None, 3)]
     + [("contrasts", "bogus"), ("methods", "ridge"), ("scenario", "")]
@@ -712,10 +711,16 @@ class TestStrictConfigValues:
             scenario_from_config(f"scenario = custom\n{key} = [1.0, {value}]")
 
     @pytest.mark.parametrize("key", ["lambda_scale", "tol", "leaky_slope", "sparsity_keep_prob"])
-    @pytest.mark.parametrize("value", ["true", "false", "big"])
+    @pytest.mark.parametrize("value", ["true", "false", "big", "inf", "nan"])
     def test_float_scalar_rejects_non_numbers(self, key, value):
         with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
             scenario_from_config(f"scenario = custom\n{key} = {value}")
+
+    @pytest.mark.parametrize("key", ["tol", "lambda_scale"])
+    def test_integer_past_float_range_refused(self, key):
+        # float() of a 400-digit integer overflows; it used to escape as a traceback
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            scenario_from_config(f"scenario = custom\n{key} = 1{'0' * 400}")
 
     @pytest.mark.parametrize("value", ["[1.0, true]", "true"])
     def test_theta_rejects_booleans(self, value):
