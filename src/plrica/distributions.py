@@ -21,9 +21,17 @@ FAMILIES = ("gaussian", "laplace", "uniform", "generalized_normal", "discrete_sy
 THREE_POINT_SUPPORT = (-math.sqrt(2.0), 0.0, math.sqrt(2.0))
 THREE_POINT_PROBABILITIES = (0.25, 0.5, 0.25)
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 # NoiseSpec field converters, the ones the noise syntax implies
 _FIELDS = {"family": _one_of(FAMILIES), "location": _as_float, "scale": _as_float,
            "shape_beta": lambda v: None if v is None else _as_float(v)}
+
+
+def _gennorm_log_moment(b: float, k: int) -> float:
+    """log E[B^k] = log Gamma((k + 1)/b) - log Gamma(1/b) for even k, B the
+    generalized normal's base member with shape b."""
+    return math.lgamma((k + 1) / b) - math.lgamma(1.0 / b)
 
 
 class DistributionError(ValueError):
@@ -88,6 +96,16 @@ class NoiseSpec:
         if self.family == "generalized_normal":
             if self.shape_beta is None or self.shape_beta <= 0:
                 raise DistributionError("generalized_normal requires a shape_beta > 0")
+            # E[B^6], the largest moment used, overflows for shape_beta below
+            # about 0.0383; lgamma itself overflows below about 2.7e-305
+            try:
+                finite = _gennorm_log_moment(self.shape_beta, 6) < _LOG_FLOAT_MAX
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise DistributionError(
+                    f"bad value for 'shape_beta': {self.shape_beta!r} is too small, "
+                    "its sixth moment is past float range")
         elif self.shape_beta is not None:
             raise DistributionError(f"shape_beta is only meaningful for generalized_normal")
 
@@ -130,8 +148,7 @@ class NoiseSpec:
         if self.family == "generalized_normal":
             if k % 2:
                 return 0.0
-            b = self.shape_beta
-            return math.exp(math.lgamma((k + 1) / b) - math.lgamma(1.0 / b))
+            return math.exp(_gennorm_log_moment(self.shape_beta, k))
         # three-point
         return float(sum(p * s**k for s, p in zip(THREE_POINT_SUPPORT, THREE_POINT_PROBABILITIES)))
 

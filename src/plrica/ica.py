@@ -20,6 +20,11 @@ from .kernels import hungarian
 
 PIVOT_DEGENERACY_TOL = 1e-8
 LOG_CLIP = 1e-300
+# stop level of fastica's float32 sweeps when tol is below it. Float32
+# sweeps from a converged rotation give 1 - |cos| of 1e-14 to 1e-12 (d = 4
+# to 52, n = 500 to 10^6), so a tol near or below that floor would hold the
+# float32 phase to max_iter; 1e-8 is four orders above it
+F32_SWITCH = 1e-8
 
 
 class IcaError(ValueError):
@@ -42,6 +47,9 @@ class Contrast:
     pass over s: the mean is per column for 2-d s and a scalar for 1-d s.
     t(s) is written into out when given (an array shaped like s, not s
     itself) and into a new array otherwise. It never writes into s.
+    Both outputs keep the dtype of s, and no temporary of another dtype
+    is made: fastica's float32 sweeps pass float32 s, and an upcast would
+    undo their gain without changing a result.
     """
 
     name: str
@@ -174,6 +182,13 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     row and its last update is below tol. That leaves a converged row up
     to about sqrt(2 tol) rad from the fixed point (1.4e-2 at the default
     tol). A non-converged result is still returned with converged=False.
+
+    Sweeps run on a fixed precision schedule: in float32 until the test
+    passes at max(tol, F32_SWITCH), then in float64 until it passes at
+    tol. Only the sources z w^T, the contrast and g^T z are float32, on
+    one float32 copy of z; the rotation, the decorrelation and the test
+    stay float64, so the float64 test alone decides converged. iterations
+    counts the sweeps of both phases, and max_iter bounds their sum.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -191,16 +206,25 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         if w.shape != (d, d):
             raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
     w = _sym_decorrelation(w)
-    s, g = np.empty((n, d)), np.empty((n, d))  # sources and t(sources), refilled every iteration
-    for it in range(1, max_iter + 1):
-        np.matmul(z, w.T, out=s)
-        _, gp = con.evaluate(s, out=g)
-        w1 = _sym_decorrelation((g.T @ z) / n - gp[:, None] * w)
-        lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
-        w = w1
-        if lim < tol:
-            return FastIcaResult(w_rotation=w, converged=True, iterations=it)
-    return FastIcaResult(w_rotation=w, converged=False, iterations=it)
+    # storage for the sources and t(sources), refilled every sweep; the
+    # float32 phase uses the first half of each float64 buffer
+    s_buf, g_buf = np.empty(n * d), np.empty(n * d)
+    it = 0
+    for dtype, stop in ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol)):
+        zt = z.astype(dtype, copy=False)
+        s, g = (buf.view(dtype)[: n * d].reshape(n, d) for buf in (s_buf, g_buf))
+        while True:
+            if it == max_iter:
+                return FastIcaResult(w_rotation=w, converged=False, iterations=it)
+            it += 1
+            np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
+            _, gp = con.evaluate(s, out=g)
+            w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
+            lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
+            w = w1
+            if lim < stop:
+                break
+    return FastIcaResult(w_rotation=w, converged=True, iterations=it)
 
 
 def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.ndarray,

@@ -159,6 +159,14 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
 
+    def test_beta_past_moment_range_is_config_error(self, tmp_path, capsys):
+        cfg = write_spec(tmp_path, "scenario = custom\nbeta_values = [0.004, 1.0]\n", "beta.cfg")
+        out = tmp_path / "x.csv"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "beta_values = 0.004" in err and "bad value for 'shape_beta'" in err
+        assert not out.exists()
+
     def test_missing_config_without_list(self):
         assert main(["experiment"]) == EXIT_CONFIG
 

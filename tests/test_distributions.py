@@ -52,6 +52,9 @@ BAD_NOISE_FIELDS = [
     ("scale", lambda: NoiseSpec.three_point(scale=math.nan)),
     ("shape_beta", lambda: NoiseSpec.generalized_normal(True)),
     ("shape_beta", lambda: NoiseSpec.generalized_normal("1.5")),
+    ("shape_beta", lambda: NoiseSpec.generalized_normal(0.004)),
+    ("shape_beta", lambda: NoiseSpec.generalized_normal(1e-305)),
+    ("shape_beta", lambda: NoiseSpec.generalized_normal(5e-324)),
 ]
 
 
@@ -230,6 +233,14 @@ class TestValidation:
         # with a math domain error, and sample() would draw only +-1
         with pytest.raises(DistributionError, match="'shape_beta': expected a finite number"):
             NoiseSpec.generalized_normal(beta)
+
+    def test_gennorm_beta_refused_where_moments_overflow(self):
+        # E[B^6] passes float range just below beta = 0.0383; moments() and
+        # standardized() used to raise OverflowError there
+        with pytest.raises(DistributionError, match="'shape_beta': 0.038 is too small"):
+            NoiseSpec.generalized_normal(0.038)
+        rep = NoiseSpec.generalized_normal(0.039).standardized().moments()
+        assert all(math.isfinite(v) for v in dataclasses.astuple(rep))
 
     def test_scale_positive(self):
         with pytest.raises(DistributionError):

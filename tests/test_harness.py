@@ -132,6 +132,7 @@ class TestScenarioConfig:
         ("noise_x = gennorm(inf)", r"'noise_x'.*gennorm\(inf\)"),
         ("tie_ab = true\nnonlinearities = [relu]", "nonlinearities = relu"),
         ("tie_ab = true\ntreatment_counts = [2]", "treatment_counts = 2"),
+        ("beta_values = [0.004, 1.0]", r"beta_values = 0.004.*'shape_beta'"),
     ])
     def test_process_values_the_spec_refuses_are_config_errors(self, text, where):
         # each of these used to pass validation and stop the grid at its first bad cell

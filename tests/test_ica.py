@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from plrica import (
     whiten,
 )
 from plrica.harness import cell_seed, spec_for_cell
-from plrica.ica import _sym_decorrelation
+from plrica.ica import F32_SWITCH, _sym_decorrelation
 
 
 def laplace_spec(p=2, m=1, theta=(3.0,)):
@@ -142,6 +144,19 @@ class TestContrasts:
         assert g_out is buf
         assert np.array_equal(g_out, g) and np.array_equal(gp_out, gp)
 
+    @pytest.mark.parametrize("name", sorted(CONTRASTS))
+    def test_float32_input_stays_float32(self, name):
+        # an upcast would undo fastica's float32 sweeps without changing a result
+        s = np.random.default_rng(10).standard_normal((4000, 8)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            g, gp = get_contrast(name).evaluate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.dtype == np.float32 and gp.dtype == np.float32
+        assert peak < 2 * s.nbytes  # t(s) itself, and no float64 n x d temporary
+
     def test_unknown(self):
         with pytest.raises(IcaError):
             get_contrast("quartic")
@@ -151,30 +166,43 @@ class TestContrasts:
             get_contrast(get_contrast("cube"))
 
 
-def _two_pass_parallel(z, contrast, tol, max_iter, w):
-    """Reference parallel iteration with separate t and t' calls per step
-    and decorrelation through np.linalg.eigh; the fused loop in fastica
-    must follow it up to rounding."""
+def _reference_sweep(z, contrast, w, dtype=np.float64):
+    """One parallel sweep with separate t and t' calls, the sources and the
+    contrast in dtype, and decorrelation in float64 through np.linalg.eigh.
+    Returns the new rotation and its 1 - |cos| stop statistic."""
     t, tprime = {
         "logcosh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
         "exp": (lambda u: u * np.exp(-0.5 * u * u), lambda u: (1.0 - u * u) * np.exp(-0.5 * u * u)),
         "cube": (lambda u: u**3, lambda u: 3.0 * u * u),
     }[contrast]
+    zt = z.astype(dtype)
+    s = zt @ w.T.astype(dtype)
+    w1 = _reference_decorrelation((t(s).T @ zt).astype(float) / z.shape[0]
+                                  - tprime(s).mean(axis=0)[:, None] * w)
+    return w1, np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0))
 
-    def decorrelate(m):
-        vals, vecs = np.linalg.eigh(m @ m.T)
-        return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ m
 
-    n = z.shape[0]
-    w = decorrelate(w)
-    for it in range(1, max_iter + 1):
-        s = z @ w.T
-        w1 = decorrelate((t(s).T @ z) / n - tprime(s).mean(axis=0)[:, None] * w)
-        lim = np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0))
-        w = w1
-        if lim < tol:
-            return w, it
-    return w, it
+def _reference_decorrelation(m):
+    vals, vecs = np.linalg.eigh(m @ m.T)
+    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ m
+
+
+def _two_pass_parallel(z, contrast, tol, max_iter, w):
+    """Reference parallel iteration on fastica's precision schedule: float32
+    sweeps until the stop statistic is below max(tol, F32_SWITCH), then
+    float64 sweeps until it is below tol. The fused loop in fastica must
+    follow it up to rounding. Returns the rotation, whether the float64 test
+    passed, and the sweeps of each phase."""
+    w = _reference_decorrelation(w)
+    sweeps = [0, 0]
+    for phase, (dtype, stop) in enumerate(((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))):
+        lim = np.inf
+        while lim >= stop:
+            if sum(sweeps) == max_iter:
+                return w, False, sweeps
+            w, lim = _reference_sweep(z, contrast, w, dtype)
+            sweeps[phase] += 1
+    return w, True, sweeps
 
 
 class TestFastIca:
@@ -209,10 +237,44 @@ class TestFastIca:
         z, _, _ = whiten(ds.columns)
         res = fastica(z, contrast=contrast, tol=1e-8, seed=4)
         w0 = np.random.default_rng(4).standard_normal((z.shape[1], z.shape[1]))
-        w_ref, iters_ref = _two_pass_parallel(z, contrast, 1e-8, 1000, w0)
+        w_ref, converged_ref, sweeps = _two_pass_parallel(z, contrast, 1e-8, 1000, w0)
+        assert res.converged and converged_ref
+        assert res.iterations == sum(sweeps)
+        # the two float32 phases round differently, and the float64 finish is
+        # one sweep from there, so the rotations agree to float32 rounding
+        assert np.max(np.abs(res.w_rotation - w_ref)) <= 10 * np.finfo(np.float32).eps
+        # float64 certificate: one more float64 sweep moves no row past tol
+        assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1e-8
+
+    def test_tol_below_float32_resolution_converges(self):
+        ds = simulate(laplace_spec(p=3), 10000, seed=12)
+        z, _, _ = whiten(ds.columns)
+        res = fastica(z, tol=1e-10, seed=1)
+        w0 = np.random.default_rng(1).standard_normal((z.shape[1], z.shape[1]))
+        _, _, sweeps = _two_pass_parallel(z, "logcosh", 1e-10, 1000, w0)
         assert res.converged
-        assert res.iterations == iters_ref
-        assert np.max(np.abs(res.w_rotation - w_ref)) <= 1e-10
+        assert res.iterations == sum(sweeps) < 100
+        assert _reference_sweep(z, "logcosh", res.w_rotation)[1] < 1e-10
+
+    def test_max_iter_inside_float32_phase(self):
+        ds = simulate(laplace_spec(p=3), 2000, seed=13)
+        z, _, _ = whiten(ds.columns)
+        w0 = np.random.default_rng(2).standard_normal((z.shape[1], z.shape[1]))
+        _, _, sweeps = _two_pass_parallel(z, "logcosh", 1e-6, 1000, w0)
+        assert sweeps[0] > 3  # so max_iter = 3 ends the fit in the float32 phase
+        res = fastica(z, tol=1e-6, max_iter=3, seed=2)
+        w = res.w_rotation
+        assert not res.converged and res.iterations == 3
+        assert w.dtype == np.float64
+        assert np.max(np.abs(w @ w.T - np.eye(w.shape[0]))) <= 1e-12
+
+    def test_input_not_written(self):
+        ds = simulate(laplace_spec(), 2000, seed=14)
+        z, _, _ = whiten(ds.columns)
+        before = z.copy()
+        z.flags.writeable = False
+        fastica(z, seed=3)
+        assert np.array_equal(z, before)
 
     def test_rank_one_candidate_raises(self):
         rng = np.random.default_rng(5)
