@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._converters import _as_float, _convert
 from .dgp import PlrSpec, nuisance_t, nuisance_y, resolve
 from .distributions import MomentReport
 
@@ -66,6 +67,7 @@ def var_homl(moments: MomentReport, eps_variance: float = 1.0) -> float:
     eps_variance * Var(psi) / (E[z t(z)] - E[t'(z)])^2 with
     psi = t(z) - E[t(z)] - z E[t'(z)].
     """
+    eps_variance = _convert("eps_variance", _as_float, eps_variance, AsymptoticsError)
     if eps_variance <= 0:
         raise AsymptoticsError("eps_variance must be positive")
     den = _check_denominator(moments, "higher-moment score")

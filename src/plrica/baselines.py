@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
 from .ica import CONTRASTS, Diagnostics, EffectEstimate
 from .kernels import lasso_fits
@@ -65,6 +66,8 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     The m + 1 targets of a split share one standardized design and Gram
     matrix (kernels.lasso_fits).
     """
+    lambda_scale = _convert("lambda_scale", _as_float, lambda_scale, BaselineError)
+    folds = _convert("folds", _as_int, folds, BaselineError)
     if folds < 2:
         raise BaselineError("need at least 2 folds for cross-fitting")
     n = dataset.n
@@ -184,11 +187,8 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, t
     return homl_estimate(ry, rt)
 
 
-def ols_joint(dataset: Dataset, include_covariates: bool = True) -> EffectEstimate:
+def ols_joint(dataset: Dataset) -> EffectEstimate:
     """Least squares of Y on covariates, treatments and an intercept, (X, T, 1).
-
-    With include_covariates=False the covariates are omitted, which biases
-    the treatment coefficients whenever X drives both T and Y.
 
     The fit solves the normal equations from one cross-product matrix G =
     A^T A when G certifies full rank: ||G||_F * ||G^-1||_F < 1 /
@@ -200,7 +200,7 @@ def ols_joint(dataset: Dataset, include_covariates: bool = True) -> EffectEstima
     design, so the reported rank is lstsq's on every input.
     """
     n = dataset.n
-    cols = dataset.columns if include_covariates else dataset.columns[:, dataset.p:]
+    cols = dataset.columns
     q = cols.shape[1] - 1  # regressors before the intercept; Y is the last column
     if n <= q + 1:
         raise BaselineError(f"need more than {q + 1} rows, got {n}")

@@ -58,16 +58,6 @@ class MomentReport:
 
 
 @dataclass(frozen=True)
-class NonGaussianityCheck:
-    """Sampling-based excess-kurtosis check."""
-
-    excess_kurtosis: float
-    std_error: float
-    decisive: bool
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """One member of a location-scale noise family.
 
@@ -252,24 +242,3 @@ def ica_condition_value(spec: NoiseSpec) -> float:
     the higher-moment score's condition. Zero means both fourth-order
     source separation and the orthogonal higher-moment score degenerate."""
     return spec.moments().fourth_moment - 3.0
-
-
-def check_nongaussianity(spec: NoiseSpec, n: int = 100_000, seed=0) -> NonGaussianityCheck:
-    """Estimate excess kurtosis from samples and test it against 0.
-
-    decisive is True when |excess| exceeds 3 standard errors, i.e. the
-    sample rules out a Gaussian fourth moment.
-    """
-    if n < 10:
-        raise DistributionError("need at least 10 samples")
-    draws = spec.sample(n, np.random.default_rng(seed))
-    z = (draws - draws.mean()) / draws.std()
-    fourth = z**4
-    excess = float(fourth.mean() - 3.0)
-    se = float(fourth.std(ddof=1) / math.sqrt(n))
-    return NonGaussianityCheck(
-        excess_kurtosis=excess,
-        std_error=se,
-        decisive=bool(abs(excess) > 3.0 * se),
-        n_samples=int(n),
-    )

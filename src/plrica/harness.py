@@ -23,7 +23,7 @@ import numpy as np
 
 from ._converters import _as_float, _as_int, _as_name, _convert, _each, _one_of
 from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
-from .dgp import Dataset, PlrSpec, simulate
+from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
@@ -238,7 +238,7 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
             keys.update(to_keys(cell[key]))
     shift = {key: cell[key] for key in ("location", "scale") if key in cell}
     if shift:
-        for name in ("noise_x", "noise_t", "noise_y"):
+        for name in _NOISE_KEYS:
             keys[name] = replace(keys.get(name, getattr(base, name)), **shift)
         keys["standardize_noise"] = False
     spec = build_plr_spec(keys, base=base)
@@ -304,10 +304,6 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
             converged = False
             notes = f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - start) * 1e3
-        if theta_hat.shape != truth.shape:
-            theta_hat = np.full(truth.shape, math.nan)
-            converged = False
-            notes = notes or "estimator returned wrong effect count"
         met = metrics(truth, theta_hat)
         records.append(ResultRecord(
             scenario=scenario_id,
@@ -495,17 +491,16 @@ def aggregate(records: list[ResultRecord]) -> dict[tuple, CellStats]:
     return out
 
 
-def overlap_band(mean_a: float, std_a: float, mean_b: float, std_b: float) -> bool:
-    """True when the one-standard-deviation bands intersect."""
-    return (mean_a - std_a) <= (mean_b + std_b) and (mean_b - std_b) <= (mean_a + std_a)
-
-
 def band_verdict(stats_a: CellStats, stats_b: CellStats) -> str:
-    """'a_better' / 'b_better' when one band sits strictly below the
-    other, 'overlap' otherwise."""
-    if overlap_band(stats_a.mean_mse, stats_a.std_mse, stats_b.mean_mse, stats_b.std_mse):
+    """'a_better' / 'b_better' when one cell's one-standard-deviation mse
+    band sits strictly below the other's, 'overlap' when they intersect.
+    A cell with no finite run (mean_mse nan) ranks as an infinite error
+    with no spread: never the better one, and two such cells overlap."""
+    (mean_a, std_a), (mean_b, std_b) = ((math.inf, 0.0) if math.isnan(s.mean_mse)
+                                        else (s.mean_mse, s.std_mse) for s in (stats_a, stats_b))
+    if mean_a - std_a <= mean_b + std_b and mean_b - std_b <= mean_a + std_a:
         return "overlap"
-    return "a_better" if stats_a.mean_mse < stats_b.mean_mse else "b_better"
+    return "a_better" if mean_a < mean_b else "b_better"
 
 
 # ------------------------------------------------------------ config I/O
@@ -635,12 +630,11 @@ def parse_noise(text) -> NoiseSpec:
         raise ConfigError(f"bad noise {text!r}: {exc}") from None
 
 
-# process keys a scenario config may set; p is accepted only by spec
-# configs, since covariate_dims sets it per cell. The PlrSpec constructor
-# judges every value; noise keys are parsed to a NoiseSpec first.
-_SPEC_KEYS = ("m", "theta", "nuisance", "leaky_slope", "noise_x", "noise_t", "noise_y",
-              "sparsity_keep_prob", "standardize_noise", "tie_ab")
-_NOISE_KEYS = ("noise_x", "noise_t", "noise_y")
+# process keys a scenario config may set: every PlrSpec field but p, which
+# covariate_dims sets per cell. The PlrSpec constructor judges every value;
+# noise keys are parsed to a NoiseSpec first.
+_SPEC_KEYS = tuple(key for key in _PLR_FIELDS if key != "p")
+_NOISE_KEYS = tuple(key for key, convert in _PLR_FIELDS.items() if convert is _as_noise)
 
 
 def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
 from .kernels import hungarian
 
@@ -102,6 +103,7 @@ class Diagnostics:
     iterations: int = 0
     condition_value: Optional[float] = None
     notes: str = ""
+    restarts: int = 0
 
 
 @dataclass(eq=False)
@@ -120,6 +122,7 @@ class FastIcaResult:
     w_rotation: np.ndarray
     converged: bool
     iterations: int
+    restarts: int = 0
 
 
 @dataclass(eq=False)
@@ -189,42 +192,51 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     one float32 copy of z; the rotation, the decorrelation and the test
     stay float64, so the float64 test alone decides converged. iterations
     counts the sweeps of both phases, and max_iter bounds their sum.
+    After a rank-deficient update candidate the current phase goes on from a
+    fresh draw of default_rng(seed), the generator of the first start;
+    restarts counts these, and max_iter counts their sweeps. A rank-deficient
+    w_init raises.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
         raise IcaError("whitened data must be 2-d with more rows than columns")
+    tol = _convert("tol", _as_float, tol, IcaError)
+    max_iter = _convert("max_iter", _as_int, max_iter, IcaError)
     if tol <= 0 or max_iter < 1:
         raise IcaError("tol must be positive and max_iter at least 1")
     if mode != "parallel":  # mode leaves with the benchmark change in ROADMAP item 4
         raise IcaError(f"unknown mode {mode!r}; the iteration is 'parallel' only")
     con = get_contrast(contrast)
     n, d = z.shape
-    if w_init is None:
-        w = np.random.default_rng(seed).standard_normal((d, d))
-    else:
-        w = np.array(w_init, dtype=float)
-        if w.shape != (d, d):
-            raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((d, d)) if w_init is None else np.array(w_init, dtype=float)
+    if w.shape != (d, d):
+        raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
     w = _sym_decorrelation(w)
     # storage for the sources and t(sources), refilled every sweep; the
     # float32 phase uses the first half of each float64 buffer
     s_buf, g_buf = np.empty(n * d), np.empty(n * d)
-    it = 0
+    it = restarts = 0
     for dtype, stop in ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol)):
         zt = z.astype(dtype, copy=False)
         s, g = (buf.view(dtype)[: n * d].reshape(n, d) for buf in (s_buf, g_buf))
         while True:
             if it == max_iter:
-                return FastIcaResult(w_rotation=w, converged=False, iterations=it)
+                return FastIcaResult(w, False, it, restarts)
             it += 1
             np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
             _, gp = con.evaluate(s, out=g)
-            w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
+            try:
+                w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
+            except IcaError:
+                w = _sym_decorrelation(rng.standard_normal((d, d)))
+                restarts += 1
+                continue
             lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
             w = w1
             if lim < stop:
                 break
-    return FastIcaResult(w_rotation=w, converged=True, iterations=it)
+    return FastIcaResult(w, True, it, restarts)
 
 
 def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.ndarray,
@@ -243,23 +255,17 @@ def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.nd
 
 
 def _canonicalize_details(w: np.ndarray):
-    d = w.shape[0]
     cost = -np.log(np.maximum(np.abs(w), LOG_CLIP))
-    assignment = hungarian(cost)
-    row_of_col = assignment.inverse()
-    canonical = np.empty_like(w)
-    pivots = np.empty(d)
-    for col in range(d):
-        row = row_of_col[col]
-        pivot = w[row, col]
-        pivots[col] = pivot
-        if abs(pivot) < PIVOT_DEGENERACY_TOL:
-            raise CanonicalizationError(
-                f"pivot |{pivot:.3e}| for source {col} is below {PIVOT_DEGENERACY_TOL:.0e}; "
-                "the unmixing estimate is degenerate"
-            )
-        canonical[col] = w[row] / pivot
-    return canonical, pivots
+    row_of_col = np.argsort(hungarian(cost))
+    pivots = w[row_of_col, np.arange(w.shape[0])]
+    small = np.flatnonzero(np.abs(pivots) < PIVOT_DEGENERACY_TOL)
+    if small.size:
+        col = small[0]
+        raise CanonicalizationError(
+            f"pivot |{pivots[col]:.3e}| for source {col} is below {PIVOT_DEGENERACY_TOL:.0e}; "
+            "the unmixing estimate is degenerate"
+        )
+    return w[row_of_col] / pivots[:, None], pivots
 
 
 def canonicalize(estimate) -> np.ndarray:
@@ -351,7 +357,6 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     match was barely identified.
     """
     whitened, k, means = whiten(dataset.columns)
-    # mode leaves with the benchmark change in ROADMAP item 4
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed)
     est = assemble_unmixing(result, k, means, contrast)
@@ -361,5 +366,6 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
         iterations=result.iterations,
         condition_value=float(np.min(np.abs(pivots))),
         notes="" if result.converged else "contrast iteration hit max_iter",
+        restarts=result.restarts,
     )
     return extract_effects(canonical, dataset.p, dataset.m, diag)

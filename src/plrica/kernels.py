@@ -11,18 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._converters import _as_float, _as_int, _convert
+
 
 class KernelError(ValueError):
     """Base class for kernel-level failures."""
-
-
-def _as_square(mat, name: str) -> np.ndarray:
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise KernelError(f"{name} must be a square 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise KernelError(f"{name} contains non-finite entries")
-    return a
 
 
 def soft_threshold(value: float, threshold: float) -> float:
@@ -89,6 +82,9 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
             raise KernelError(f"target shape {y.shape} does not match design rows {n}")
     if n < 1:
         raise KernelError("need at least one observation")
+    lam = _convert("lam", _as_float, lam, KernelError)
+    tol = _convert("tol", _as_float, tol, KernelError)
+    max_iter = _convert("max_iter", _as_int, max_iter, KernelError)
     if lam < 0:
         raise KernelError("lam must be nonnegative")
     if tol <= 0 or max_iter < 1:
@@ -134,32 +130,16 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
         fits.append(LassoFit(
             weights=weights,
             intercept=y_mean - float(col_means @ weights),
-            lam=float(lam),
+            lam=lam,
             converged=converged,
             n_sweeps=sweeps,
         ))
     return fits
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Minimum-cost bijection rows -> columns.
-
-    mapping[i] is the column matched to row i.
-    """
-
-    mapping: tuple[int, ...]
-
-    def inverse(self) -> tuple[int, ...]:
-        """Row matched to each column."""
-        inv = [0] * len(self.mapping)
-        for row, col in enumerate(self.mapping):
-            inv[col] = row
-        return tuple(inv)
-
-
-def hungarian(cost) -> Assignment:
-    """Exact minimum-cost assignment on a square cost matrix.
+def hungarian(cost) -> tuple[int, ...]:
+    """Exact minimum-cost assignment on a square cost matrix: the column
+    matched to each row.
 
     Shortest augmenting paths with dual potentials u (rows) and v
     (columns): Jonker & Volgenant, Computing 1987, in the form of Crouse,
@@ -170,10 +150,14 @@ def hungarian(cost) -> Assignment:
     c - u - v >= 0, vectorized over columns. On a tie for the nearest
     column a free one is taken, so the search ends as early as it can.
     """
-    c = _as_square(cost, "cost")
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise KernelError(f"cost must be a square 2-d array, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise KernelError("cost contains non-finite entries")
     d = c.shape[0]
     if d == 0:
-        return Assignment(mapping=())
+        return ()
     u = c.min(axis=1)
     v = np.zeros(d)
     col4row = np.full(d, -1)
@@ -217,4 +201,4 @@ def hungarian(cost) -> Assignment:
             col4row[row], col = col, col4row[row]
             if row == free_row:
                 break
-    return Assignment(mapping=tuple(int(col) for col in col4row))
+    return tuple(int(col) for col in col4row)

@@ -34,6 +34,11 @@ class TestVarianceFormulas:
         base = var_homl(LAPLACE.moments(), eps_variance=1.0)
         assert var_homl(LAPLACE.moments(), eps_variance=0.25) == pytest.approx(0.25 * base)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_homl_non_finite_outcome_variance_refused(self, value):
+        with pytest.raises(AsymptoticsError, match="bad value for 'eps_variance'"):
+            var_homl(LAPLACE.moments(), eps_variance=value)
+
     def test_hyvarinen_frozen_values(self):
         assert var_ica_hyvarinen(LAPLACE.moments()) == pytest.approx(6.0, abs=1e-9)
         assert var_ica_hyvarinen(UNIFORM.moments()) == pytest.approx(3.0 / 7.0, abs=1e-9)

@@ -15,7 +15,6 @@ from plrica import (
     DistributionError,
     MomentReport,
     NoiseSpec,
-    check_nongaussianity,
     ica_condition_value,
 )
 
@@ -275,18 +274,3 @@ class TestThreePointLaw:
     def test_family_name_is_the_three_point_law(self):
         assert NoiseSpec("discrete_symmetric", 1.0, 2.0) == NoiseSpec.three_point(1.0, 2.0)
 
-
-class TestNonGaussianityCheck:
-    def test_laplace_decisive(self):
-        res = check_nongaussianity(NoiseSpec.laplace(), n=50_000, seed=0)
-        assert res.decisive
-        assert res.excess_kurtosis > 0
-
-    def test_gaussian_not_decisive(self):
-        res = check_nongaussianity(NoiseSpec.gaussian(), n=50_000, seed=0)
-        assert not res.decisive
-
-    def test_uniform_negative_kurtosis(self):
-        res = check_nongaussianity(NoiseSpec.uniform(), n=50_000, seed=1)
-        assert res.decisive
-        assert res.excess_kurtosis < 0

@@ -23,7 +23,6 @@ from plrica import (
     estimate_oml,
     lasso_fit,
     metrics,
-    overlap_band,
     read_records,
     run_scenario,
     scenario_from_config,
@@ -483,21 +482,27 @@ class TestCsvFormat:
             read_records(path)
 
 
-class TestBands:
-    def test_overlap_band(self):
-        assert overlap_band(1.0, 0.2, 1.3, 0.2)
-        assert not overlap_band(1.0, 0.1, 2.0, 0.1)
+def band_cell(mean_mse, std_mse):
+    """CellStats of ten runs as aggregate gives it; a nan mean is a cell whose every run failed."""
+    failed = 10 if math.isnan(mean_mse) else 0
+    return CellStats(count=10, n_failed=failed, n_converged=10 - failed, mean_mse=mean_mse,
+                     std_mse=std_mse, mean_rel_err=mean_mse / 10, mean_squared_error=mean_mse**2)
 
-    def test_band_verdict(self):
-        a = CellStats(count=10, n_failed=0, n_converged=10, mean_mse=1.0,
-                      std_mse=0.1, mean_rel_err=0.1, mean_squared_error=1.0)
-        b = CellStats(count=10, n_failed=0, n_converged=10, mean_mse=2.0,
-                      std_mse=0.1, mean_rel_err=0.2, mean_squared_error=4.0)
-        assert band_verdict(a, b) == "a_better"
-        assert band_verdict(b, a) == "b_better"
-        c = CellStats(count=10, n_failed=0, n_converged=10, mean_mse=1.05,
-                      std_mse=0.2, mean_rel_err=0.1, mean_squared_error=1.1)
-        assert band_verdict(a, c) == "overlap"
+
+class TestBands:
+    @pytest.mark.parametrize("a, b, verdict", [
+        ((1.0, 0.1), (2.0, 0.1), "a_better"),
+        ((2.0, 0.1), (1.0, 0.1), "b_better"),
+        ((1.0, 0.1), (1.05, 0.2), "overlap"),
+        ((1.0, 0.2), (1.3, 0.2), "overlap"),
+        ((1.3, 0.2), (1.0, 0.2), "overlap"),
+        # a cell with no finite run is never the better one
+        ((1.0, 0.1), (math.nan, 0.0), "a_better"),
+        ((math.nan, 0.0), (1.0, 0.1), "b_better"),
+        ((math.nan, 0.0), (math.nan, 0.0), "overlap"),
+    ])
+    def test_band_verdict(self, a, b, verdict):
+        assert band_verdict(band_cell(*a), band_cell(*b)) == verdict
 
 
 class TestWorkers:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from plrica import (
     extract_effects_from_mixing,
     fastica,
     get_contrast,
+    hungarian,
     resolve,
     scenario_from_config,
     simulate,
@@ -25,12 +27,34 @@ from plrica import (
     whiten,
 )
 from plrica.harness import cell_seed, spec_for_cell
-from plrica.ica import F32_SWITCH, _sym_decorrelation
+from plrica.ica import (
+    F32_SWITCH,
+    LOG_CLIP,
+    PIVOT_DEGENERACY_TOL,
+    _canonicalize_details,
+    _sym_decorrelation,
+)
 
 
 def laplace_spec(p=2, m=1, theta=(3.0,)):
     lap = NoiseSpec.laplace()
     return PlrSpec(p=p, m=m, theta=list(theta), noise_x=lap, noise_t=lap, noise_y=lap)
+
+
+# builtin cells at reduced size: the location-scale one leaves the noise unstandardized
+BUILTIN_CELLS = [
+    "scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [10]",
+    "scenario = appE_locscale\nsample_sizes = [2000]\ncovariate_dims = [10]\n"
+    "locations = [4.0]\nscales = [2.0]",
+    "scenario = appE_contrast\nsample_sizes = [500]\ncontrasts = [cube]",
+]
+
+
+def builtin_cell_columns(text):
+    """Columns of the first replication of the first cell of a builtin config."""
+    config = scenario_from_config(text)
+    cell = config.cells()[0]
+    return simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, 0)).columns
 
 
 class TestWhiten:
@@ -59,19 +83,11 @@ class TestWhiten:
         with pytest.raises(IcaError, match="data contain non-finite values"):
             whiten(data)
 
-    @pytest.mark.parametrize("text", [
-        "scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [10]",
-        "scenario = appE_locscale\nsample_sizes = [2000]\ncovariate_dims = [10]\n"
-        "locations = [4.0]\nscales = [2.0]",
-        "scenario = appE_contrast\nsample_sizes = [500]\ncontrasts = [cube]",
-    ])
+    @pytest.mark.parametrize("text", BUILTIN_CELLS)
     def test_bitwise_equal_to_symmetrized_eigh(self, text):
         """whiten skips symmetrizing the covariance; on builtin cells that
         changes no bit of its outputs."""
-        config = scenario_from_config(text)
-        cell = config.cells()[0]
-        data = simulate(spec_for_cell(config, cell), cell["n"],
-                        cell_seed(config.scenario, cell, 0)).columns
+        data = builtin_cell_columns(text)
         means = data.mean(axis=0)
         xc = data - means
         cov = xc.T @ xc / data.shape[0]
@@ -281,6 +297,55 @@ class TestFastIca:
         with pytest.raises(IcaError, match="rank deficient"):
             _sym_decorrelation(np.outer(rng.standard_normal(5), rng.standard_normal(5)))
 
+    @pytest.mark.parametrize("key", ["tol", "max_iter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_refused(self, key, value):
+        ds = simulate(laplace_spec(), 500, seed=2)
+        z, _, _ = whiten(ds.columns)
+        with pytest.raises(IcaError, match=f"bad value for '{key}'"):
+            fastica(z, **{key: value})
+        with pytest.raises(IcaError, match=f"bad value for '{key}'"):
+            estimate_ica(ds, **{key: value})
+
+    @staticmethod
+    def failing_decorrelation(monkeypatch, fails):
+        """Patch fastica's decorrelation to raise on the calls numbered in fails
+        (call 1 decorrelates the start, call k + 1 the candidate of sweep k
+        when no restart came before)."""
+        calls = []
+
+        def decorrelate(w):
+            calls.append(w)
+            if fails(len(calls)):
+                raise IcaError("rotation candidate is rank deficient; cannot decorrelate")
+            return _sym_decorrelation(w)
+        monkeypatch.setattr("plrica.ica._sym_decorrelation", decorrelate)
+
+    def test_rank_deficient_candidate_restarts(self, monkeypatch):
+        ds = simulate(laplace_spec(), 5000, seed=3)
+        z, _, _ = whiten(ds.columns)
+        self.failing_decorrelation(monkeypatch, lambda call: call == 4)
+        res = fastica(z, tol=1e-6, seed=3)
+        assert res.converged and res.restarts == 1
+        for row in res.w_rotation:
+            assert stationarity_residual(z, row, "logcosh") < 0.02
+        self.failing_decorrelation(monkeypatch, lambda call: call == 4)
+        assert estimate_ica(ds, seed=3).diagnostics.restarts == 1
+
+    def test_restarts_count_toward_max_iter(self, monkeypatch):
+        ds = simulate(laplace_spec(), 500, seed=4)
+        z, _, _ = whiten(ds.columns)
+        self.failing_decorrelation(monkeypatch, lambda call: call % 2 == 0)  # every candidate
+        res = fastica(z, max_iter=5, seed=4)
+        assert (res.converged, res.iterations, res.restarts) == (False, 5, 5)
+
+    def test_rank_deficient_start_raises(self):
+        ds = simulate(laplace_spec(), 500, seed=4)
+        z, _, _ = whiten(ds.columns)
+        d = z.shape[1]
+        with pytest.raises(IcaError, match="rank deficient"):
+            fastica(z, w_init=np.ones((d, d)))
+
     def test_stationarity_at_fixed_point(self):
         ds = simulate(laplace_spec(), 5000, seed=3)
         z, k, means = whiten(ds.columns)
@@ -294,7 +359,48 @@ class TestFastIca:
         assert fitted < random_row / 5
 
 
+def _loop_canonicalize(w):
+    """Reference canonicalization, one matched row at a time."""
+    row_of_col = [0] * w.shape[0]
+    for row, col in enumerate(hungarian(-np.log(np.maximum(np.abs(w), LOG_CLIP)))):
+        row_of_col[col] = row
+    canonical, pivots = np.empty_like(w), np.empty(w.shape[0])
+    for col, row in enumerate(row_of_col):
+        pivots[col] = w[row, col]
+        if abs(pivots[col]) < PIVOT_DEGENERACY_TOL:
+            raise CanonicalizationError(f"pivot for source {col} is below tolerance")
+        canonical[col] = w[row] / pivots[col]
+    return canonical, pivots
+
+
 class TestCanonicalize:
+    @pytest.mark.parametrize("text", BUILTIN_CELLS)
+    def test_bitwise_equal_to_loop_on_fitted_unmixings(self, text):
+        config = scenario_from_config(text)
+        z, k, means = whiten(builtin_cell_columns(text))
+        res = fastica(z, contrast=config.contrasts[0], seed=6)
+        w = assemble_unmixing(res, k, means).w_total
+        got, want = _canonicalize_details(w), _loop_canonicalize(w)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_bitwise_equal_to_loop_on_scrambled_exact_unmixings(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p, m = int(rng.integers(1, 12)), int(rng.integers(1, 4))
+            _, unmix = build_linear_mixing(resolve(PlrSpec(p=p, m=m, theta=rng.uniform(-2, 2, m)), rng))
+            d = p + m + 1
+            scales = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
+            w = (unmix * scales[:, None])[rng.permutation(d)]
+            got, want = _canonicalize_details(w), _loop_canonicalize(w)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+    def test_two_tiny_pivots_name_the_lower_column(self):
+        w = np.diag([1.0, 1e-12, 1.0, 1e-11])[[3, 2, 1, 0]]  # row order puts column 3 first
+        with pytest.raises(CanonicalizationError, match="for source 1 "):
+            _loop_canonicalize(w)
+        with pytest.raises(CanonicalizationError, match=r"pivot \|1\.000e-12\| for source 1 "):
+            canonicalize(w)
+
     def test_exact_unmixing_recovered_under_scaling_and_permutation(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
