@@ -130,7 +130,7 @@ def homl_estimate(resid_y, resid_t) -> tuple[EffectEstimate, MomentDiagnostics]:
     if ry.shape != rt.shape or ry.ndim != 1 or ry.size < 2:
         raise BaselineError("residual vectors must be equal-length 1-d with >= 2 entries")
     n = ry.size
-    ts, tp_mean = _HOML_CONTRAST.evaluate(rt)
+    ts, tp_mean = _HOML_CONTRAST(rt)
     psi = ts - ts.mean() - rt * tp_mean
     prods = rt * psi
     denominator = float(prods.mean())

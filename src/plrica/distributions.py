@@ -46,12 +46,11 @@ class DiscreteDensityError(DistributionError):
 class MomentReport:
     """Population moments of a noise spec.
 
-    mean and variance describe the spec itself; fourth_moment and
-    sixth_moment are E[z^4] and E[z^6] of the standardized variable
-    z = (X - mean)/sd. Every family is symmetric, so E[z^3] = 0.
+    variance describes the spec itself; fourth_moment and sixth_moment
+    are E[z^4] and E[z^6] of the standardized variable z = (X - mean)/sd.
+    Every family is symmetric, so E[z^3] = 0.
     """
 
-    mean: float
     variance: float
     fourth_moment: float
     sixth_moment: float
@@ -156,7 +155,6 @@ class NoiseSpec:
         if var0 <= 0:
             raise DistributionError("degenerate distribution: zero variance")
         return MomentReport(
-            mean=self.mean(),
             variance=self.variance(),
             fourth_moment=self._base_raw_moment(4) / var0**2,
             sixth_moment=self._base_raw_moment(6) / var0**3,

@@ -39,40 +39,31 @@ class MetricError(ValueError):
 
 
 # Grid axes in canonical order: (cell key, ScenarioConfig field and config
-# key, converter of each entry). cells() and cell_seed follow this order;
-# axes without a results column are folded into the scenario id.
+# key, converter of each entry, process keys the axis sets). cells() and
+# cell_seed follow this order; axes without a results column are folded into
+# the scenario id. The process keys go through build_plr_spec, the path
+# scalar config keys take, so the spec constructors judge both alike.
+# location and scale move all three noises instead, and coefficient pins
+# the blocks after the build, since blocks are not config keys.
 AXES = (
-    ("n", "sample_sizes", _as_int),
-    ("dim_x", "covariate_dims", _as_int),
-    ("n_treat", "treatment_counts", _as_int),
-    ("beta", "beta_values", _as_float),
-    ("nonlinearity", "nonlinearities", _as_name),
-    ("slope", "leaky_slopes", _as_float),
-    ("location", "locations", _as_float),
-    ("scale", "scales", _as_float),
-    ("contrast", "contrasts", _one_of(CONTRASTS)),
-    ("sparsity", "sparsity_levels", _as_float),
-    ("coefficient", "coefficient_values", _as_float),
+    ("n", "sample_sizes", _as_int, None),
+    ("dim_x", "covariate_dims", _as_int, lambda v: {"p": v}),
+    ("n_treat", "treatment_counts", _as_int, lambda v: {"m": v}),
+    ("beta", "beta_values", _as_float, lambda v: {"noise_x": NoiseSpec.generalized_normal(v)}),
+    ("nonlinearity", "nonlinearities", _as_name, lambda v: {"nuisance": v}),
+    ("slope", "leaky_slopes", _as_float, lambda v: {"leaky_slope": v}),
+    ("location", "locations", _as_float, None),
+    ("scale", "scales", _as_float, None),
+    ("contrast", "contrasts", _one_of(CONTRASTS), None),
+    ("sparsity", "sparsity_levels", _as_float, lambda v: {"sparsity_keep_prob": v}),
+    ("coefficient", "coefficient_values", _as_float, None),
 )
 
 # Every ScenarioConfig field but plr, with its converter: the one judge of
 # a field's type, for configs built in Python and from config text alike.
-_FIELDS = ({name: _each(convert) for _, name, convert in AXES}
+_FIELDS = ({name: _each(convert) for _, name, convert, _ in AXES}
            | {"methods": _each(_one_of(METHOD_NAMES)), "scenario": _as_name, "seeds": _as_int,
               "folds": _as_int, "max_iter": _as_int, "lambda_scale": _as_float, "tol": _as_float})
-
-# Process keys each process axis sets through build_plr_spec, the path
-# scalar config keys take, so the spec constructors judge both alike.
-# location and scale move all three noises instead, and coefficient pins
-# the blocks after the build, since blocks are not config keys.
-_AXIS_SPEC_KEYS = {
-    "dim_x": lambda v: {"p": v},
-    "n_treat": lambda v: {"m": v},
-    "beta": lambda v: {"noise_x": NoiseSpec.generalized_normal(v)},
-    "nonlinearity": lambda v: {"nuisance": v},
-    "slope": lambda v: {"leaky_slope": v},
-    "sparsity": lambda v: {"sparsity_keep_prob": v},
-}
 
 
 # ---------------------------------------------------------------- metrics
@@ -152,7 +143,8 @@ class ScenarioConfig:
 
     Every field but plr goes through its config key's converter (_FIELDS)
     at construction, so a config built in Python is refused where config
-    text is, and gets the same cells and cell seeds.
+    text is, and gets the same cells and cell seeds. Construction, and so
+    dataclasses.replace, also refuses a config with a cell that cannot run.
     """
 
     scenario: str
@@ -177,17 +169,13 @@ class ScenarioConfig:
     ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 4
 
     def __post_init__(self):
+        """Convert every field, check lengths and ranges no converter or process
+        constructor judges, then build every cell's spec. A process value the
+        constructors refuse, or oml or homl on a cell with m != 1, raises a
+        ConfigError that names the cell by config key."""
         for name, convert in _FIELDS.items():
             value = _convert(name, convert, getattr(self, name), ConfigError)
             object.__setattr__(self, name, value)
-
-    def validate(self) -> None:
-        """Raise ConfigError unless every cell can run.
-
-        Checks lengths and ranges no converter or process constructor judges,
-        then builds every cell's spec; a process value the constructors refuse
-        is reported with the cell it occurs in, by config key.
-        """
         for name in ("sample_sizes", "covariate_dims", "contrasts", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
@@ -198,22 +186,32 @@ class ScenarioConfig:
         if self.sparsity_levels and (self.plr.a_block is not None or self.plr.b_block is not None):
             raise ConfigError("sparsity sweeps need drawn coefficient blocks; "
                               "remove a_block/b_block from the template")
+        residual = {"oml", "homl"} & set(self.methods)
         for cell in self.cells():
             try:
-                spec_for_cell(self, cell)
+                m = spec_for_cell(self, cell).m
+                if residual and m != 1:
+                    raise ValueError(f"oml and homl handle one treatment, got m = {m}")
             except ValueError as exc:
-                where = ", ".join(f"{name} = {cell[key]}" for key, name, _ in AXES if key in cell)
+                where = ", ".join(f"{name} = {cell[key]}" for key, name, _, _ in AXES
+                                  if key in cell)
                 raise ConfigError(f"cell ({where}): {exc}") from None
 
     def cells(self) -> list[dict]:
         """All combinations of the non-empty axes, in canonical order."""
-        axes = {key: getattr(self, name) for key, name, _ in AXES if getattr(self, name)}
+        axes = {key: getattr(self, name) for key, name, _, _ in AXES if getattr(self, name)}
         return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+def _spell(value: float) -> str:
+    """%g when it reads back as value, else repr, so distinct values get distinct labels."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
 
 
 def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
     """Scenario name, suffixed with axis values that lack CSV columns."""
-    extras = [f"{key}={cell[key]:g}" for key, _, _ in AXES
+    extras = [f"{key}={_spell(cell[key])}" for key, _, _, _ in AXES
               if key in cell and key not in _HEADER]
     return f"{config.scenario}[{','.join(extras)}]" if extras else config.scenario
 
@@ -221,7 +219,7 @@ def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
 def cell_seed(scenario: str, cell: dict, index: int) -> int:
     """Deterministic 63-bit seed derived from cell content, not order."""
     parts = [scenario]
-    for key, _, _ in AXES:
+    for key, _, _, _ in AXES:
         if key in cell:
             parts.append(f"{key}={cell[key]!r}")
     parts.append(f"replication={index}")
@@ -233,8 +231,8 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
     """The plr template at one grid cell, built by build_plr_spec."""
     base = config.plr
     keys = {}
-    for key, to_keys in _AXIS_SPEC_KEYS.items():
-        if key in cell:
+    for key, _, _, to_keys in AXES:
+        if to_keys and key in cell:
             keys.update(to_keys(cell[key]))
     shift = {key: cell[key] for key in ("location", "scale") if key in cell}
     if shift:
@@ -333,7 +331,6 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]
     replication's seed is derived from the scenario content. Estimator
     failures become nan-valued records instead of aborting the sweep.
     """
-    config.validate()
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     cells = [cell for cell in config.cells() for _ in range(config.seeds)]
@@ -510,32 +507,20 @@ _KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
 def _split_list_items(inner: str) -> list[str]:
-    items, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == "," and depth == 0:
-            items.append("".join(cur).strip())
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"unbalanced parentheses in {inner!r}")
-        cur.append(ch)
-    if depth != 0:
-        raise ConfigError(f"unbalanced parentheses in {inner!r}")
-    tail = "".join(cur).strip()
-    if tail:
-        items.append(tail)
-    if any(item == "" for item in items):
+    """Comma-separated items; one trailing comma is allowed, an empty item is not."""
+    items = [item.strip() for item in inner.split(",")]
+    if items[-1] == "":
+        items.pop()
+    if "" in items:
         raise ConfigError(f"empty item in list {inner!r}")
     return items
 
 
 def _parse_atom(text: str):
     s = text.strip()
-    if (s.startswith('"') and s.endswith('"')) or (s.startswith("'") and s.endswith("'")):
+    if s[:1] in ("'", '"'):
+        if len(s) < 2 or s[-1] != s[0]:
+            raise ConfigError(f"unclosed quote in {s!r}")
         return s[1:-1]
     if re.fullmatch(r"[+-]?\d+", s):
         return int(s)
@@ -665,47 +650,38 @@ def build_plr_spec(overrides: dict, base: Optional[PlrSpec] = None) -> PlrSpec:
         raise ConfigError(f"bad process spec: {exc}") from None
 
 
-def spec_from_config(source) -> PlrSpec:
-    """PlrSpec from config text or a parsed dict (process keys only)."""
-    return build_plr_spec(parse_config_text(source) if isinstance(source, str) else dict(source))
+def spec_from_config(text: str) -> PlrSpec:
+    """PlrSpec from config text (process keys only)."""
+    return build_plr_spec(parse_config_text(text))
 
 
-def _apply_keys(config: ScenarioConfig, keys: dict) -> ScenarioConfig:
-    """config with parsed scenario keys applied.
-
-    Process keys rebuild config.plr through build_plr_spec with the current
-    template as base; `label` renames the scenario; the rest replace fields,
-    which the ScenarioConfig converters judge.
-    """
-    d = dict(keys)
-    spec_overrides = {k: d.pop(k) for k in list(d) if k in _SPEC_KEYS}
-    known = {"label", *_FIELDS, *_SPEC_KEYS}
-    if set(d) - known:
-        raise ConfigError(f"unknown config keys {sorted(set(d) - known)}; "
-                          f"expected a subset of {sorted(known)}")
-    if "label" in d:
-        d["scenario"] = _convert("label", _as_name, d.pop("label"), ConfigError)
-    return replace(config, plr=build_plr_spec(spec_overrides, base=config.plr), **d)
-
-
-def scenario_from_config(source) -> ScenarioConfig:
-    """ScenarioConfig from config text or a parsed dict.
+def scenario_from_config(text: str) -> ScenarioConfig:
+    """ScenarioConfig from config text.
 
     The `scenario` key picks a builtin (see BUILTIN_SCENARIOS; default
     `custom`). Its text is applied over the ScenarioConfig field defaults
-    and build_plr_spec's default process, then every other key is applied
-    on top the same way. Unknown keys are errors, never silently ignored.
+    and build_plr_spec's default process, then every other key on top:
+    process keys rebuild the process with the one before as base, `label`
+    renames the scenario, and the rest replace fields. The config is built
+    once. Unknown keys are errors, never silently ignored.
     """
-    d = dict(parse_config_text(source)) if isinstance(source, str) else dict(source)
-    name = str(d.pop("scenario", "custom"))
+    user = parse_config_text(text)
+    name = str(user.pop("scenario", "custom"))
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
         )
-    config = ScenarioConfig(scenario=name, plr=build_plr_spec({}))
-    config = _apply_keys(_apply_keys(config, parse_config_text(BUILTIN_SCENARIOS[name])), d)
-    config.validate()
-    return config
+    known = {"label", *_FIELDS, *_SPEC_KEYS}
+    plr, fields = build_plr_spec({}), {"scenario": name}
+    for keys in (parse_config_text(BUILTIN_SCENARIOS[name]), user):
+        if set(keys) - known:
+            raise ConfigError(f"unknown config keys {sorted(set(keys) - known)}; "
+                              f"expected a subset of {sorted(known)}")
+        if "label" in keys:
+            keys["scenario"] = _convert("label", _as_name, keys.pop("label"), ConfigError)
+        plr = build_plr_spec({k: keys.pop(k) for k in list(keys) if k in _SPEC_KEYS}, base=plr)
+        fields.update(keys)
+    return ScenarioConfig(plr=plr, **fields)
 
 
 # ------------------------------------------------------ builtin scenarios

@@ -40,23 +40,6 @@ class CanonicalizationError(IcaError):
     """A selected pivot is too close to zero to fix row scales."""
 
 
-@dataclass(frozen=True)
-class Contrast:
-    """Elementwise contrast t fused with the mean of its derivative.
-
-    evaluate(s, out=None) returns (t(s), axis-0 mean of t'(s)) from one
-    pass over s: the mean is per column for 2-d s and a scalar for 1-d s.
-    t(s) is written into out when given (an array shaped like s, not s
-    itself) and into a new array otherwise. It never writes into s.
-    Both outputs keep the dtype of s, and no temporary of another dtype
-    is made: fastica's float32 sweeps pass float32 s, and an upcast would
-    undo their gain without changing a result.
-    """
-
-    name: str
-    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]]
-
-
 def _col_mean_of_product(a, b):  # no n x d temporary: allocating it costs more than a*b
     return np.einsum("i...,i...->...", a, b) / a.shape[0]
 
@@ -81,14 +64,17 @@ def _cube(u, out=None):
     return g, 3.0 * _col_mean_of_product(u, u)
 
 
-CONTRASTS = {
-    "logcosh": Contrast("logcosh", _logcosh),
-    "exp": Contrast("exp", _exp),
-    "cube": Contrast("cube", _cube),
-}
+# Each contrast t, fused with the mean of its derivative: contrast(s, out=None)
+# returns (t(s), axis-0 mean of t'(s)) from one pass over s, the mean per
+# column for 2-d s and a scalar for 1-d s. t(s) is written into out when
+# given (an array shaped like s, not s itself) and into a new array
+# otherwise; s is never written. Both outputs keep the dtype of s, and no
+# temporary of another dtype is made: fastica's float32 sweeps pass float32
+# s, and an upcast would undo their gain without changing a result.
+CONTRASTS = {"logcosh": _logcosh, "exp": _exp, "cube": _cube}
 
 
-def get_contrast(name: str) -> Contrast:
+def get_contrast(name: str) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     try:
         return CONTRASTS[name]
     except KeyError:
@@ -225,7 +211,7 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
                 return FastIcaResult(w, False, it, restarts)
             it += 1
             np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
-            _, gp = con.evaluate(s, out=g)
+            _, gp = con(s, out=g)
             try:
                 w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
             except IcaError:
@@ -342,7 +328,7 @@ def stationarity_residual(whitened, w_row, contrast="logcosh") -> float:
     z = np.asarray(whitened, dtype=float)
     w = np.asarray(w_row, dtype=float)
     s = z @ w
-    ts, _ = con.evaluate(s)
+    ts, _ = con(s)
     lhs = ts @ z / z.shape[0]
     lam = float((s * ts).mean())
     return float(np.linalg.norm(lhs - lam * w))

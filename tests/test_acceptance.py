@@ -183,7 +183,7 @@ def test_criterion_08_condition_values_coincide_exactly():
         # the higher-moment score's condition: the mean of z t(z) - t'(z) under
         # the cube contrast; one row, so the derivative mean is t'(z) per draw
         z = spec.standardized().sample(200_000, np.random.default_rng(880 + i))[None, :]
-        t, tprime = CONTRASTS["cube"].evaluate(z)
+        t, tprime = CONTRASTS["cube"](z)
         score = z[0] * t[0] - tprime
         se = float(score.std(ddof=1)) / math.sqrt(score.size)
         worst = max(worst, abs(float(score.mean()) - value) / se)

@@ -96,7 +96,7 @@ class TestScenarioConfig:
                 plr=PlrSpec(p=2, m=1, theta=[1.0], a_block=[[1.0, 0.0]],
                             b_block=[1.0, 0.0], noise_x=LAP, noise_t=LAP, noise_y=LAP),
                 covariate_dims=(2, 5),
-            ).validate()
+            )
 
     def test_coefficient_sweep_conflicts_with_tie(self):
         with pytest.raises(ConfigError):
@@ -104,19 +104,17 @@ class TestScenarioConfig:
                 plr=PlrSpec(p=2, m=1, theta=[1.0], tie_ab=True,
                             noise_x=LAP, noise_t=LAP, noise_y=LAP),
                 coefficient_values=(0.0, 1.0),
-            ).validate()
+            )
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            tiny_config(methods=("ica", "ridge")).validate()
+            tiny_config(methods=("ica", "ridge"))
 
     @pytest.mark.parametrize("key", ["seeds", "folds", "max_iter"])
     @pytest.mark.parametrize("value", [2.5, 10.0, True])
     def test_integer_settings_refuse_non_integers(self, key, value):
         with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
-            tiny_config(**{key: value}).validate()
-        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
-            run_scenario(tiny_config(**{key: value}))
+            tiny_config(**{key: value})
 
     @pytest.mark.parametrize("key,value", [
         ("scales", "inf"), ("locations", "nan"), ("coefficient_values", "nan"),
@@ -152,6 +150,24 @@ class TestScenarioConfig:
             run_scenario(tiny_config(treatment_counts=(1, 6)), workers=1)
         assert calls == []
 
+    def test_bad_cell_refused_at_construction(self):
+        # a built config is a runnable one, however it was built
+        with pytest.raises(ConfigError, match=r"^cell \(sample_sizes = 120, covariate_dims = 2, "
+                                              r"treatment_counts = 6, contrasts = logcosh\): "):
+            tiny_config(treatment_counts=(1, 6))
+        with pytest.raises(ConfigError, match="treatment_counts = 6"):
+            dataclasses.replace(tiny_config(), treatment_counts=(1, 6))
+
+    def test_residual_methods_refused_on_cells_with_several_treatments(self):
+        # such a cell would give nothing but nan oml and homl records
+        with pytest.raises(ConfigError, match=r"treatment_counts = 2, contrasts = logcosh\): "
+                                              r"oml and homl handle one treatment, got m = 2"):
+            scenario_from_config("scenario = fig3_left_multi\nmethods = [ica, oml]")
+        with pytest.raises(ConfigError, match="oml and homl handle one treatment, got m = 2"):
+            tiny_config(plr=PlrSpec(p=2, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP,
+                                    noise_y=LAP), methods=("ica", "homl"))
+        assert scenario_from_config("scenario = fig3_left_multi\nmethods = [ica, ols]").cells()
+
     def test_slope_axis_takes_the_scalar_key_rules(self):
         cfg = scenario_from_config("scenario = custom\nnuisance = leaky_relu\nleaky_slopes = [0.0]")
         scalar = scenario_from_config("scenario = custom\nnuisance = leaky_relu\nleaky_slope = 0.0")
@@ -168,7 +184,6 @@ class TestScenarioConfig:
             if name == "custom":
                 continue
             cfg = scenario_from_config(f"scenario = {name}")
-            cfg.validate()
             assert cfg.cells(), name
 
 
@@ -238,6 +253,17 @@ class TestSpecForCell:
                                       noise_x=LAP, noise_t=LAP, noise_y=LAP))
         ids = [scenario_id_for_cell(cfg, c) for c in cfg.cells()]
         assert ids == ["tiny[slope=0.1]", "tiny[slope=0.5]"]
+
+    def test_close_values_get_distinct_labels(self):
+        # %g spells both slopes 0.1, and one label would merge the two cells in aggregate
+        cfg = scenario_from_config("nuisance = leaky_relu\nleaky_slopes = [0.1, 0.1000001]\n"
+                                   "sample_sizes = [120]\ncovariate_dims = [2]\nseeds = 2\n"
+                                   "methods = [ols]")
+        ids = [scenario_id_for_cell(cfg, c) for c in cfg.cells()]
+        assert ids == ["custom[slope=0.1]", "custom[slope=0.1000001]"]
+        stats = aggregate(run_scenario(cfg))
+        assert [key[0] for key in stats] == ids
+        assert [cell.count for cell in stats.values()] == [2, 2]
 
 
 class TestRunAndEmit:
@@ -317,13 +343,10 @@ class TestRunAndEmit:
         assert all(np.isfinite(r.mse) for r in recs)
 
     def test_failure_becomes_nan_record(self):
-        # oml and homl require a single treatment; with m=2 each record must
-        # survive with nan metrics and the error name in the notes, even
-        # though the two share one nuisance fit
-        cfg = tiny_config(
-            plr=PlrSpec(p=2, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP),
-            methods=("oml", "homl"),
-        )
+        # two folds need four rows, so at n = 3 the nuisance fit raises; each
+        # residual method must survive with nan metrics and the error name in
+        # the notes, even though the two share one nuisance fit
+        cfg = tiny_config(sample_sizes=(3,), methods=("oml", "homl"))
         recs = run_cell_replication(cfg, cfg.cells()[0], 0)
         assert [r.method for r in recs] == ["oml", "homl"]
         for rec in recs:
@@ -530,6 +553,28 @@ class TestConfigParsing:
         assert out == {"scenario": "default_test", "seeds": 4,
                        "sample_sizes": [100, 200]}
 
+    @pytest.mark.parametrize("line,sample_sizes", [
+        ("noise_x = gennorm(1, (2, 3))", None),
+        ("noise_x = laplace(loc=(1, scale=2)", None),
+        ("methods = [ica(a, b)]", None),
+        ("sample_sizes = [1,,2]", None),
+        ("sample_sizes = [100, 200,]", (100, 200)),
+    ])
+    def test_list_items_split_at_every_comma(self, line, sample_sizes):
+        # no list key or noise argument takes parentheses, so none are tracked
+        if sample_sizes is None:
+            with pytest.raises(ConfigError):
+                scenario_from_config(line)
+        else:
+            assert scenario_from_config(line).sample_sizes == sample_sizes
+
+    @pytest.mark.parametrize("line", ['label = "run#2"', "label = 'x", "label = '"])
+    def test_unclosed_quote_refused(self, line):
+        # '#' starts a comment, so the first line's value is '"run'
+        with pytest.raises(ConfigError, match="unclosed quote"):
+            scenario_from_config(line)
+        assert scenario_from_config('label = "run2"').scenario == "run2"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("seeds = 2\nseeds = 3\n")
@@ -648,9 +693,9 @@ class TestConfigParsing:
         assert spec.p == 4 and spec.m == 2
 
 
-INT_AXES = [name for _, name, convert in AXES if convert is harness._as_int]
-FLOAT_AXES = [name for _, name, convert in AXES if convert is harness._as_float]
-LIST_FIELDS = [name for _, name, _ in AXES] + ["methods"]
+INT_AXES = [name for _, name, convert, _ in AXES if convert is harness._as_int]
+FLOAT_AXES = [name for _, name, convert, _ in AXES if convert is harness._as_float]
+LIST_FIELDS = [name for _, name, _, _ in AXES] + ["methods"]
 # one value config text refuses per rule, for every ScenarioConfig field but plr
 BAD_FIELD_VALUES = (
     [(key, v) for key in INT_AXES + ["seeds", "folds", "max_iter"] for v in (True, 2.5)]
@@ -669,7 +714,7 @@ class TestStrictConfigValues:
 
     @pytest.mark.parametrize("key,value", BAD_FIELD_VALUES)
     def test_python_config_refuses_what_text_refuses(self, key, value):
-        # the field converters judge a config at construction, not at validate()
+        # the field converters judge a config at construction
         with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
             tiny_config(**{key: (value,) if key in LIST_FIELDS else value})
 

@@ -106,17 +106,17 @@ class TestContrasts:
 
     def test_logcosh_derivative_pair(self):
         u = np.linspace(-3, 3, 11)
-        g, gp = get_contrast("logcosh").evaluate(u)
+        g, gp = get_contrast("logcosh")(u)
         assert np.allclose(g, np.tanh(u))
         assert gp == pytest.approx(np.mean(1 - np.tanh(u) ** 2), rel=1e-14)
 
     def test_cube(self):
-        g, gp = get_contrast("cube").evaluate(np.array([2.0]))
+        g, gp = get_contrast("cube")(np.array([2.0]))
         assert g[0] == 8.0
         assert gp == 12.0
 
     def test_exp_at_zero(self):
-        g, gp = get_contrast("exp").evaluate(np.zeros(1))
+        g, gp = get_contrast("exp")(np.zeros(1))
         assert g[0] == 0.0
         assert gp == 1.0
 
@@ -124,10 +124,10 @@ class TestContrasts:
     def test_means_per_column_and_scalar_for_1d(self, name):
         con = get_contrast(name)
         s = np.random.default_rng(7).standard_normal((200, 3))
-        g, gp = con.evaluate(s)
+        g, gp = con(s)
         assert g.shape == s.shape and gp.shape == (3,)
         for j in range(3):
-            gj, gpj = con.evaluate(s[:, j])
+            gj, gpj = con(s[:, j])
             assert np.ndim(gpj) == 0
             assert np.array_equal(gj, g[:, j])
             assert gpj == pytest.approx(gp[j], rel=1e-13)
@@ -137,26 +137,26 @@ class TestContrasts:
         con = get_contrast(name)
         u = np.linspace(-3, 3, 61)
         h = 1e-5
-        fd = (con.evaluate(u + h)[0] - con.evaluate(u - h)[0]) / (2 * h)
-        pointwise = np.array([con.evaluate(np.array([x]))[1] for x in u])
+        fd = (con(u + h)[0] - con(u - h)[0]) / (2 * h)
+        pointwise = np.array([con(np.array([x]))[1] for x in u])
         assert np.allclose(pointwise, fd, rtol=1e-7, atol=1e-8)
-        assert con.evaluate(u)[1] == pytest.approx(fd.mean(), rel=1e-7)
+        assert con(u)[1] == pytest.approx(fd.mean(), rel=1e-7)
 
     @pytest.mark.parametrize("name", sorted(CONTRASTS))
     def test_input_unchanged(self, name):
         s = np.random.default_rng(8).standard_normal((50, 4))
         before = s.copy()
         s.flags.writeable = False
-        get_contrast(name).evaluate(s)
+        get_contrast(name)(s)
         assert np.array_equal(s, before)
 
     @pytest.mark.parametrize("name", sorted(CONTRASTS))
     def test_out_buffer_gives_identical_values(self, name):
         con = get_contrast(name)
         s = np.random.default_rng(9).standard_normal((50, 4))
-        g, gp = con.evaluate(s)
+        g, gp = con(s)
         buf = np.full_like(s, np.nan)
-        g_out, gp_out = con.evaluate(s, out=buf)
+        g_out, gp_out = con(s, out=buf)
         assert g_out is buf
         assert np.array_equal(g_out, g) and np.array_equal(gp_out, gp)
 
@@ -166,7 +166,7 @@ class TestContrasts:
         s = np.random.default_rng(10).standard_normal((4000, 8)).astype(np.float32)
         tracemalloc.start()
         try:
-            g, gp = get_contrast(name).evaluate(s)
+            g, gp = get_contrast(name)(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
