@@ -54,7 +54,7 @@ for label, noise_t in cases:
     for seed in range(10):
         data = simulate(spec, 5000, seed=seed)
         _, diag = estimate_homl(data)
-        flagged += diag.degenerate
+        flagged += bool(diag.degenerate[0])
     print(f"  {label}: degenerate flag raised on {flagged}/10 runs")
 
 # Degeneracy is about one scalar functional, not about how strange the

@@ -49,6 +49,15 @@ def _one_of(names):
     return convert
 
 
+def _instance_of(cls):
+    """Converter that passes an instance of cls through and refuses anything else."""
+    def convert(value):
+        if not isinstance(value, cls):
+            raise TypeError(f"expected a {cls.__name__}, got {value!r}")
+        return value
+    return convert
+
+
 def _each(convert):
     """Converter of a list value: every item through convert, a bare value as one item."""
     return lambda v: tuple(map(convert, v if isinstance(v, (list, tuple, np.ndarray)) else (v,)))

@@ -3,9 +3,8 @@ scores, and plain joint least squares.
 
 The first two follow the standard two-stage recipe: cross-fitted lasso
 regressions of T on X and Y on X produce out-of-fold residuals, then a
-method-of-moments step on the residuals yields the effect. They target a
-single treatment. ols_joint regresses Y on (X, T, 1) jointly and works for
-any number of treatments.
+method-of-moments step on the residuals yields the effects. All three take
+any number of treatments. ols_joint regresses Y on (X, T, 1) jointly.
 """
 from __future__ import annotations
 
@@ -43,18 +42,19 @@ class NuisanceFit:
     penalties: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, frozen=True)
 class MomentDiagnostics:
-    """Health of the orthogonal-moment denominator.
+    """Health of the orthogonal-moment denominators, one entry per treatment.
 
-    degenerate is True when |denominator| falls below condition_value =
-    max(floor, 3 standard errors of the denominator), i.e. the data cannot
-    tell the denominator from zero.
+    denominator[j] is mean(psi_j * r_j), the j-th diagonal entry of the
+    moment matrix. degenerate[j] is True when |denominator[j]| falls below
+    condition_value[j] = max(floor, 3 standard errors of it), i.e. the data
+    cannot tell that denominator from zero.
     """
 
-    denominator: float
-    condition_value: float
-    degenerate: bool
+    denominator: np.ndarray
+    condition_value: np.ndarray
+    degenerate: np.ndarray
 
 
 def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
@@ -99,91 +99,81 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     )
 
 
-def oml_estimate(resid_y, resid_t) -> EffectEstimate:
-    """Residual-on-residual slope sum(ry*rt) / sum(rt^2)."""
+def _residual_columns(resid_y, resid_t) -> tuple[np.ndarray, np.ndarray]:
+    """(n,) outcome and (n, m) treatment residuals; a 1-d treatment residual is one column."""
     ry = np.asarray(resid_y, dtype=float)
-    rt = np.asarray(resid_t, dtype=float)
-    if ry.shape != rt.shape or ry.ndim != 1 or ry.size < 2:
-        raise BaselineError("residual vectors must be equal-length 1-d with >= 2 entries")
-    denom = float(rt @ rt)
-    if denom <= 0.0:
-        raise BaselineError("treatment residuals are identically zero")
-    theta = float(ry @ rt) / denom
-    return EffectEstimate(
-        theta_hat=np.array([theta]),
-        method="oml",
-        diagnostics=Diagnostics(converged=True, condition_value=denom / ry.size),
-    )
+    rt = np.atleast_2d(np.asarray(resid_t, dtype=float).T).T
+    if ry.ndim != 1 or rt.ndim != 2 or rt.shape[0] != ry.size or ry.size < 2:
+        raise BaselineError("need (n,) outcome and (n,) or (n, m) treatment residuals, n >= 2")
+    return ry, rt
+
+
+def oml_estimate(resid_y, resid_t) -> EffectEstimate:
+    """Residual-on-residual least squares: theta solves (R^T R) theta = R^T ry
+    for the (n, m) treatment residuals R. condition_value is the smallest
+    eigenvalue of R^T R over n."""
+    ry, rt = _residual_columns(resid_y, resid_t)
+    gram = rt.T @ rt
+    smallest = float(np.linalg.eigvalsh(gram)[0])
+    if not smallest > 0.0:
+        raise BaselineError("treatment residuals are linearly dependent")
+    diagnostics = Diagnostics(condition_value=smallest / ry.size)
+    return EffectEstimate(np.linalg.solve(gram, rt.T @ ry), "oml", diagnostics)
 
 
 def homl_estimate(resid_y, resid_t) -> tuple[EffectEstimate, MomentDiagnostics]:
-    """Higher-moment orthogonal score on the residuals.
+    """Higher-moment orthogonal score on the residuals, one score column per treatment.
 
-    With t(u) = u^3 and psi = t(rt) - mean(t(rt)) - rt * mean(t'(rt)), the
-    estimate is mean(ry * psi) / mean(rt * psi). The denominator targets
+    With t(u) = u^3 and psi_j = t(r_j) - mean(t(r_j)) - r_j * mean(t'(r_j))
+    for each treatment residual column r_j, theta solves D theta =
+    mean(psi * ry) with D[j, k] = mean(psi_j * r_k). D's diagonal targets
     E[eta t(eta)] - E[t'(eta)] Var(eta), which vanishes for Gaussian
-    treatment noise; the returned MomentDiagnostics flags that regime by
-    comparing |denominator| against max(1e-6, 3 standard errors).
+    treatment noise; the returned MomentDiagnostics flags that regime per
+    column by comparing |D[j, j]| against max(1e-6, 3 standard errors).
+    Diagnostics.condition_value is the diagonal entry of smallest magnitude.
     """
-    ry = np.asarray(resid_y, dtype=float)
-    rt = np.asarray(resid_t, dtype=float)
-    if ry.shape != rt.shape or ry.ndim != 1 or ry.size < 2:
-        raise BaselineError("residual vectors must be equal-length 1-d with >= 2 entries")
-    n = ry.size
+    ry, rt = _residual_columns(resid_y, resid_t)
     ts, tp_mean = _HOML_CONTRAST(rt)
-    psi = ts - ts.mean() - rt * tp_mean
-    prods = rt * psi
-    denominator = float(prods.mean())
-    se = float(prods.std(ddof=1) / math.sqrt(n))
-    condition_value = max(HOML_DENOMINATOR_FLOOR, 3.0 * se)
-    degenerate = abs(denominator) < condition_value
-    if denominator == 0.0:
-        raise BaselineError("orthogonal-moment denominator is exactly zero")
-    theta = float((ry * psi).mean()) / denominator
-    moment = MomentDiagnostics(
-        denominator=denominator,
-        condition_value=condition_value,
-        degenerate=degenerate,
-    )
-    estimate = EffectEstimate(
-        theta_hat=np.array([theta]),
-        method="homl",
-        diagnostics=Diagnostics(
-            converged=True,
-            condition_value=denominator,
-            notes="degenerate orthogonal moment" if degenerate else "",
-        ),
-    )
-    return estimate, moment
+    psi = ts - ts.mean(axis=0) - rt * tp_mean
+    prods = psi[:, :, None] * rt[:, None, :]
+    d = prods.mean(axis=0)
+    denominator = d.diagonal()
+    se = np.diagonal(prods, axis1=1, axis2=2).std(axis=0, ddof=1) / math.sqrt(ry.size)
+    condition_value = np.maximum(HOML_DENOMINATOR_FLOOR, 3.0 * se)
+    degenerate = np.abs(denominator) < condition_value
+    try:
+        theta = np.linalg.solve(d, (psi * ry[:, None]).mean(axis=0))
+    except np.linalg.LinAlgError:
+        raise BaselineError("orthogonal-moment matrix is singular") from None
+    notes = "degenerate orthogonal moment" if degenerate.any() else ""
+    smallest = float(denominator[np.argmin(np.abs(denominator))])
+    estimate = EffectEstimate(theta, "homl", Diagnostics(condition_value=smallest, notes=notes))
+    return estimate, MomentDiagnostics(denominator, condition_value, degenerate)
 
 
-def single_treatment_residuals(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
-                               tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-fitted (outcome, treatment) residuals for one treatment, the
-    input both oml_estimate and homl_estimate take."""
-    if dataset.m != 1:
-        raise BaselineError("residual-based baselines handle one treatment; use ols_joint")
+def cross_fitted_residuals(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
+                           tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-fitted (n,) outcome and (n, m) treatment residuals, the input
+    both oml_estimate and homl_estimate take."""
     fit = fit_nuisance(dataset, lambda_scale=lambda_scale, folds=folds, tol=tol, max_iter=max_iter)
-    ry = dataset.y - fit.predictions_y
-    rt = dataset.t[:, 0] - fit.predictions_t[:, 0]
-    return ry, rt
+    return dataset.y - fit.predictions_y, dataset.t - fit.predictions_t
 
 
 def estimate_oml(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
                  tol: float = 1e-4, max_iter: int = 1000) -> EffectEstimate:
-    """Cross-fitted residual-on-residual estimate for one treatment."""
-    ry, rt = single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    """Cross-fitted residual-on-residual estimate of every treatment effect."""
+    ry, rt = cross_fitted_residuals(dataset, lambda_scale, folds, tol, max_iter)
     return oml_estimate(ry, rt)
 
 
 def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, tol: float = 1e-4,
                   max_iter: int = 1000) -> tuple[EffectEstimate, MomentDiagnostics]:
-    """Cross-fitted higher-moment orthogonal estimate for one treatment.
+    """Cross-fitted higher-moment orthogonal estimate of every treatment effect.
 
     Returns the estimate together with the moment-denominator health report;
     callers that only need the point estimate can discard the second element.
     """
-    ry, rt = single_treatment_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    ry, rt = cross_fitted_residuals(dataset, lambda_scale, folds, tol, max_iter)
     return homl_estimate(ry, rt)
 
 

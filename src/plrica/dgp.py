@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._converters import _as_bool, _as_float, _as_int, _as_name, _convert, _each
+from ._converters import _as_bool, _as_float, _as_int, _as_name, _convert, _each, _instance_of
 from .distributions import NoiseSpec
 
 NONLINEARITY_NAMES = ("linear", "relu", "leaky_relu", "sigmoid", "tanh")
@@ -75,11 +75,7 @@ def _coerce_block(value, shape, name):
     return arr.copy()
 
 
-def _as_noise(value) -> NoiseSpec:
-    """A NoiseSpec; config text reaches here through harness.parse_noise."""
-    if not isinstance(value, NoiseSpec):
-        raise TypeError(f"expected a NoiseSpec, got {value!r}")
-    return value
+_as_noise = _instance_of(NoiseSpec)  # config text reaches here through harness.parse_noise
 
 
 # PlrSpec field converters, the ones its config keys use (noise keys parse

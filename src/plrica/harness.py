@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._converters import _as_float, _as_int, _as_name, _convert, _each, _one_of
-from .baselines import homl_estimate, ols_joint, oml_estimate, single_treatment_residuals
+from ._converters import _as_float, _as_int, _as_name, _convert, _each, _instance_of, _one_of
+from .baselines import cross_fitted_residuals, homl_estimate, ols_joint, oml_estimate
 from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
@@ -59,11 +59,14 @@ AXES = (
     ("coefficient", "coefficient_values", _as_float, None),
 )
 
-# Every ScenarioConfig field but plr, with its converter: the one judge of
-# a field's type, for configs built in Python and from config text alike.
+
+# Every ScenarioConfig field with its converter: the one judge of a field's
+# type, for configs built in Python and from config text alike. plr is no
+# config key; config text builds it from the process keys.
 _FIELDS = ({name: _each(convert) for _, name, convert, _ in AXES}
-           | {"methods": _each(_one_of(METHOD_NAMES)), "scenario": _as_name, "seeds": _as_int,
-              "folds": _as_int, "max_iter": _as_int, "lambda_scale": _as_float, "tol": _as_float})
+           | {"methods": _each(_one_of(METHOD_NAMES)), "scenario": _as_name,
+              "plr": _instance_of(PlrSpec), "seeds": _as_int, "folds": _as_int,
+              "max_iter": _as_int, "lambda_scale": _as_float, "tol": _as_float})
 
 
 # ---------------------------------------------------------------- metrics
@@ -141,9 +144,9 @@ class ScenarioConfig:
     location/scale axes additionally disable noise standardization, since
     they exist to move the noise away from the standardized regime.
 
-    Every field but plr goes through its config key's converter (_FIELDS)
-    at construction, so a config built in Python is refused where config
-    text is, and gets the same cells and cell seeds. Construction, and so
+    Every field goes through its converter (_FIELDS) at construction, so a
+    config built in Python is refused where config text is, and gets the
+    same cells and cell seeds. Construction, and so
     dataclasses.replace, also refuses a config with a cell that cannot run.
     """
 
@@ -171,8 +174,8 @@ class ScenarioConfig:
     def __post_init__(self):
         """Convert every field, check lengths and ranges no converter or process
         constructor judges, then build every cell's spec. A process value the
-        constructors refuse, or oml or homl on a cell with m != 1, raises a
-        ConfigError that names the cell by config key."""
+        constructors refuse raises a ConfigError that names the cell by
+        config key."""
         for name, convert in _FIELDS.items():
             value = _convert(name, convert, getattr(self, name), ConfigError)
             object.__setattr__(self, name, value)
@@ -186,12 +189,9 @@ class ScenarioConfig:
         if self.sparsity_levels and (self.plr.a_block is not None or self.plr.b_block is not None):
             raise ConfigError("sparsity sweeps need drawn coefficient blocks; "
                               "remove a_block/b_block from the template")
-        residual = {"oml", "homl"} & set(self.methods)
         for cell in self.cells():
             try:
-                m = spec_for_cell(self, cell).m
-                if residual and m != 1:
-                    raise ValueError(f"oml and homl handle one treatment, got m = {m}")
+                spec_for_cell(self, cell)
             except ValueError as exc:
                 where = ", ".join(f"{name} = {cell[key]}" for key, name, _, _ in AXES
                                   if key in cell)
@@ -254,13 +254,14 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
 
     ica uses contrast, seed, tol and max_iter. oml and homl take their
     (outcome, treatment) residuals from calling residuals, or fit them with
-    single_treatment_residuals from lambda_scale, folds, tol and max_iter
-    when it is None. ols uses no setting.
+    cross_fitted_residuals from lambda_scale, folds, tol and max_iter when it
+    is None. ols uses no setting. Every method takes any number of
+    treatments.
     """
     if method == "ica":
         return estimate_ica(dataset, contrast=contrast, tol=tol, max_iter=max_iter, seed=seed)
     if method in ("oml", "homl"):
-        fit = residuals or functools.partial(single_treatment_residuals, dataset,
+        fit = residuals or functools.partial(cross_fitted_residuals, dataset,
                                              lambda_scale=lambda_scale, folds=folds,
                                              tol=tol, max_iter=max_iter)
         ry, rt = fit()
@@ -282,7 +283,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
     data_seq, ica_seq = np.random.SeedSequence(seed).spawn(2)
     spec = spec_for_cell(config, cell)
     dataset = simulate(spec, cell["n"], data_seq)
-    residuals = functools.cache(lambda: single_treatment_residuals(
+    residuals = functools.cache(lambda: cross_fitted_residuals(
         dataset, lambda_scale=config.lambda_scale, folds=config.folds,
         tol=config.tol, max_iter=config.max_iter))
     truth = dataset.ground_truth.theta
@@ -671,7 +672,7 @@ def scenario_from_config(text: str) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {sorted(BUILTIN_SCENARIOS)}"
         )
-    known = {"label", *_FIELDS, *_SPEC_KEYS}
+    known = {"label", *_FIELDS, *_SPEC_KEYS} - {"plr"}
     plr, fields = build_plr_spec({}), {"scenario": name}
     for keys in (parse_config_text(BUILTIN_SCENARIOS[name]), user):
         if set(keys) - known:

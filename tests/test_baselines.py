@@ -8,6 +8,7 @@ from plrica import (
     Dataset,
     NoiseSpec,
     PlrSpec,
+    cross_fitted_residuals,
     estimate_homl,
     estimate_oml,
     fit_nuisance,
@@ -16,6 +17,7 @@ from plrica import (
     oml_estimate,
     simulate,
 )
+from plrica.ica import CONTRASTS
 
 
 def laplace_spec(p=2, theta=3.0, **kw):
@@ -92,7 +94,7 @@ class TestMomentEstimators:
         rt = rng.standard_normal(10_000)
         ry = 2.0 * rt + rng.standard_normal(10_000)
         est, diag = homl_estimate(ry, rt)
-        assert diag.degenerate
+        assert diag.degenerate.tolist() == [True]
         assert "degenerate" in est.diagnostics.notes
 
     def test_homl_accepts_heavy_tailed_residual(self):
@@ -100,7 +102,7 @@ class TestMomentEstimators:
         rt = rng.laplace(size=10_000) / math.sqrt(2)
         ry = 2.0 * rt + rng.standard_normal(10_000)
         est, diag = homl_estimate(ry, rt)
-        assert not diag.degenerate
+        assert diag.degenerate.tolist() == [False]
         assert est.theta_hat[0] == pytest.approx(2.0, abs=0.15)
 
     def test_oml_homl_agree_on_large_linear_sample(self):
@@ -109,16 +111,96 @@ class TestMomentEstimators:
         homl, diag = estimate_homl(ds)
         assert abs(oml.theta_hat[0] - homl.theta_hat[0]) <= 0.05
         assert oml.theta_hat[0] == pytest.approx(3.0, abs=0.05)
-        assert not diag.degenerate
+        assert diag.degenerate.tolist() == [False]
 
-    def test_single_treatment_only(self):
-        spec = PlrSpec(p=2, m=2, noise_x=NoiseSpec.laplace(),
-                       noise_t=NoiseSpec.laplace(), noise_y=NoiseSpec.laplace())
-        ds = simulate(spec, 500, seed=8)
-        with pytest.raises(BaselineError):
-            estimate_oml(ds)
-        with pytest.raises(BaselineError):
-            estimate_homl(ds)
+    def test_oml_dependent_treatment_residuals_raise(self):
+        rt = np.random.default_rng(8).laplace(size=(50, 1))
+        with pytest.raises(BaselineError, match="linearly dependent"):
+            oml_estimate(rt[:, 0], np.hstack([rt, 2.0 * rt]))
+        with pytest.raises(BaselineError, match="linearly dependent"):
+            oml_estimate(rt[:, 0], np.zeros(50))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_treatment_keeps_the_scalar_bits(self, seed):
+        # the (n, m) forms at m = 1 give the scalar ratios' floats exactly,
+        # whether the treatment residual comes as (n,) or as (n, 1)
+        rng = np.random.default_rng(seed)
+        rt = rng.laplace(size=300 + 1000 * seed)
+        ry = 1.55 * rt + rng.standard_normal(rt.size)
+        ts, tp_mean = CONTRASTS["cube"](rt)
+        psi = ts - ts.mean() - rt * tp_mean
+        denominator = float((rt * psi).mean())
+        for shaped in (rt, rt[:, None]):
+            assert oml_estimate(ry, shaped).theta_hat.tolist() == [float(ry @ rt) / float(rt @ rt)]
+            est, diag = homl_estimate(ry, shaped)
+            assert est.theta_hat.tolist() == [float((ry * psi).mean()) / denominator]
+            assert diag.denominator.tolist() == [denominator]
+            assert est.diagnostics.condition_value == denominator
+
+    def test_residual_shapes_checked(self):
+        with pytest.raises(BaselineError, match="treatment residuals"):
+            oml_estimate(np.ones(5), np.ones(4))
+        with pytest.raises(BaselineError, match="treatment residuals"):
+            homl_estimate(np.ones((5, 1)), np.ones(5))
+        with pytest.raises(BaselineError, match="n >= 2"):
+            homl_estimate(np.ones(1), np.ones(1))
+
+
+MULTI = PlrSpec(p=10, m=2, theta=[1.55, 0.65], noise_x=NoiseSpec.laplace(),
+                noise_t=NoiseSpec.laplace(), noise_y=NoiseSpec.laplace())
+
+
+class TestSeveralTreatments:
+    def test_exact_on_noiseless_correlated_columns(self):
+        # ry = rt theta exactly, with treatment residuals that share a
+        # component: both moment steps must solve the m x m system, not
+        # take one column at a time
+        rng = np.random.default_rng(30)
+        shared = rng.laplace(size=2000)
+        rt = np.column_stack([shared + rng.laplace(size=2000), shared - rng.uniform(-2, 2, 2000),
+                              rng.laplace(size=2000)])
+        theta = np.array([1.55, -0.65, 2.0])
+        assert np.allclose(oml_estimate(rt @ theta, rt).theta_hat, theta, rtol=0, atol=1e-12)
+        est, diag = homl_estimate(rt @ theta, rt)
+        assert np.allclose(est.theta_hat, theta, rtol=0, atol=1e-12)
+        assert diag.denominator.shape == diag.condition_value.shape == diag.degenerate.shape == (3,)
+        smallest = min(diag.denominator, key=abs)
+        assert est.diagnostics.condition_value == smallest != diag.denominator[0]
+
+    def test_residual_baselines_centre_on_theta(self):
+        # 8 seeds at n = 5000: each mean estimate within 3 Monte-Carlo
+        # standard errors of theta, column by column. The default penalty's
+        # shrinkage leaves oml about 0.01 low at this n (ROADMAP, small open
+        # FOUND lines), which 8 seeds cannot resolve and 60 do; this checks
+        # the moment steps, not the first stage
+        residuals = [cross_fitted_residuals(simulate(MULTI, 5000, seed=s)) for s in range(8)]
+        assert residuals[0][1].shape == (5000, 2)
+        for name, moment in (("oml", oml_estimate), ("homl", lambda *r: homl_estimate(*r)[0])):
+            thetas = np.array([moment(ry, rt).theta_hat for ry, rt in residuals])
+            se = thetas.std(axis=0, ddof=1) / math.sqrt(len(thetas))
+            assert np.all(np.abs(thetas.mean(axis=0) - MULTI.theta) <= 3.0 * se), name
+
+    def test_oml_error_shrinks_like_root_n(self):
+        def mean_error(n):
+            return np.mean([np.linalg.norm(estimate_oml(simulate(MULTI, n, seed=s)).theta_hat
+                                           - MULTI.theta) for s in range(12)])
+        # four times the rows, half the error
+        assert 0.35 <= mean_error(5000) / mean_error(1250) <= 0.7
+
+    def test_homl_flags_each_column_on_its_own(self):
+        # Gaussian noise on treatment 0 leaves its moment denominator at
+        # zero; three-point noise on treatment 1 keeps its own near -1
+        rng = np.random.default_rng(31)
+        n, p = 20_000, 3
+        x = rng.laplace(size=(n, p))
+        eta = np.column_stack([rng.standard_normal(n), NoiseSpec.three_point().sample(n, rng)])
+        t = x @ rng.uniform(-1.0, 1.0, (p, 2)) + eta
+        y = x @ rng.uniform(-1.0, 1.0, p) + t @ MULTI.theta + rng.laplace(size=n)
+        est, diag = estimate_homl(Dataset(columns=np.column_stack([x, t, y]), p=p, m=2))
+        assert diag.degenerate.tolist() == [True, False]
+        assert diag.denominator[1] == pytest.approx(-1.0, abs=0.1)
+        assert est.diagnostics.notes == "degenerate orthogonal moment"
+        assert est.diagnostics.condition_value == diag.denominator[0]
 
 
 class TestOlsJoint:
@@ -207,7 +289,7 @@ class TestDegeneracyFlagAcrossSeeds:
                            noise_t=NoiseSpec.gaussian(), noise_y=NoiseSpec.laplace())
             ds = simulate(spec, 10_000, seed=seed)
             _, diag = estimate_homl(ds)
-            flagged += diag.degenerate
+            flagged += bool(diag.degenerate[0])
         assert flagged >= 4
 
     def test_three_point_treatment_noise_never_flags(self):
@@ -216,4 +298,4 @@ class TestDegeneracyFlagAcrossSeeds:
                            noise_t=NoiseSpec.three_point(), noise_y=NoiseSpec.laplace())
             ds = simulate(spec, 10_000, seed=seed)
             _, diag = estimate_homl(ds)
-            assert not diag.degenerate
+            assert diag.degenerate.tolist() == [False]

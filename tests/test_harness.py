@@ -158,15 +158,24 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="treatment_counts = 6"):
             dataclasses.replace(tiny_config(), treatment_counts=(1, 6))
 
-    def test_residual_methods_refused_on_cells_with_several_treatments(self):
-        # such a cell would give nothing but nan oml and homl records
-        with pytest.raises(ConfigError, match=r"treatment_counts = 2, contrasts = logcosh\): "
-                                              r"oml and homl handle one treatment, got m = 2"):
-            scenario_from_config("scenario = fig3_left_multi\nmethods = [ica, oml]")
-        with pytest.raises(ConfigError, match="oml and homl handle one treatment, got m = 2"):
-            tiny_config(plr=PlrSpec(p=2, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP,
-                                    noise_y=LAP), methods=("ica", "homl"))
-        assert scenario_from_config("scenario = fig3_left_multi\nmethods = [ica, ols]").cells()
+    def test_residual_methods_run_on_cells_with_several_treatments(self):
+        cfg = scenario_from_config("scenario = fig3_left_multi\nmethods = [ica, oml, homl, ols]\n"
+                                   "sample_sizes = [400]\ncovariate_dims = [3]\nseeds = 1")
+        recs = run_scenario(cfg, workers=1)
+        assert [(r.n_treat, r.method) for r in recs] \
+            == [(m, method) for m in (1, 2, 5) for method in ("ica", "oml", "homl", "ols")]
+        for rec in recs:
+            assert rec.theta_hat.shape == (rec.n_treat,)
+            assert np.isfinite(rec.mse), (rec.method, rec.n_treat, rec.notes)
+
+    @pytest.mark.parametrize("plr", [None, "junk"])
+    def test_plr_must_be_a_process_spec(self, plr):
+        # the template goes through its converter like every other field
+        with pytest.raises(ConfigError, match="bad value for 'plr': expected a PlrSpec"):
+            ScenarioConfig(scenario="x", plr=plr, sample_sizes=(200,), covariate_dims=(3,),
+                           seeds=1)
+        with pytest.raises(ConfigError, match="unknown config keys \\['plr'\\]"):
+            scenario_from_config("plr = junk")
 
     def test_slope_axis_takes_the_scalar_key_rules(self):
         cfg = scenario_from_config("scenario = custom\nnuisance = leaky_relu\nleaky_slopes = [0.0]")
