@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", required=True, help="dataset CSV (x_*,t_*,y header)")
     p_est.add_argument("--method", required=True, choices=METHOD_NAMES)
     p_est.add_argument("--contrast", default="logcosh", choices=tuple(CONTRASTS))
-    p_est.add_argument("--seed", type=int, default=0, help="iteration start seed (ica)")
+    p_est.add_argument("--seed", type=int, default=0, help="seed of ica's restart draws")
     p_est.add_argument("--lambda-scale", type=_finite_float, default=1.0)
     p_est.add_argument("--folds", type=int, default=2)
     p_est.add_argument("--tol", type=_finite_float, default=1e-4)
@@ -98,6 +98,8 @@ def _cmd_estimate(args) -> int:
     print(f"method={est.method}")
     print("theta_hat=" + ";".join("%.17g" % v for v in np.atleast_1d(est.theta_hat)))
     print(f"converged={'true' if est.diagnostics.converged else 'false'}")
+    print(f"iterations={est.diagnostics.iterations}")
+    print(f"restarts={est.diagnostics.restarts}")
     if est.diagnostics.condition_value is not None:
         print(f"condition_value={est.diagnostics.condition_value:.6g}")
     if est.diagnostics.notes:

@@ -3,10 +3,11 @@
 The observed columns (X, T, Y) of a linear partially linear process are an
 invertible mixing of independent non-Gaussian sources, so the unmixing
 matrix is identified up to row scaling and permutation. A fixed-point
-contrast iteration on whitened data recovers an orthonormal rotation;
-canonicalize() then resolves the permutation/scale ambiguity by a
-minimum-cost assignment and pivot rescaling, after which the outcome row
-carries the negated treatment effects.
+contrast iteration on whitened data, started from the unmixing least
+squares implies, recovers an orthonormal rotation; canonicalize() then
+resolves the permutation/scale ambiguity by a minimum-cost assignment and
+pivot rescaling, after which the outcome row carries the negated treatment
+effects.
 """
 from __future__ import annotations
 
@@ -162,6 +163,26 @@ def _sym_decorrelation(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
+def regression_unmixing(cov, p: int, m: int) -> np.ndarray:
+    """Unmixing of the raw (centered) columns (X, T, Y) implied by least squares.
+
+    cov is the covariance of the centered columns. The result is
+    unit-lower-triangular up to row scale, with rows [I_p, 0, 0],
+    [-A, I_m, 0] and [-b, -theta, 1]: A holds the slopes of each T_j on X,
+    and (b, theta) the slopes of Y on (X, T), each block from one solve on
+    a block of cov. That is the exact unmixing of a linear partially linear
+    process, so this estimate of it is root-n consistent. Each row is
+    scaled to unit source variance, so that w cov w^T has a unit diagonal.
+    """
+    c = np.asarray(cov, dtype=float)
+    q = p + m
+    w = np.eye(q + 1)
+    w[p:q, :p] = -np.linalg.solve(c[:p, :p], c[:p, p:q]).T
+    w[q, :q] = -np.linalg.solve(c[:q, :q], c[:q, q])
+    w /= np.sqrt(np.sum((w @ c) * w, axis=1))[:, None]
+    return w
+
+
 def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 1000,
             mode: str = "parallel", seed=0, w_init=None) -> FastIcaResult:
     """Fixed-point contrast iteration on whitened data.
@@ -178,10 +199,11 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     one float32 copy of z; the rotation, the decorrelation and the test
     stay float64, so the float64 test alone decides converged. iterations
     counts the sweeps of both phases, and max_iter bounds their sum.
-    After a rank-deficient update candidate the current phase goes on from a
-    fresh draw of default_rng(seed), the generator of the first start;
-    restarts counts these, and max_iter counts their sweeps. A rank-deficient
-    w_init raises.
+    The iteration starts from w_init, or from a draw of default_rng(seed)
+    when w_init is None. After a rank-deficient update candidate the
+    current phase goes on from a fresh draw of default_rng(seed); restarts
+    counts these, and max_iter counts their sweeps. A rank-deficient w_init
+    raises.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -338,13 +360,17 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
                  max_iter: int = 1000, mode: str = "parallel", seed=0) -> EffectEstimate:
     """Full pipeline: whiten, rotate, canonicalize, read effects.
 
-    diagnostics.condition_value is the smallest pivot magnitude used for
-    row rescaling; values near the degeneracy threshold mean the source
-    match was barely identified.
+    The contrast iteration starts from regression_unmixing, the unmixing
+    least squares implies, carried into whitened coordinates; seed feeds
+    only the restart draws. diagnostics.condition_value is the smallest
+    pivot magnitude used for row rescaling; values near the degeneracy
+    threshold mean the source match was barely identified.
     """
     whitened, k, means = whiten(dataset.columns)
+    k_inv = np.linalg.inv(k)  # cov = k_inv k_inv^T, as k cov k^T = I
+    w0 = regression_unmixing(k_inv @ k_inv.T, dataset.p, dataset.m)
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
-                     mode=mode, seed=seed)
+                     mode=mode, seed=seed, w_init=w0 @ k_inv)
     est = assemble_unmixing(result, k, means, contrast)
     canonical, pivots = _canonicalize_details(est.w_total)
     diag = Diagnostics(

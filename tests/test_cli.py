@@ -127,6 +127,15 @@ class TestEstimate:
         got = np.array([float(v) for v in lines["theta_hat"].split(";")])
         assert np.array_equal(got, want.theta_hat)
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_prints_iterations_and_restarts(self, data_csv, capsys, method):
+        assert main(["estimate", "--data", data_csv, "--method", method]) == EXIT_OK
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        want = estimate(method, Dataset.from_csv(data_csv)).diagnostics
+        assert (lines["iterations"], lines["restarts"]) == (str(want.iterations), str(want.restarts))
+        # the baselines run no contrast iteration; ica runs at least one sweep
+        assert (int(lines["iterations"]) > 0) == (method == "ica")
+
 
 class TestExperiment:
     def test_list_builtins(self, capsys):

@@ -20,6 +20,8 @@ from plrica import (
     fastica,
     get_contrast,
     hungarian,
+    ols_joint,
+    regression_unmixing,
     resolve,
     scenario_from_config,
     simulate,
@@ -357,6 +359,43 @@ class TestFastIca:
         random_row = stationarity_residual(z, w_rand, "logcosh")
         assert fitted < 0.02
         assert fitted < random_row / 5
+
+
+class TestRegressionStart:
+    @pytest.mark.parametrize("m, theta", [(1, (3.0,)), (2, (1.5, -0.5))])
+    def test_rows_are_the_least_squares_slopes(self, m, theta):
+        p = 3
+        ds = simulate(laplace_spec(p=p, m=m, theta=theta), 2000, seed=20 + m)
+        xc = ds.columns - ds.columns.mean(axis=0)
+        cov = xc.T @ xc / ds.n
+        w0 = regression_unmixing(cov, p, m)
+        assert np.allclose(np.diag(w0 @ cov @ w0.T), 1.0, rtol=0, atol=1e-12)
+        assert not np.triu(w0, 1).any()
+        canonical = canonicalize(w0)
+        assert np.allclose(canonical, w0 / np.diag(w0)[:, None], rtol=0, atol=1e-12)
+        assert np.allclose(-canonical[p + m, p:p + m], ols_joint(ds).theta_hat, rtol=0, atol=1e-10)
+        design = np.column_stack([ds.x, np.ones(ds.n)])
+        for j in range(m):
+            slopes = np.linalg.lstsq(design, ds.t[:, j], rcond=None)[0][:p]
+            assert np.allclose(-canonical[p + j, :p], slopes, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
+    def test_few_sweeps_from_the_start(self, contrast):
+        # the ica_bulk cell: 10 to 15 sweeps from a random rotation on its first
+        # five replications, 4 from the regression start
+        config = scenario_from_config("scenario = appE_contrast\nsample_sizes = [10000]\n"
+                                      f"contrasts = [{contrast}]")
+        cell = config.cells()[0]
+        ds = simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, 0))
+        diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
+        assert diag.converged and diag.iterations <= 6
+
+    def test_seed_feeds_only_the_restarts(self):
+        ds = simulate(laplace_spec(p=3), 2000, seed=22)
+        a, b = estimate_ica(ds, seed=0), estimate_ica(ds, seed=1)
+        assert a.diagnostics.restarts == b.diagnostics.restarts == 0
+        assert np.array_equal(a.theta_hat, b.theta_hat)
+        assert a.diagnostics.iterations == b.diagnostics.iterations
 
 
 def _loop_canonicalize(w):
