@@ -16,7 +16,7 @@ import numpy as np
 from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
 from .ica import CONTRASTS, Diagnostics, EffectEstimate
-from .kernels import lasso_fits
+from .kernels import ZERO_SCALE, gram_lasso
 
 HOML_DENOMINATOR_FLOOR = 1e-6
 RANK_CERTIFICATE = 1e-8  # lower bound on the eigenvalue ratio of A^T A that ols_joint certifies
@@ -61,40 +61,54 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
                  tol: float = 1e-4, max_iter: int = 1000) -> NuisanceFit:
     """Cross-fitted lasso regressions of each treatment and the outcome on X.
 
-    Fold k is the rows with index % folds == k. The penalty is
-    lambda_scale * sqrt(log(p + m + 1) / n_train) for each training split.
-    The m + 1 targets of a split share one standardized design and Gram
-    matrix (kernels.lasso_fits).
+    Fold k is the rows with index % folds == k, the strided view
+    xc[k::folds] of one centered copy xc of dataset.columns. The penalty
+    is lambda_scale * sqrt(log(p + m + 1) / n_train) for each training
+    split. A training split's column sums and cross-products are the sums
+    of the other folds' strided products, never a total minus a fold,
+    which can lose positive semi-definiteness on singular cells; its
+    standardized Gram matrix and the covariances of the m + 1 targets come
+    from them, and kernels.gram_lasso fits all targets on that Gram
+    matrix. Each fold is then predicted with one product
+    xc[k::folds, :p] @ B for the (p, m + 1) weights B. No row is copied.
     """
     lambda_scale = _convert("lambda_scale", _as_float, lambda_scale, BaselineError)
     folds = _convert("folds", _as_int, folds, BaselineError)
     if folds < 2:
         raise BaselineError("need at least 2 folds for cross-fitting")
-    n = dataset.n
+    n, p = dataset.n, dataset.p
     if n < 2 * folds:
         raise BaselineError(f"need at least {2 * folds} rows for {folds} folds")
     if lambda_scale <= 0:
         raise BaselineError("lambda_scale must be positive")
-    x, t, y = dataset.x, dataset.t, dataset.y
-    fold_assignment = np.arange(n) % folds
-    predictions_t = np.empty_like(t)
-    predictions_y = np.empty(n)
+    cols = dataset.columns
+    col_means = np.ones(n) @ cols / n
+    xc = cols - col_means
+    parts = [xc[k::folds] for k in range(folds)]
+    sums = [np.ones(len(part)) @ part for part in parts]
+    cross = [part.T @ part for part in parts]
+    predictions = np.empty((n, dataset.m + 1))
     penalties = []
     for k in range(folds):
-        test = fold_assignment == k
-        train = ~test
-        lam = lambda_scale * math.sqrt(math.log(dataset.p + dataset.m + 1) / int(train.sum()))
+        n_train = n - len(parts[k])
+        others = [j for j in range(folds) if j != k]
+        train_means = sum(sums[j] for j in others) / n_train
+        moments = sum(cross[j] for j in others) / n_train - np.outer(train_means, train_means)
+        scales = np.sqrt(np.maximum(moments.diagonal()[:p], 0.0))
+        alive = scales > ZERO_SCALE
+        safe_scales = np.where(alive, scales, 1.0)
+        gram = moments[:p, :p] / np.outer(safe_scales, safe_scales)
+        covs = moments[:p, p:].T / safe_scales
+        lam = lambda_scale * math.sqrt(math.log(p + dataset.m + 1) / n_train)
         penalties.append(lam)
-        targets = [t[train, j] for j in range(dataset.m)] + [y[train]]
-        fits = lasso_fits(x[train], targets, lam, tol=tol, max_iter=max_iter)
-        x_te = x[test]
-        for j, fit in enumerate(fits[:-1]):
-            predictions_t[test, j] = fit.predict(x_te)
-        predictions_y[test] = fits[-1].predict(x_te)
+        fits = gram_lasso(gram, covs, lam, alive, tol, max_iter)
+        weights = np.column_stack([w for w, _, _ in fits]) / safe_scales[:, None]
+        offsets = train_means[p:] - train_means[:p] @ weights + col_means[p:]
+        predictions[k::folds] = parts[k][:, :p] @ weights + offsets
     return NuisanceFit(
-        predictions_t=predictions_t,
-        predictions_y=predictions_y,
-        fold_assignment=fold_assignment,
+        predictions_t=predictions[:, :-1],
+        predictions_y=predictions[:, -1],
+        fold_assignment=np.arange(n) % folds,
         penalties=tuple(penalties),
     )
 

@@ -1,9 +1,13 @@
 """Dense numeric kernels shared by the estimators.
 
-A covariance-update coordinate-descent lasso on a shared Gram matrix and
-minimum-cost assignment, the latter implemented here by shortest
-augmenting paths so that the package needs numpy only. Everything
-operates on float64 arrays and is a pure function of its inputs.
+A lasso solved from second moments alone (gram_lasso): a primal-dual
+active-set start, guarded so that a singular active block or a start
+worse than zero falls back to zero, then covariance-update coordinate
+descent to the usual stop test, so that n_sweeps counts the sweeps after
+the start, usually one. Also minimum-cost assignment, implemented here by
+shortest augmenting paths so that the package needs numpy only.
+Everything operates on float64 arrays and is a pure function of its
+inputs.
 """
 from __future__ import annotations
 
@@ -12,6 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._converters import _as_float, _as_int, _convert
+
+
+ZERO_SCALE = 1e-12  # a column with standard deviation at or below this gets weight 0
+ACTIVE_SET_STEPS = 20  # cap on active-set steps per target; coordinate descent finishes
+PIVOT_FLOOR = 1e-10  # smallest accepted ratio of Cholesky pivots in an active-set solve
 
 
 class KernelError(ValueError):
@@ -48,15 +57,16 @@ class LassoFit:
 
 
 def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 1000) -> LassoFit:
-    """Lasso by covariance-update coordinate descent on a shared Gram matrix.
+    """Lasso on internally standardized columns.
 
     Minimizes (1/(2n))||target - design @ w||^2 + lam * ||w||_1 on
     internally standardized columns (zero mean, unit sample variance) with
     the intercept handled by centering the target; the returned weights are
-    mapped back to the original column scales. Iteration stops when the
-    largest coordinate change in a sweep drops below tol or after max_iter
-    sweeps. Columns with zero variance get weight exactly 0. This is
-    lasso_fits with a single target.
+    mapped back to the original column scales. The fit is gram_lasso's:
+    an active-set start, then coordinate descent until the largest
+    coordinate change in a sweep drops below tol or after max_iter sweeps.
+    Columns with zero variance get weight exactly 0. This is lasso_fits
+    with a single target.
     """
     return lasso_fits(design, [target], lam, tol=tol, max_iter=max_iter)[0]
 
@@ -66,11 +76,9 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
 
     The design is standardized once and its Gram matrix G = xs'xs/n is
     formed once for all targets (Friedman, Hastie and Tibshirani, JSS
-    2010). Target k then runs cyclic coordinate descent on
-    q = xs'(y_k - mean y_k)/n - G w, which is xs'(residual)/n, so the step
-    rho = q[j] + w[j] is the one the residual-update form takes and an
-    update costs O(p) instead of O(n). Each target's covariances come from
-    its own product, so every fit equals lasso_fit on that target alone.
+    2010); target k's covariances xs'(y_k - mean y_k)/n come from its own
+    product, so every fit equals lasso_fit on that target alone. Both go
+    to gram_lasso, which fits every target on G.
     """
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
@@ -82,6 +90,47 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
             raise KernelError(f"target shape {y.shape} does not match design rows {n}")
     if n < 1:
         raise KernelError("need at least one observation")
+
+    # one centered copy; its scales are x.std(axis=0) by the same reductions
+    col_means = x.mean(axis=0)
+    xs = x - col_means
+    col_scales = np.sqrt(np.add.reduce(xs * xs, axis=0) / n)
+    alive = col_scales > ZERO_SCALE
+    safe_scales = np.where(alive, col_scales, 1.0)
+    xs /= safe_scales
+    gram = xs.T @ xs / n
+    y_means = [float(y.mean()) for y in ys]
+    covs = [xs.T @ (y - y_mean) / n for y, y_mean in zip(ys, y_means)]
+
+    fits = []
+    for (w, converged, sweeps), y_mean in zip(gram_lasso(gram, covs, lam, alive, tol, max_iter),
+                                              y_means):
+        weights = w / safe_scales  # a dead column's weight stays exactly 0
+        fits.append(LassoFit(
+            weights=weights,
+            intercept=y_mean - float(col_means @ weights),
+            lam=float(lam),  # gram_lasso has refused anything but a number
+            converged=converged,
+            n_sweeps=sweeps,
+        ))
+    return fits
+
+
+def gram_lasso(gram: np.ndarray, covs, lam: float, alive: np.ndarray, tol: float,
+               max_iter: int) -> list[tuple[np.ndarray, bool, int]]:
+    """Lasso in standardized coordinates from second moments alone.
+
+    Minimizes w'Gw/2 - c'w + lam * ||w||_1 over the live columns
+    (alive[j]) for each (p,) covariance vector c in covs, where G = gram
+    has unit diagonal on the live columns; dead columns keep weight 0.
+    Each target starts from active_set_start and runs cyclic coordinate
+    descent on q = c - G w, which is xs'(residual)/n, so the step
+    rho = q[j] + w[j] is the one the residual-update form takes and an
+    update costs O(p) instead of O(n). Descent stops when the largest
+    coordinate change in a sweep drops below tol or after max_iter sweeps;
+    from an exact start one sweep passes the test. Returns (weights,
+    converged, sweeps) per target, the sweeps counted from the start.
+    """
     lam = _convert("lam", _as_float, lam, KernelError)
     tol = _convert("tol", _as_float, tol, KernelError)
     max_iter = _convert("max_iter", _as_int, max_iter, KernelError)
@@ -89,31 +138,22 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
         raise KernelError("lam must be nonnegative")
     if tol <= 0 or max_iter < 1:
         raise KernelError("tol must be positive and max_iter at least 1")
-
-    # one centered copy; its scales are x.std(axis=0) by the same reductions
-    col_means = x.mean(axis=0)
-    xs = x - col_means
-    col_scales = np.sqrt(np.add.reduce(xs * xs, axis=0) / n)
-    alive = col_scales > 1e-12
-    safe_scales = np.where(alive, col_scales, 1.0)
-    xs /= safe_scales
-    gram = xs.T @ xs / n  # symmetric, so row j is column j
-    live = np.flatnonzero(alive).tolist()
-    rows = list(gram)  # row views made once, not one per update
-    step = np.empty(p)  # gram[j] * delta, refilled every update
-
-    fits = []
-    for y in ys:
-        y_mean = float(y.mean())
-        q = xs.T @ (y - y_mean) / n
-        w = [0.0] * p  # Python floats: scalar arithmetic without numpy boxing
+    live = np.flatnonzero(alive)
+    g = gram[live[:, None], live]  # dead columns never move, so descent skips them
+    rows = list(g)  # g is symmetric, so row j is column j; views made once, not per update
+    step = np.empty(len(live))  # g[j] * delta, refilled every update
+    out = []
+    for cov in covs:
+        c = cov[live]
+        start = active_set_start(g, c, lam)
+        q = c - g @ start
+        w = start.tolist()  # Python floats: scalar arithmetic without numpy boxing
         converged = False
         sweeps = 0
         for _ in range(max_iter):
             sweeps += 1
             max_delta = 0.0
-            for j in live:
-                w_old = w[j]
+            for j, w_old in enumerate(w):
                 # unit sample variance makes the coordinate divisor 1
                 w_new = soft_threshold(q.item(j) + w_old, lam)
                 if w_new != w_old:
@@ -125,16 +165,48 @@ def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1
             if max_delta < tol:
                 converged = True
                 break
+        weights = np.zeros(len(cov))
+        weights[live] = w
+        out.append((weights, converged, sweeps))
+    return out
 
-        weights = np.where(alive, np.array(w) / safe_scales, 0.0)
-        fits.append(LassoFit(
-            weights=weights,
-            intercept=y_mean - float(col_means @ weights),
-            lam=lam,
-            converged=converged,
-            n_sweeps=sweeps,
-        ))
-    return fits
+
+def active_set_start(gram: np.ndarray, cov: np.ndarray, lam: float) -> np.ndarray:
+    """Primal-dual active-set start for gram_lasso (Hintermueller, Ito and
+    Kunisch, SIAM J. Optim. 2002) on the live columns, or zeros when it
+    cannot be trusted.
+
+    From w = 0, each step sets u = w + cov - G w, takes the active set
+    A = {j : |u_j| > lam} and solves w_A = G_AA^-1 (cov_A - lam *
+    sign u_A) with w = 0 off A; it stops when A and the signs repeat,
+    which is the lasso's optimality condition, or after
+    ACTIVE_SET_STEPS steps. The start is refused, and zeros returned, when
+    a Cholesky factorization of some G_AA fails or has a pivot ratio at or
+    below PIVOT_FLOOR (p at least the training rows, or a zero penalty on
+    a singular design), or when its objective is above the objective at 0.
+    """
+    w = np.zeros(len(cov))
+    u = cov  # w + cov - G w at w = 0
+    state = None  # sign u_j on A and 0 off it
+    for _ in range(ACTIVE_SET_STEPS):
+        step_state = np.sign(u) * (np.abs(u) > lam)
+        if state is not None and (step_state == state).all():
+            break
+        state = step_state
+        active = np.flatnonzero(state)
+        w = np.zeros_like(w)
+        if active.size:
+            block = gram[active[:, None], active]
+            try:
+                pivots = np.diagonal(np.linalg.cholesky(block))
+            except np.linalg.LinAlgError:
+                return np.zeros_like(w)
+            if not pivots.min() ** 2 > PIVOT_FLOOR * pivots.max() ** 2:  # False on nan too
+                return np.zeros_like(w)
+            w[active] = np.linalg.solve(block, cov[active] - lam * state[active])
+        u = w + cov - gram @ w
+    objective = 0.5 * (w @ (gram @ w)) - cov @ w + lam * np.abs(w).sum()
+    return w if objective <= 0.0 else np.zeros_like(w)
 
 
 def hungarian(cost) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from plrica import (
     homl_estimate,
     ols_joint,
     oml_estimate,
+    scenario_from_config,
     simulate,
 )
+from plrica.harness import run_cell_replication
 from plrica.ica import CONTRASTS
 
 
@@ -60,6 +63,40 @@ class TestFitNuisance:
         fit = fit_nuisance(ds)
         resid = ds.y - fit.predictions_y
         assert resid.var() < 0.5 * ds.y.var()
+
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_copies_no_rows(self, folds):
+        # one centered copy of the columns and (p + m + 1)^2 statistics per
+        # fold; copying a fold's training rows of X alone would add
+        # (folds - 1) / folds of the covariate block
+        ds = simulate(laplace_spec(p=50), 5000, seed=5)
+        fit_nuisance(ds, folds=folds)
+        tracemalloc.start()
+        try:
+            fit_nuisance(ds, folds=folds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.columns.nbytes
+
+    def test_wide_fig2_cell_stays_finite(self):
+        # fig2's n = 100, p = 50 cell trains each fold on 50 rows, where an
+        # active set's Gram block can be singular; the start is refused
+        # there, and the estimates stay near those of coordinate descent
+        # from zero (the literals), which an unguarded start moves to 1e16
+        cfg = scenario_from_config("scenario = fig2_linear_homl\nmethods = [oml, homl]\n"
+                                   "sample_sizes = [100]\ncovariate_dims = [50]")
+        zero_start = [
+            [2.6274646632860055, 2.572433727513836], [2.1917694833609915, 0.8627287119476014],
+            [2.5456535366013027, 4.353642610569457], [2.752617604278375, 4.521177992694821],
+            [2.203343068907836, 2.8023593505155495], [2.184310443985266, 3.3855089889129446],
+            [2.36734975920871, -5.4454937538205535], [2.440984889718908, -0.26095672406058046],
+            [2.4206333867798673, 1.3450192196721216], [2.0326497397833085, -1.4925956924288166],
+        ]
+        got = [[float(r.theta_hat[0]) for r in run_cell_replication(cfg, cfg.cells()[0], i)]
+               for i in range(len(zero_start))]
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(np.array(got) - zero_start)) <= 1e-2
 
     def test_bad_args(self):
         ds = simulate(laplace_spec(), 50, seed=4)

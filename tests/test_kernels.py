@@ -20,6 +20,7 @@ from plrica import (
 )
 from plrica.harness import cell_seed, spec_for_cell
 from plrica.ica import LOG_CLIP
+from plrica.kernels import active_set_start
 
 
 class TestSoftThreshold:
@@ -43,10 +44,11 @@ class TestSoftThreshold:
 
 
 def _residual_update_lasso(design, target, lam, tol=1e-4, max_iter=1000):
-    """Reference cyclic coordinate descent that keeps the full residual and
-    takes each step from an O(n) product with a design column; the
-    Gram-matrix loop in lasso_fit must take the same steps up to rounding.
-    Returns (weights, intercept, converged, sweeps)."""
+    """Reference cyclic coordinate descent from zero that keeps the full
+    residual and takes each step from an O(n) product with a design column.
+    Run to a tight tol it gives the lasso solution; at lasso_fit's tol it
+    takes the steps the Gram-matrix loop takes from a refused start, up to
+    rounding. Returns (weights, intercept, converged, sweeps)."""
     x = np.asarray(design, dtype=float)
     y = np.asarray(target, dtype=float)
     n, p = x.shape
@@ -94,11 +96,12 @@ LASSO_DESIGNS = ("constant column", "p close to n", "p close to n, zero penalty"
                  "correlated, zero penalty", "large penalty")
 
 
-def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000):
+def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000, warm=True):
     """Reference lasso_fits on numpy scalars: standardization through
-    x.std and (x - mean) / scale, and a loop that indexes float arrays for
-    w and q. Returns (weights, intercept, n_sweeps, converged) per target;
-    lasso_fits must match it bit for bit."""
+    x.std and (x - mean) / scale, and a loop over the live columns that
+    indexes float arrays for w and q, started from active_set_start (warm)
+    or from zero. Returns (weights, intercept, n_sweeps, converged) per
+    target; lasso_fits must match the warm loop bit for bit."""
     x = np.asarray(design, dtype=float)
     n, p = x.shape
     ys = [np.asarray(target, dtype=float) for target in targets]
@@ -107,19 +110,20 @@ def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000):
     alive = col_scales > 1e-12
     safe_scales = np.where(alive, col_scales, 1.0)
     xs = (x - col_means) / safe_scales
-    gram = xs.T @ xs / n
-    live = np.flatnonzero(alive).tolist()
+    live = np.flatnonzero(alive)
+    gram = (xs.T @ xs / n)[np.ix_(live, live)]
     out = []
     for y in ys:
         y_mean = float(y.mean())
-        q = xs.T @ (y - y_mean) / n
-        w = np.zeros(p)
+        cov = (xs.T @ (y - y_mean) / n)[live]
+        w = active_set_start(gram, cov, lam) if warm else np.zeros(len(live))
+        q = cov - gram @ w
         converged = False
         sweeps = 0
         for _ in range(max_iter):
             sweeps += 1
             max_delta = 0.0
-            for j in live:
+            for j in range(len(live)):
                 w_old = w[j]
                 w_new = soft_threshold(q[j] + w_old, lam)
                 if w_new != w_old:
@@ -129,7 +133,8 @@ def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000):
             if max_delta < tol:
                 converged = True
                 break
-        weights = np.where(alive, w / safe_scales, 0.0)
+        weights = np.zeros(p)
+        weights[live] = w / safe_scales[live]
         out.append((weights, y_mean - float(col_means @ weights), sweeps, converged))
     return out
 
@@ -151,8 +156,8 @@ class TestLasso:
         fit = lasso_fit(x, y, lam=0.0)
         design = np.column_stack([x, np.ones(200)])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert np.max(np.abs(fit.weights - coef[:4])) <= 1e-6
-        assert fit.intercept == pytest.approx(coef[4], abs=1e-6)
+        assert np.max(np.abs(fit.weights - coef[:4])) <= 1e-10
+        assert fit.intercept == pytest.approx(coef[4], abs=1e-10)
         assert fit.converged
 
     def test_single_standardized_column_closed_form(self):
@@ -182,7 +187,7 @@ class TestLasso:
         x = rng.standard_normal((150, 6))
         y = x[:, 0] - 2 * x[:, 3] + 0.1 * rng.standard_normal(150)
         lam = 0.05
-        fit = lasso_fit(x, y, lam=lam, tol=1e-12, max_iter=10_000)
+        fit = lasso_fit(x, y, lam=lam)
         assert fit.converged
         means, scales = x.mean(axis=0), x.std(axis=0)
         xs = (x - means) / scales
@@ -220,16 +225,56 @@ class TestLasso:
         with pytest.raises(KernelError, match=f"bad value for '{key}'"):
             lasso_fits(np.ones((4, 1)), [np.ones(4)], **settings)
 
-    @pytest.mark.parametrize("kind", LASSO_DESIGNS)
+    @pytest.mark.parametrize("kind", [k for k in LASSO_DESIGNS if k != "p close to n"])
     def test_matches_residual_update_reference(self, kind):
+        # the active-set start is the solution, so at the default tol the
+        # weights are those of the zero-start reference run to tol = 1e-13
         x, y, lam = _lasso_design(kind, np.random.default_rng(0))
+        w_ref, b_ref, converged_ref, _ = _residual_update_lasso(x, y, lam, tol=1e-13,
+                                                                 max_iter=20_000)
+        fit = lasso_fit(x, y, lam)
+        assert converged_ref and fit.converged
+        scale = max(1.0, np.max(np.abs(w_ref)))
+        assert np.max(np.abs(fit.weights - w_ref)) <= 1e-10 * scale
+        assert fit.intercept == pytest.approx(b_ref, abs=1e-10 * scale * np.max(np.abs(x)))
+
+    def test_refused_start_takes_residual_update_steps(self):
+        # on "p close to n" the active sets cycle and the last one's
+        # objective is above the objective at 0, so descent starts from zero
+        # and takes the reference's steps
+        x, y, lam = _lasso_design("p close to n", np.random.default_rng(0))
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        start = active_set_start(xs.T @ xs / len(y), xs.T @ (y - y.mean()) / len(y), lam)
+        assert not start.any()
         w_ref, b_ref, converged_ref, sweeps_ref = _residual_update_lasso(x, y, lam)
         fit = lasso_fit(x, y, lam)
-        assert fit.n_sweeps == sweeps_ref
-        assert fit.converged == converged_ref
+        assert (fit.n_sweeps, fit.converged) == (sweeps_ref, converged_ref)
         scale = max(1.0, np.max(np.abs(w_ref)))
         assert np.max(np.abs(fit.weights - w_ref)) <= 1e-12 * scale
         assert fit.intercept == pytest.approx(b_ref, abs=1e-12 * scale * np.max(np.abs(x)))
+
+    def test_correlated_zero_penalty_reaches_least_squares(self):
+        # coordinate descent from zero stops here at max_iter, 8e-2 away
+        x, y, lam = _lasso_design("correlated, zero penalty", np.random.default_rng(0))
+        fit = lasso_fit(x, y, lam)
+        coef, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(len(y))]), y, rcond=None)
+        assert fit.converged
+        assert np.max(np.abs(fit.weights - coef[:-1])) <= 1e-9
+        assert fit.intercept == pytest.approx(coef[-1], abs=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_wide_design_starts_from_zero(self, lam):
+        # p > n: the active-set Gram blocks are singular, so the start is
+        # refused and the fit is the zero-start loop's; a start taken
+        # anyway lands on another minimizer, far from this one
+        x, y, _ = _wide_design(np.random.default_rng(3))
+        targets = [y, x[:, 0] - 3.0 * y]
+        want = _numpy_loop_lasso_fits(x, targets, lam, warm=False)
+        for fit, (weights, intercept, sweeps, converged) in zip(lasso_fits(x, targets, lam), want,
+                                                                strict=True):
+            assert fit.weights.tobytes() == weights.tobytes()
+            assert fit.intercept == intercept
+            assert (fit.n_sweeps, fit.converged) == (sweeps, converged)
 
     @pytest.mark.parametrize("kind", LASSO_DESIGNS)
     def test_shared_gram_equals_single_target_calls(self, kind):
@@ -260,6 +305,20 @@ class TestLasso:
             assert fit.weights.tobytes() == weights.tobytes()
             assert fit.intercept == intercept
             assert (fit.n_sweeps, fit.converged) == (sweeps, converged)
+
+    def test_near_collinear_block_starts_from_zero(self):
+        # two columns that agree to 1e-6: the active block factors, but its
+        # last Cholesky pivot is about 1e-12 of the first, below
+        # PIVOT_FLOOR, so the start is refused and the fit is the
+        # zero-start loop's
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((100, 3))
+        x[:, 2] = x[:, 1] + 1e-6 * rng.standard_normal(100)
+        y = x @ np.array([1.0, 0.5, 0.5]) + 0.1 * rng.standard_normal(100)
+        want = _numpy_loop_lasso_fits(x, [y], 0.0, warm=False)[0]
+        fit = lasso_fit(x, y, 0.0)
+        assert fit.weights.tobytes() == want[0].tobytes()
+        assert (fit.intercept, fit.n_sweeps, fit.converged) == want[1:]
 
     def test_shared_gram_checks_every_target(self):
         x = np.ones((5, 2))
