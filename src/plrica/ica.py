@@ -22,10 +22,11 @@ from .kernels import hungarian
 
 PIVOT_DEGENERACY_TOL = 1e-8
 LOG_CLIP = 1e-300
-# stop level of fastica's float32 sweeps when tol is below it. Float32
-# sweeps from a converged rotation give 1 - |cos| of 1e-14 to 1e-12 (d = 4
-# to 52, n = 500 to 10^6), so a tol near or below that floor would hold the
-# float32 phase to max_iter; 1e-8 is four orders above it
+# lowest stop level fastica's float32 sweeps decide: at tol >= F32_SWITCH
+# their test decides converged, and only a lower tol adds float64 sweeps.
+# Float32 sweeps from a converged rotation give 1 - |cos| of 1e-14 to 1e-12
+# (d = 4 to 52, n = 500 to 10^6), so a float32 stop level near or below that
+# floor would hold them to max_iter; 1e-8 is four orders above it
 F32_SWITCH = 1e-8
 
 
@@ -193,17 +194,17 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     to about sqrt(2 tol) rad from the fixed point (1.4e-2 at the default
     tol). A non-converged result is still returned with converged=False.
 
-    Sweeps run on a fixed precision schedule: in float32 until the test
-    passes at max(tol, F32_SWITCH), then in float64 until it passes at
-    tol. Only the sources z w^T, the contrast and g^T z are float32, on
-    one float32 copy of z; the rotation, the decorrelation and the test
-    stay float64, so the float64 test alone decides converged. iterations
-    counts the sweeps of both phases, and max_iter bounds their sum.
-    The iteration starts from w_init, or from a draw of default_rng(seed)
-    when w_init is None. After a rank-deficient update candidate the
-    current phase goes on from a fresh draw of default_rng(seed); restarts
-    counts these, and max_iter counts their sweeps. A rank-deficient w_init
-    raises.
+    Sweeps run in float32 until the test passes at max(tol, F32_SWITCH);
+    only a tol below F32_SWITCH adds float64 sweeps, until it passes at
+    tol. Only the sources z w^T, the contrast and g^T z are float32, on one
+    float32 copy of z; the rotation, the decorrelation and the test stay
+    float64. So the float32 test decides converged at tol >= F32_SWITCH and
+    the float64 test below it. iterations counts, and max_iter bounds, the
+    sweeps of both phases. The iteration starts from w_init, or from a draw
+    of default_rng(seed) when w_init is None. After a rank-deficient update
+    candidate the current phase goes on from a fresh draw of
+    default_rng(seed); restarts counts these, and max_iter counts their
+    sweeps. A rank-deficient w_init raises.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -221,13 +222,12 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     if w.shape != (d, d):
         raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
     w = _sym_decorrelation(w)
-    # storage for the sources and t(sources), refilled every sweep; the
-    # float32 phase uses the first half of each float64 buffer
-    s_buf, g_buf = np.empty(n * d), np.empty(n * d)
     it = restarts = 0
-    for dtype, stop in ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol)):
+    phases = ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))
+    for dtype, stop in phases[: 2 if tol < F32_SWITCH else 1]:
         zt = z.astype(dtype, copy=False)
-        s, g = (buf.view(dtype)[: n * d].reshape(n, d) for buf in (s_buf, g_buf))
+        s = np.empty((n, d), dtype)  # the sources and t(sources), refilled every sweep
+        g = np.empty_like(s)
         while True:
             if it == max_iter:
                 return FastIcaResult(w, False, it, restarts)

@@ -207,13 +207,15 @@ def _reference_decorrelation(m):
 
 def _two_pass_parallel(z, contrast, tol, max_iter, w):
     """Reference parallel iteration on fastica's precision schedule: float32
-    sweeps until the stop statistic is below max(tol, F32_SWITCH), then
-    float64 sweeps until it is below tol. The fused loop in fastica must
-    follow it up to rounding. Returns the rotation, whether the float64 test
-    passed, and the sweeps of each phase."""
+    sweeps until the stop statistic is below max(tol, F32_SWITCH), then, only
+    when tol is below F32_SWITCH, float64 sweeps until it is below tol. The
+    fused loop in fastica must follow it up to rounding. Returns the
+    rotation, whether the last phase's test passed, and the sweeps of each
+    phase."""
     w = _reference_decorrelation(w)
     sweeps = [0, 0]
-    for phase, (dtype, stop) in enumerate(((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))):
+    phases = ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))
+    for phase, (dtype, stop) in enumerate(phases[: 2 if tol < F32_SWITCH else 1]):
         lim = np.inf
         while lim >= stop:
             if sum(sweeps) == max_iter:
@@ -250,19 +252,42 @@ class TestFastIca:
                 estimate_ica(ds, mode=mode)
 
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
-    def test_fused_loop_matches_two_pass_reference(self, contrast):
+    @pytest.mark.parametrize("tol, phases", [(1e-4, 1), (1e-10, 2)])
+    def test_fused_loop_matches_two_pass_reference(self, contrast, tol, phases):
         ds = simulate(laplace_spec(p=3), 2000, seed=11)
         z, _, _ = whiten(ds.columns)
-        res = fastica(z, contrast=contrast, tol=1e-8, seed=4)
+        res = fastica(z, contrast=contrast, tol=tol, seed=4)
         w0 = np.random.default_rng(4).standard_normal((z.shape[1], z.shape[1]))
-        w_ref, converged_ref, sweeps = _two_pass_parallel(z, contrast, 1e-8, 1000, w0)
+        w_ref, converged_ref, sweeps = _two_pass_parallel(z, contrast, tol, 1000, w0)
         assert res.converged and converged_ref
+        assert sum(n > 0 for n in sweeps) == phases
         assert res.iterations == sum(sweeps)
-        # the two float32 phases round differently, and the float64 finish is
-        # one sweep from there, so the rotations agree to float32 rounding
+        # the float32 sweeps of fastica and of the reference round differently,
+        # and any float64 phase starts from there, so the rotations agree to
+        # float32 rounding
         assert np.max(np.abs(res.w_rotation - w_ref)) <= 10 * np.finfo(np.float32).eps
         # float64 certificate: one more float64 sweep moves no row past tol
-        assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1e-8
+        assert _reference_sweep(z, contrast, res.w_rotation)[1] < tol
+
+    @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
+    def test_float32_sweeps_alone_at_float32_stop_levels(self, contrast):
+        ds = simulate(laplace_spec(p=3), 4000, seed=15)
+        z, _, _ = whiten(ds.columns)
+        tracemalloc.start()
+        try:
+            res = fastica(z, contrast=contrast, tol=F32_SWITCH, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float32 copy of z, the float32 sources and t(sources), and no float64 n x d array
+        assert peak < 2 * z.nbytes
+        assert res.converged
+        assert _reference_sweep(z, contrast, res.w_rotation)[1] < F32_SWITCH
+        # below F32_SWITCH the float64 phase still follows
+        w0 = np.random.default_rng(5).standard_normal((z.shape[1], z.shape[1]))
+        _, _, sweeps = _two_pass_parallel(z, contrast, 1e-10, 1000, w0)
+        assert sweeps[1] > 0
+        assert fastica(z, contrast=contrast, tol=1e-10, seed=5).iterations == sum(sweeps)
 
     def test_tol_below_float32_resolution_converges(self):
         ds = simulate(laplace_spec(p=3), 10000, seed=12)
@@ -324,15 +349,19 @@ class TestFastIca:
         monkeypatch.setattr("plrica.ica._sym_decorrelation", decorrelate)
 
     def test_rank_deficient_candidate_restarts(self, monkeypatch):
+        # each fit fails at the candidate of its own last sweep, a call it reaches
         ds = simulate(laplace_spec(), 5000, seed=3)
         z, _, _ = whiten(ds.columns)
-        self.failing_decorrelation(monkeypatch, lambda call: call == 4)
+        last_rotate = fastica(z, tol=1e-6, seed=3).iterations + 1
+        last_estimate = estimate_ica(ds, seed=3).diagnostics.iterations + 1
+        self.failing_decorrelation(monkeypatch, lambda call: call == last_rotate)
         res = fastica(z, tol=1e-6, seed=3)
         assert res.converged and res.restarts == 1
         for row in res.w_rotation:
             assert stationarity_residual(z, row, "logcosh") < 0.02
-        self.failing_decorrelation(monkeypatch, lambda call: call == 4)
-        assert estimate_ica(ds, seed=3).diagnostics.restarts == 1
+        self.failing_decorrelation(monkeypatch, lambda call: call == last_estimate)
+        diag = estimate_ica(ds, seed=3).diagnostics
+        assert diag.converged and diag.restarts == 1
 
     def test_restarts_count_toward_max_iter(self, monkeypatch):
         ds = simulate(laplace_spec(), 500, seed=4)
@@ -382,7 +411,7 @@ class TestRegressionStart:
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
     def test_few_sweeps_from_the_start(self, contrast):
         # the ica_bulk cell: 10 to 15 sweeps from a random rotation on its first
-        # five replications, 4 from the regression start
+        # five replications, 2 or 3 from the regression start
         config = scenario_from_config("scenario = appE_contrast\nsample_sizes = [10000]\n"
                                       f"contrasts = [{contrast}]")
         cell = config.cells()[0]
