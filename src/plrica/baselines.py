@@ -16,7 +16,7 @@ import numpy as np
 from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
 from .ica import CONTRASTS, Diagnostics, EffectEstimate
-from .kernels import ZERO_SCALE, gram_lasso
+from .kernels import gram_lasso
 
 HOML_DENOMINATOR_FLOOR = 1e-6
 RANK_CERTIFICATE = 1e-8  # lower bound on the eigenvalue ratio of A^T A that ols_joint certifies
@@ -66,11 +66,11 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     is lambda_scale * sqrt(log(p + m + 1) / n_train) for each training
     split. A training split's column sums and cross-products are the sums
     of the other folds' strided products, never a total minus a fold,
-    which can lose positive semi-definiteness on singular cells; its
-    standardized Gram matrix and the covariances of the m + 1 targets come
-    from them, and kernels.gram_lasso fits all targets on that Gram
-    matrix. Each fold is then predicted with one product
-    xc[k::folds, :p] @ B for the (p, m + 1) weights B. No row is copied.
+    which can lose positive semi-definiteness on singular cells; from
+    them comes the split's centered second-moment matrix, on which
+    kernels.gram_lasso standardizes once and fits all m + 1 targets. Each
+    fold is then predicted with one product xc[k::folds, :p] @ B for the
+    (p, m + 1) weights B. No row is copied.
     """
     lambda_scale = _convert("lambda_scale", _as_float, lambda_scale, BaselineError)
     folds = _convert("folds", _as_int, folds, BaselineError)
@@ -94,15 +94,9 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
         others = [j for j in range(folds) if j != k]
         train_means = sum(sums[j] for j in others) / n_train
         moments = sum(cross[j] for j in others) / n_train - np.outer(train_means, train_means)
-        scales = np.sqrt(np.maximum(moments.diagonal()[:p], 0.0))
-        alive = scales > ZERO_SCALE
-        safe_scales = np.where(alive, scales, 1.0)
-        gram = moments[:p, :p] / np.outer(safe_scales, safe_scales)
-        covs = moments[:p, p:].T / safe_scales
         lam = lambda_scale * math.sqrt(math.log(p + dataset.m + 1) / n_train)
         penalties.append(lam)
-        fits = gram_lasso(gram, covs, lam, alive, tol, max_iter)
-        weights = np.column_stack([w for w, _, _ in fits]) / safe_scales[:, None]
+        weights = np.column_stack([w for w, _, _ in gram_lasso(moments, p, lam, tol, max_iter)])
         offsets = train_means[p:] - train_means[:p] @ weights + col_means[p:]
         predictions[k::folds] = parts[k][:, :p] @ weights + offsets
     return NuisanceFit(

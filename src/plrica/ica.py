@@ -204,7 +204,7 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     of default_rng(seed) when w_init is None. After a rank-deficient update
     candidate the current phase goes on from a fresh draw of
     default_rng(seed); restarts counts these, and max_iter counts their
-    sweeps. A rank-deficient w_init raises.
+    sweeps. A rank-deficient or non-finite w_init raises.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -221,6 +221,8 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     w = rng.standard_normal((d, d)) if w_init is None else np.array(w_init, dtype=float)
     if w.shape != (d, d):
         raise IcaError(f"w_init must have shape {(d, d)}, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise IcaError("w_init must be finite")
     w = _sym_decorrelation(w)
     it = restarts = 0
     phases = ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))

@@ -62,74 +62,52 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
     Minimizes (1/(2n))||target - design @ w||^2 + lam * ||w||_1 on
     internally standardized columns (zero mean, unit sample variance) with
     the intercept handled by centering the target; the returned weights are
-    mapped back to the original column scales. The fit is gram_lasso's:
-    an active-set start, then coordinate descent until the largest
-    coordinate change in a sweep drops below tol or after max_iter sweeps.
-    Columns with zero variance get weight exactly 0. This is lasso_fits
-    with a single target.
-    """
-    return lasso_fits(design, [target], lam, tol=tol, max_iter=max_iter)[0]
-
-
-def lasso_fits(design, targets, lam: float, tol: float = 1e-4, max_iter: int = 1000) -> list[LassoFit]:
-    """lasso_fit of each 1-d array in targets on one shared design.
-
-    The design is standardized once and its Gram matrix G = xs'xs/n is
-    formed once for all targets (Friedman, Hastie and Tibshirani, JSS
-    2010); target k's covariances xs'(y_k - mean y_k)/n come from its own
-    product, so every fit equals lasso_fit on that target alone. Both go
-    to gram_lasso, which fits every target on G.
+    mapped back to the original column scales. The fit is gram_lasso's on
+    the second moments of the centered [design | target]: an active-set
+    start, then coordinate descent until the largest coordinate change in
+    a sweep drops below tol or after max_iter sweeps. Columns with zero
+    variance get weight exactly 0.
     """
     x = np.asarray(design, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
     n, p = x.shape
-    ys = [np.asarray(target, dtype=float) for target in targets]
-    for y in ys:
-        if y.shape != (n,):
-            raise KernelError(f"target shape {y.shape} does not match design rows {n}")
+    y = np.asarray(target, dtype=float)
+    if y.shape != (n,):
+        raise KernelError(f"target shape {y.shape} does not match design rows {n}")
     if n < 1:
         raise KernelError("need at least one observation")
-
-    # one centered copy; its scales are x.std(axis=0) by the same reductions
-    col_means = x.mean(axis=0)
-    xs = x - col_means
-    col_scales = np.sqrt(np.add.reduce(xs * xs, axis=0) / n)
-    alive = col_scales > ZERO_SCALE
-    safe_scales = np.where(alive, col_scales, 1.0)
-    xs /= safe_scales
-    gram = xs.T @ xs / n
-    y_means = [float(y.mean()) for y in ys]
-    covs = [xs.T @ (y - y_mean) / n for y, y_mean in zip(ys, y_means)]
-
-    fits = []
-    for (w, converged, sweeps), y_mean in zip(gram_lasso(gram, covs, lam, alive, tol, max_iter),
-                                              y_means):
-        weights = w / safe_scales  # a dead column's weight stays exactly 0
-        fits.append(LassoFit(
-            weights=weights,
-            intercept=y_mean - float(col_means @ weights),
-            lam=float(lam),  # gram_lasso has refused anything but a number
-            converged=converged,
-            n_sweeps=sweeps,
-        ))
-    return fits
+    centered = np.column_stack([x, y])
+    means = centered.mean(axis=0)
+    centered -= means
+    [(weights, converged, sweeps)] = gram_lasso(centered.T @ centered / n, p, lam, tol, max_iter)
+    return LassoFit(
+        weights=weights,
+        intercept=float(means[p] - means[:p] @ weights),
+        lam=float(lam),  # gram_lasso has refused anything but a number
+        converged=converged,
+        n_sweeps=sweeps,
+    )
 
 
-def gram_lasso(gram: np.ndarray, covs, lam: float, alive: np.ndarray, tol: float,
+def gram_lasso(moments: np.ndarray, p: int, lam: float, tol: float,
                max_iter: int) -> list[tuple[np.ndarray, bool, int]]:
-    """Lasso in standardized coordinates from second moments alone.
+    """Lasso of each target on p covariates from second moments alone.
 
-    Minimizes w'Gw/2 - c'w + lam * ||w||_1 over the live columns
-    (alive[j]) for each (p,) covariance vector c in covs, where G = gram
-    has unit diagonal on the live columns; dead columns keep weight 0.
-    Each target starts from active_set_start and runs cyclic coordinate
-    descent on q = c - G w, which is xs'(residual)/n, so the step
+    moments is the centered second-moment matrix of (X, targets), the p
+    covariates first. The square roots of its first p diagonal entries
+    scale the columns (Friedman, Hastie and Tibshirani, JSS 2010); a
+    column at or below ZERO_SCALE is dead and gets weight 0. On the live
+    columns each target minimizes w'Gw/2 - c'w + lam * ||w||_1 for the
+    standardized Gram matrix G and the target's standardized covariances
+    c. It starts from active_set_start and runs cyclic coordinate descent
+    on q = c - G w, the standardized X'(residual)/n, so the step
     rho = q[j] + w[j] is the one the residual-update form takes and an
     update costs O(p) instead of O(n). Descent stops when the largest
     coordinate change in a sweep drops below tol or after max_iter sweeps;
-    from an exact start one sweep passes the test. Returns (weights,
-    converged, sweeps) per target, the sweeps counted from the start.
+    from an exact start one sweep passes the test. Returns (weights in the
+    original column scales, converged, sweeps counted from the start) per
+    target.
     """
     lam = _convert("lam", _as_float, lam, KernelError)
     tol = _convert("tol", _as_float, tol, KernelError)
@@ -138,6 +116,11 @@ def gram_lasso(gram: np.ndarray, covs, lam: float, alive: np.ndarray, tol: float
         raise KernelError("lam must be nonnegative")
     if tol <= 0 or max_iter < 1:
         raise KernelError("tol must be positive and max_iter at least 1")
+    scales = np.sqrt(np.maximum(moments.diagonal()[:p], 0.0))
+    alive = scales > ZERO_SCALE
+    safe_scales = np.where(alive, scales, 1.0)
+    gram = moments[:p, :p] / np.outer(safe_scales, safe_scales)
+    covs = moments[:p, p:].T / safe_scales
     live = np.flatnonzero(alive)
     g = gram[live[:, None], live]  # dead columns never move, so descent skips them
     rows = list(g)  # g is symmetric, so row j is column j; views made once, not per update
@@ -165,9 +148,9 @@ def gram_lasso(gram: np.ndarray, covs, lam: float, alive: np.ndarray, tol: float
             if max_delta < tol:
                 converged = True
                 break
-        weights = np.zeros(len(cov))
+        weights = np.zeros(p)
         weights[live] = w
-        out.append((weights, converged, sweeps))
+        out.append((weights / safe_scales, converged, sweeps))  # a dead column's stays exactly 0
     return out
 
 

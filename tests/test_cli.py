@@ -265,3 +265,10 @@ def test_console_script_target_is_cli_main():
     assert target is not None
     module, attr = target.groups()
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_public_names_resolve_once():
+    """Every name in plrica.__all__ is defined, and none is listed twice."""
+    plrica = importlib.import_module("plrica")
+    assert sorted(name for name in set(plrica.__all__) if plrica.__all__.count(name) > 1) == []
+    assert [name for name in plrica.__all__ if not hasattr(plrica, name)] == []

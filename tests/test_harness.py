@@ -311,15 +311,15 @@ class TestRunAndEmit:
         assert np.array_equal(recs[1].theta_hat, want_homl)
 
     def test_nuisance_fit_builds_one_gram_per_fold(self, monkeypatch):
-        # each fold builds its training Gram matrix once and the Gram-level
-        # solver fits all m + 1 targets on it; the predictions are those of
-        # one lasso_fit call per target
+        # each fold builds its training moment matrix once and the solver
+        # fits all m + 1 targets on it; the predictions are those of one
+        # lasso_fit call per target
         calls = []
         real_solver = baselines.gram_lasso
 
-        def counting_solver(gram, covs, *args, **kwargs):
-            calls.append(len(covs))
-            return real_solver(gram, covs, *args, **kwargs)
+        def counting_solver(moments, p, *args, **kwargs):
+            calls.append(len(moments) - p)
+            return real_solver(moments, p, *args, **kwargs)
 
         spec = PlrSpec(p=5, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP)
         dataset = simulate(spec, 300, seed=3)

@@ -377,6 +377,18 @@ class TestFastIca:
         with pytest.raises(IcaError, match="rank deficient"):
             fastica(z, w_init=np.ones((d, d)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_raises(self, value):
+        ds = simulate(laplace_spec(), 500, seed=4)
+        z, _, _ = whiten(ds.columns)
+        d = z.shape[1]
+        w_init = np.eye(d)
+        w_init[0, -1] = value
+        with pytest.raises(IcaError, match="w_init"):
+            fastica(z, w_init=w_init)
+        with pytest.raises(IcaError, match="w_init"):
+            fastica(z, w_init=np.full((d, d), value))
+
     def test_stationarity_at_fixed_point(self):
         ds = simulate(laplace_spec(), 5000, seed=3)
         z, k, means = whiten(ds.columns)
@@ -535,6 +547,7 @@ class TestEffectExtraction:
         bad[1, 1] = 2.0
         with pytest.raises(IcaError):
             extract_effects(bad, p=1, m=1)
+        with pytest.raises(IcaError):
             extract_effects_from_mixing(bad, p=1, m=1)
 
 

@@ -12,7 +12,6 @@ from plrica import (
     fastica,
     hungarian,
     lasso_fit,
-    lasso_fits,
     scenario_from_config,
     simulate,
     soft_threshold,
@@ -20,7 +19,7 @@ from plrica import (
 )
 from plrica.harness import cell_seed, spec_for_cell
 from plrica.ica import LOG_CLIP
-from plrica.kernels import active_set_start
+from plrica.kernels import active_set_start, gram_lasso
 
 
 class TestSoftThreshold:
@@ -97,25 +96,26 @@ LASSO_DESIGNS = ("constant column", "p close to n", "p close to n, zero penalty"
 
 
 def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000, warm=True):
-    """Reference lasso_fits on numpy scalars: standardization through
-    x.std and (x - mean) / scale, and a loop over the live columns that
-    indexes float arrays for w and q, started from active_set_start (warm)
-    or from zero. Returns (weights, intercept, n_sweeps, converged) per
-    target; lasso_fits must match the warm loop bit for bit."""
+    """Reference lasso_fit of each target on numpy scalars: standardization
+    from the centered second moments of [design | target], and a loop over
+    the live columns that indexes float arrays for w and q, started from
+    active_set_start (warm) or from zero. Returns (weights, intercept,
+    n_sweeps, converged) per target; lasso_fit must match the warm loop bit
+    for bit."""
     x = np.asarray(design, dtype=float)
     n, p = x.shape
-    ys = [np.asarray(target, dtype=float) for target in targets]
-    col_means = x.mean(axis=0)
-    col_scales = x.std(axis=0)
-    alive = col_scales > 1e-12
-    safe_scales = np.where(alive, col_scales, 1.0)
-    xs = (x - col_means) / safe_scales
-    live = np.flatnonzero(alive)
-    gram = (xs.T @ xs / n)[np.ix_(live, live)]
     out = []
-    for y in ys:
-        y_mean = float(y.mean())
-        cov = (xs.T @ (y - y_mean) / n)[live]
+    for target in targets:
+        data = np.column_stack([x, np.asarray(target, dtype=float)])
+        means = data.mean(axis=0)
+        centered = data - means
+        moments = centered.T @ centered / n
+        scales = np.sqrt(np.maximum(moments.diagonal()[:p], 0.0))
+        alive = scales > 1e-12
+        safe_scales = np.where(alive, scales, 1.0)
+        live = np.flatnonzero(alive)
+        gram = (moments[:p, :p] / np.outer(safe_scales, safe_scales))[np.ix_(live, live)]
+        cov = (moments[:p, p] / safe_scales)[live]
         w = active_set_start(gram, cov, lam) if warm else np.zeros(len(live))
         q = cov - gram @ w
         converged = False
@@ -134,8 +134,9 @@ def _numpy_loop_lasso_fits(design, targets, lam, tol=1e-4, max_iter=1000, warm=T
                 converged = True
                 break
         weights = np.zeros(p)
-        weights[live] = w / safe_scales[live]
-        out.append((weights, y_mean - float(col_means @ weights), sweeps, converged))
+        weights[live] = w
+        weights /= safe_scales
+        out.append((weights, float(means[p] - means[:p] @ weights), sweeps, converged))
     return out
 
 
@@ -223,7 +224,7 @@ class TestLasso:
     def test_non_finite_settings_refused(self, key, value):
         settings = dict(lam=0.1, tol=1e-4, max_iter=1000) | {key: value}
         with pytest.raises(KernelError, match=f"bad value for '{key}'"):
-            lasso_fits(np.ones((4, 1)), [np.ones(4)], **settings)
+            lasso_fit(np.ones((4, 1)), np.ones(4), **settings)
 
     @pytest.mark.parametrize("kind", [k for k in LASSO_DESIGNS if k != "p close to n"])
     def test_matches_residual_update_reference(self, kind):
@@ -270,25 +271,11 @@ class TestLasso:
         x, y, _ = _wide_design(np.random.default_rng(3))
         targets = [y, x[:, 0] - 3.0 * y]
         want = _numpy_loop_lasso_fits(x, targets, lam, warm=False)
-        for fit, (weights, intercept, sweeps, converged) in zip(lasso_fits(x, targets, lam), want,
-                                                                strict=True):
+        fits = [lasso_fit(x, target, lam) for target in targets]
+        for fit, (weights, intercept, sweeps, converged) in zip(fits, want, strict=True):
             assert fit.weights.tobytes() == weights.tobytes()
             assert fit.intercept == intercept
             assert (fit.n_sweeps, fit.converged) == (sweeps, converged)
-
-    @pytest.mark.parametrize("kind", LASSO_DESIGNS)
-    def test_shared_gram_equals_single_target_calls(self, kind):
-        rng = np.random.default_rng(1)
-        x, y, lam = _lasso_design(kind, rng)
-        targets = [y, rng.standard_normal(len(y)), x[:, 0] + 0.5 * y]
-        fits = lasso_fits(x, targets, lam)
-        assert len(fits) == len(targets)
-        for fit, target in zip(fits, targets):
-            single = lasso_fit(x, target, lam)
-            assert np.array_equal(fit.weights, single.weights)
-            assert fit.intercept == single.intercept
-            assert (fit.n_sweeps, fit.converged, fit.lam) == (single.n_sweeps, single.converged,
-                                                              single.lam)
 
     @pytest.mark.parametrize("kind", LASSO_DESIGNS + ("p > n", "p > n, zero penalty"))
     def test_bitwise_equal_to_numpy_scalar_loop(self, kind):
@@ -299,7 +286,7 @@ class TestLasso:
         else:
             x, y, lam = _lasso_design(kind, rng)
         targets = [y, rng.standard_normal(len(y)), x[:, 0] - 3.0 * y]
-        fits = lasso_fits(x, targets, lam, max_iter=400)
+        fits = [lasso_fit(x, target, lam, max_iter=400) for target in targets]
         want = _numpy_loop_lasso_fits(x, targets, lam, max_iter=400)
         for fit, (weights, intercept, sweeps, converged) in zip(fits, want, strict=True):
             assert fit.weights.tobytes() == weights.tobytes()
@@ -320,11 +307,33 @@ class TestLasso:
         assert fit.weights.tobytes() == want[0].tobytes()
         assert (fit.intercept, fit.n_sweeps, fit.converged) == want[1:]
 
-    def test_shared_gram_checks_every_target(self):
+    @pytest.mark.parametrize("variance", [None, 0.0, -1e-30])
+    def test_dead_column_of_the_moments_is_an_absent_column(self, variance):
+        # a covariate whose standard deviation is at or below ZERO_SCALE
+        # (here 1e-14 times an informative column's), is zero, or was
+        # rounded below zero is dead: weight exactly 0, and every target's
+        # other weights bit for bit those of the moments without it
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal((60, 6))
+        data[:, 4:] += data[:, :2] @ np.array([[1.0, -0.5], [2.0, 0.3]])
+        data[:, 1] *= 1e-14
+        centered = data - data.mean(axis=0)
+        moments = centered.T @ centered / 60
+        if variance is not None:
+            moments[1, 1] = variance
+        fits = gram_lasso(moments, 4, 0.05, 1e-4, 1000)
+        kept = [0, 2, 3, 4, 5]
+        want = gram_lasso(moments[np.ix_(kept, kept)], 3, 0.05, 1e-4, 1000)
+        for (weights, converged, sweeps), (w_want, c_want, s_want) in zip(fits, want, strict=True):
+            assert weights[1] == 0.0
+            assert np.delete(weights, 1).tobytes() == w_want.tobytes()
+            assert (converged, sweeps) == (c_want, s_want)
+
+    def test_target_shape_checked(self):
         x = np.ones((5, 2))
-        with pytest.raises(KernelError, match="target shape"):
-            lasso_fits(x, [np.ones(5), np.ones(4)], lam=0.1)
-        assert lasso_fits(x, [], lam=0.1) == []
+        for target in (np.ones(4), np.ones((5, 1))):
+            with pytest.raises(KernelError, match="target shape"):
+                lasso_fit(x, target, lam=0.1)
 
 
 def brute_force_assignment(cost):
