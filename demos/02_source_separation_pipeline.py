@@ -1,9 +1,10 @@
 """From raw columns to a treatment effect, one stage at a time.
 
-estimate_ica() wraps four steps: whiten, rotate (FastICA, started from the
-unmixing least squares implies), canonicalize, read off the effects. Here
-each stage runs separately so the intermediate objects can be inspected,
-then the one-call path confirms it gives the same estimate bit for bit.
+estimate_ica() wraps three steps: whiten, rotate (FastICA, started from the
+unmixing least squares implies), read the effects off the row nearest the
+start's outcome row. Here each stage runs separately so the intermediate
+objects can be inspected, then the one-call path confirms it gives the same
+estimate bit for bit. canonicalize() resolves every row without a start.
 
 Run: python demos/02_source_separation_pipeline.py
 """
@@ -46,16 +47,23 @@ print("rotation orthonormality err:",
 print("row 0 stationarity residual:",
       f"{stationarity_residual(z, result.w_rotation[0], 'logcosh'):.2e}")
 
-# stage 3: fold whitening back in and canonicalize rows: the assignment
-# step resolves the inherent permutation and scale ambiguity
-estimate = assemble_unmixing(result, k_matrix, means, "logcosh")
-canonical = canonicalize(estimate)
+# stage 3: the rows come back in any order and scale, but the start names
+# the outcome row: take the final row nearest it in whitened coordinates,
+# fold the whitening back in and scale it to a unit Y entry. Its X and T
+# entries are then -b and -theta
+start = w0[3] @ k_inv
+cos = np.abs(result.w_rotation @ (start / np.linalg.norm(start)))
+print("\n|cos| of each final row with the start's outcome row:", np.round(cos, 3))
+outcome_row = (result.w_rotation @ k_matrix)[np.argmax(cos)]
+theta = -(outcome_row[2:3] / outcome_row[3])
+print("theta via the anchored outcome row:", theta)
+
+# canonicalize resolves every row without a start, by a minimum-cost
+# assignment of rows to sources; here it matches the same outcome row
+canonical = canonicalize(assemble_unmixing(result, k_matrix, means, "logcosh"))
 print("\ncanonical unmixing (rows: xi, eta, eps):")
 print(np.round(canonical, 3))
-
-# stage 4: effects sit in the outcome row with flipped sign
-effect = extract_effects(canonical, p=2, m=1)
-print("\ntheta via unmixing row:", effect.theta_hat)
+print("theta via canonical unmixing row:", extract_effects(canonical, p=2, m=1).theta_hat)
 
 # same number read from the implied mixing matrix; identical up to
 # sampling noise reweighting, and exactly equal on noiseless input
@@ -66,11 +74,11 @@ one_call = estimate_ica(data, seed=0)
 print("\none-call estimate:", one_call.theta_hat,
       "| converged:", one_call.diagnostics.converged,
       "| sweeps:", one_call.diagnostics.iterations,
-      "| pivot floor:", f"{one_call.diagnostics.condition_value:.3f}")
-assert np.array_equal(one_call.theta_hat, effect.theta_hat), "stages and one call disagree"
+      "| anchored |cos|:", f"{one_call.diagnostics.condition_value:.3f}")
+assert np.array_equal(one_call.theta_hat, theta), "stages and one call disagree"
 
-# multiple treatments come back as a vector, order resolved by the same
-# canonicalization
+# multiple treatments come back as a vector in column order, read off the
+# same anchored row
 multi = simulate(PlrSpec(p=2, m=2, theta=[1.5, -0.5],
                          noise_x=lap, noise_t=lap, noise_y=lap), 10_000, seed=12)
 print("\nm=2 estimate:", np.round(estimate_ica(multi, seed=0).theta_hat, 3))

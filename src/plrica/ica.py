@@ -4,10 +4,10 @@ The observed columns (X, T, Y) of a linear partially linear process are an
 invertible mixing of independent non-Gaussian sources, so the unmixing
 matrix is identified up to row scaling and permutation. A fixed-point
 contrast iteration on whitened data, started from the unmixing least
-squares implies, recovers an orthonormal rotation; canonicalize() then
-resolves the permutation/scale ambiguity by a minimum-cost assignment and
-pivot rescaling, after which the outcome row carries the negated treatment
-effects.
+squares implies, recovers an orthonormal rotation. The start names the
+outcome row, whose entries, scaled to a unit outcome entry, are the negated
+treatment effects. canonicalize() resolves permutation and scale without a
+start, by a minimum-cost assignment and pivot rescaling.
 """
 from __future__ import annotations
 
@@ -264,18 +264,11 @@ def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.nd
     )
 
 
-def _canonicalize_details(w: np.ndarray):
-    cost = -np.log(np.maximum(np.abs(w), LOG_CLIP))
-    row_of_col = np.argsort(hungarian(cost))
-    pivots = w[row_of_col, np.arange(w.shape[0])]
-    small = np.flatnonzero(np.abs(pivots) < PIVOT_DEGENERACY_TOL)
-    if small.size:
-        col = small[0]
-        raise CanonicalizationError(
-            f"pivot |{pivots[col]:.3e}| for source {col} is below {PIVOT_DEGENERACY_TOL:.0e}; "
-            "the unmixing estimate is degenerate"
-        )
-    return w[row_of_col] / pivots[:, None], pivots
+def _degenerate_pivot(pivot: float, col: int) -> CanonicalizationError:
+    return CanonicalizationError(
+        f"pivot |{pivot:.3e}| for source {col} is below {PIVOT_DEGENERACY_TOL:.0e}; "
+        "the unmixing estimate is degenerate"
+    )
 
 
 def canonicalize(estimate) -> np.ndarray:
@@ -292,8 +285,12 @@ def canonicalize(estimate) -> np.ndarray:
         raise IcaError(f"unmixing matrix must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise IcaError("unmixing matrix contains non-finite entries")
-    canonical, _ = _canonicalize_details(w)
-    return canonical
+    row_of_col = np.argsort(hungarian(-np.log(np.maximum(np.abs(w), LOG_CLIP))))
+    pivots = w[row_of_col, np.arange(w.shape[0])]
+    small = np.flatnonzero(np.abs(pivots) < PIVOT_DEGENERACY_TOL)
+    if small.size:
+        raise _degenerate_pivot(pivots[small[0]], small[0])
+    return w[row_of_col] / pivots[:, None]
 
 
 def _checked_canonical(canonical, p: int, m: int) -> np.ndarray:
@@ -360,26 +357,28 @@ def stationarity_residual(whitened, w_row, contrast="logcosh") -> float:
 
 def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
                  max_iter: int = 1000, mode: str = "parallel", seed=0) -> EffectEstimate:
-    """Full pipeline: whiten, rotate, canonicalize, read effects.
+    """Full pipeline: whiten, rotate, read effects off the outcome row.
 
     The contrast iteration starts from regression_unmixing, the unmixing
     least squares implies, carried into whitened coordinates; seed feeds
-    only the restart draws. diagnostics.condition_value is the smallest
-    pivot magnitude used for row rescaling; values near the degeneracy
-    threshold mean the source match was barely identified.
+    only the restart draws. The outcome row is the final row j with the
+    largest |cos| against the start's, in whitened coordinates, and
+    theta_hat = -u[j, p:q] / u[j, q] with u = W K and q = p + m.
+    diagnostics.condition_value is that |cos|, in (0, 1]; a low value means
+    the iteration moved far from the start's outcome row.
     """
-    whitened, k, means = whiten(dataset.columns)
+    whitened, k, _ = whiten(dataset.columns)
     k_inv = np.linalg.inv(k)  # cov = k_inv k_inv^T, as k cov k^T = I
-    w0 = regression_unmixing(k_inv @ k_inv.T, dataset.p, dataset.m)
+    p, q = dataset.p, dataset.p + dataset.m
+    w0 = regression_unmixing(k_inv @ k_inv.T, p, dataset.m) @ k_inv
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
-                     mode=mode, seed=seed, w_init=w0 @ k_inv)
-    est = assemble_unmixing(result, k, means, contrast)
-    canonical, pivots = _canonicalize_details(est.w_total)
-    diag = Diagnostics(
-        converged=result.converged,
-        iterations=result.iterations,
-        condition_value=float(np.min(np.abs(pivots))),
-        notes="" if result.converged else "contrast iteration hit max_iter",
-        restarts=result.restarts,
-    )
-    return extract_effects(canonical, dataset.p, dataset.m, diag)
+                     mode=mode, seed=seed, w_init=w0)
+    cos = np.abs(result.w_rotation @ (w0[q] / np.linalg.norm(w0[q])))
+    j = int(np.argmax(cos))
+    u = (result.w_rotation @ k)[j]  # row j of the full product, as canonicalize divides it
+    if abs(u[q]) < PIVOT_DEGENERACY_TOL:
+        raise _degenerate_pivot(u[q], q)
+    notes = "" if result.converged else "contrast iteration hit max_iter"
+    diag = Diagnostics(converged=result.converged, iterations=result.iterations,
+                       condition_value=float(cos[j]), notes=notes, restarts=result.restarts)
+    return EffectEstimate(-(u[p:q] / u[q]), "ica", diag)

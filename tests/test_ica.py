@@ -33,7 +33,6 @@ from plrica.ica import (
     F32_SWITCH,
     LOG_CLIP,
     PIVOT_DEGENERACY_TOL,
-    _canonicalize_details,
     _sym_decorrelation,
 )
 
@@ -52,11 +51,25 @@ BUILTIN_CELLS = [
 ]
 
 
-def builtin_cell_columns(text):
-    """Columns of the first replication of the first cell of a builtin config."""
+def builtin_cell_dataset(text, index=0):
+    """Replication index of the first cell of a builtin config, as the harness draws it."""
     config = scenario_from_config(text)
     cell = config.cells()[0]
-    return simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, 0)).columns
+    return simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, index))
+
+
+def fit_from_start(ds, contrast="logcosh"):
+    """estimate_ica's whitening, regression start and contrast iteration, unread."""
+    z, k, means = whiten(ds.columns)
+    k_inv = np.linalg.inv(k)
+    w0 = regression_unmixing(k_inv @ k_inv.T, ds.p, ds.m) @ k_inv
+    return fastica(z, contrast=contrast, w_init=w0), k, means, w0
+
+
+def assignment_read(ds, contrast="logcosh"):
+    """theta read from the row a minimum-cost assignment matches to Y."""
+    res, k, means, _ = fit_from_start(ds, contrast)
+    return extract_effects(canonicalize(assemble_unmixing(res, k, means)), ds.p, ds.m).theta_hat
 
 
 class TestWhiten:
@@ -89,7 +102,7 @@ class TestWhiten:
     def test_bitwise_equal_to_symmetrized_eigh(self, text):
         """whiten skips symmetrizing the covariance; on builtin cells that
         changes no bit of its outputs."""
-        data = builtin_cell_columns(text)
+        data = builtin_cell_dataset(text).columns
         means = data.mean(axis=0)
         xc = data - means
         cov = xc.T @ xc / data.shape[0]
@@ -424,10 +437,8 @@ class TestRegressionStart:
     def test_few_sweeps_from_the_start(self, contrast):
         # the ica_bulk cell: 10 to 15 sweeps from a random rotation on its first
         # five replications, 2 or 3 from the regression start
-        config = scenario_from_config("scenario = appE_contrast\nsample_sizes = [10000]\n"
-                                      f"contrasts = [{contrast}]")
-        cell = config.cells()[0]
-        ds = simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, 0))
+        ds = builtin_cell_dataset("scenario = appE_contrast\nsample_sizes = [10000]\n"
+                                  f"contrasts = [{contrast}]")
         diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
         assert diag.converged and diag.iterations <= 6
 
@@ -439,29 +450,84 @@ class TestRegressionStart:
         assert a.diagnostics.iterations == b.diagnostics.iterations
 
 
+class TestAnchoredRead:
+    """estimate_ica reads the final row nearest the start's outcome row."""
+
+    def test_small_n_fit_the_assignment_misreads(self):
+        # fig2 at n = 100, p = 2: the iteration converges in 3 sweeps to a row
+        # at |cos| 0.97 from the start's outcome row, but the assignment
+        # matches another row to Y
+        ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [100]\n"
+                                  "covariate_dims = [2]", index=10)
+        theta = ds.ground_truth.theta
+        assert np.linalg.norm(assignment_read(ds) - theta) > 1.5
+        assert np.linalg.norm(estimate_ica(ds).theta_hat - theta) < 0.1
+
+    @pytest.mark.parametrize("text", [
+        "scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [logcosh]",
+        "scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [exp]",
+        "scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [cube]",
+        "scenario = fig2_linear_homl\nsample_sizes = [1000]\ncovariate_dims = [50]",
+    ])
+    def test_bitwise_equal_to_assignment_read_where_rows_agree(self, text):
+        contrast = scenario_from_config(text).contrasts[0]
+        ds = builtin_cell_dataset(text)
+        got = estimate_ica(ds, contrast=contrast).theta_hat
+        assert got.tobytes() == assignment_read(ds, contrast).tobytes()
+
+    def test_reads_the_nearest_row_not_the_start_index(self):
+        # fig2 at n = 100, p = 20: the outcome row ends at index 16 (|cos| 0.51,
+        # runner-up 0.32), and the row left at the start's index reads theta badly
+        ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [100]\n"
+                                  "covariate_dims = [20]", index=8)
+        res, k, _, w0 = fit_from_start(ds)
+        q = ds.p + ds.m
+        assert np.argmax(np.abs(res.w_rotation @ w0[q])) != q
+        u = res.w_rotation @ k
+        theta = ds.ground_truth.theta
+        assert np.linalg.norm(-u[q, ds.p:q] / u[q, q] - theta) > 1.5
+        assert np.linalg.norm(estimate_ica(ds).theta_hat - theta) < 0.1
+
+    @pytest.mark.parametrize("dim_x, index", [(2, 10), (20, 8)])
+    def test_condition_value_is_the_anchored_cos(self, dim_x, index):
+        ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [100]\n"
+                                  f"covariate_dims = [{dim_x}]", index=index)
+        res, _, _, w0 = fit_from_start(ds)
+        cos = np.abs(res.w_rotation @ (w0[-1] / np.linalg.norm(w0[-1])))
+        value = estimate_ica(ds).diagnostics.condition_value
+        assert 0.0 < value <= 1.0
+        assert value == cos.max()
+
+    def test_outcome_pivot_below_tolerance_raises(self):
+        # the floor is absolute: scaling every column by 1e10 scales u by 1e-10
+        # and leaves the whitening's conditioning as it was
+        ds = simulate(laplace_spec(p=2), 2000, seed=3)
+        ds.columns *= 1e10
+        with pytest.raises(CanonicalizationError, match=r"pivot \|\d\.\d{3}e-\d\d\| for source 3 "):
+            estimate_ica(ds)
+
+
 def _loop_canonicalize(w):
     """Reference canonicalization, one matched row at a time."""
     row_of_col = [0] * w.shape[0]
     for row, col in enumerate(hungarian(-np.log(np.maximum(np.abs(w), LOG_CLIP)))):
         row_of_col[col] = row
-    canonical, pivots = np.empty_like(w), np.empty(w.shape[0])
+    canonical = np.empty_like(w)
     for col, row in enumerate(row_of_col):
-        pivots[col] = w[row, col]
-        if abs(pivots[col]) < PIVOT_DEGENERACY_TOL:
+        if abs(w[row, col]) < PIVOT_DEGENERACY_TOL:
             raise CanonicalizationError(f"pivot for source {col} is below tolerance")
-        canonical[col] = w[row] / pivots[col]
-    return canonical, pivots
+        canonical[col] = w[row] / w[row, col]
+    return canonical
 
 
 class TestCanonicalize:
     @pytest.mark.parametrize("text", BUILTIN_CELLS)
     def test_bitwise_equal_to_loop_on_fitted_unmixings(self, text):
         config = scenario_from_config(text)
-        z, k, means = whiten(builtin_cell_columns(text))
+        z, k, means = whiten(builtin_cell_dataset(text).columns)
         res = fastica(z, contrast=config.contrasts[0], seed=6)
         w = assemble_unmixing(res, k, means).w_total
-        got, want = _canonicalize_details(w), _loop_canonicalize(w)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        assert canonicalize(w).tobytes() == _loop_canonicalize(w).tobytes()
 
     def test_bitwise_equal_to_loop_on_scrambled_exact_unmixings(self):
         rng = np.random.default_rng(7)
@@ -471,8 +537,7 @@ class TestCanonicalize:
             d = p + m + 1
             scales = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
             w = (unmix * scales[:, None])[rng.permutation(d)]
-            got, want = _canonicalize_details(w), _loop_canonicalize(w)
-            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+            assert canonicalize(w).tobytes() == _loop_canonicalize(w).tobytes()
 
     def test_two_tiny_pivots_name_the_lower_column(self):
         w = np.diag([1.0, 1e-12, 1.0, 1e-11])[[3, 2, 1, 0]]  # row order puts column 3 first
@@ -559,11 +624,10 @@ class TestEndToEnd:
         assert est.diagnostics.converged
         assert est.diagnostics.condition_value > 0
 
-    def test_multi_treatment_recovery_up_to_order(self):
+    def test_multi_treatment_recovery_in_column_order(self):
         ds = simulate(laplace_spec(p=2, m=2, theta=(1.5, -0.5)), 20_000, seed=8)
         est = estimate_ica(ds, seed=8)
-        got = np.sort(est.theta_hat)
-        assert np.allclose(got, [-0.5, 1.5], atol=0.06)
+        assert np.allclose(est.theta_hat, [1.5, -0.5], atol=0.06)
 
     @pytest.mark.parametrize("contrast", ["logcosh", "exp", "cube"])
     def test_all_contrasts_recover(self, contrast):
