@@ -2,12 +2,13 @@
 
 The observed columns (X, T, Y) of a linear partially linear process are an
 invertible mixing of independent non-Gaussian sources, so the unmixing
-matrix is identified up to row scaling and permutation. A fixed-point
-contrast iteration on whitened data, started from the unmixing least
-squares implies, recovers an orthonormal rotation. The start names the
-outcome row, whose entries, scaled to a unit outcome entry, are the negated
-treatment effects. canonicalize() resolves permutation and scale without a
-start, by a minimum-cost assignment and pivot rescaling.
+matrix is identified up to row scaling and permutation. Whitened by the
+Cholesky factor, the unmixing least squares implies is block diagonal and
+its outcome row is the last unit vector. A fixed-point contrast iteration
+started there recovers an orthonormal rotation; the final row nearest that
+vector, scaled to a unit outcome entry, holds the negated treatment
+effects. canonicalize() resolves permutation and scale without a start, by
+a minimum-cost assignment and pivot rescaling.
 """
 from __future__ import annotations
 
@@ -133,8 +134,12 @@ class UnmixingEstimate:
 def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center and decorrelate columns to identity covariance.
 
-    Returns (whitened, K, means) with whitened = (data - means) @ K.T.
-    Raises RankDeficientError when the covariance is numerically singular.
+    Returns (whitened, K, means) with whitened = (data - means) @ K.T and
+    K = L^-1 / sd lower triangular: sd holds the column standard deviations
+    and L L^T is the correlation matrix. Raises RankDeficientError when a
+    column is constant or a squared pivot of L (the share of a standardized
+    column's variance the columns before it leave unexplained) is at most
+    1e-12, a test that does not depend on the units of the columns.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -147,12 +152,16 @@ def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cov = xc.T @ xc / n
     if not np.all(np.isfinite(cov)):
         raise IcaError("data contain non-finite values")
-    # numpy forms xc.T @ xc by syrk, so cov is exactly symmetric as eigh assumes
-    vals, vecs = np.linalg.eigh(cov)
-    vals, vecs = vals[::-1], vecs[:, ::-1]  # descending, so K's rows keep their order
-    if vals[-1] <= vals[0] * 1e-12 or vals[-1] <= 0.0:
+    sd = np.sqrt(np.diag(cov))
+    if not np.all(sd > 0.0):
+        raise RankDeficientError("data covariance is rank deficient: a column is constant")
+    try:  # cholesky reads the lower triangle only, so exact symmetry is not needed
+        chol = np.linalg.cholesky(cov / sd / sd[:, None])
+    except np.linalg.LinAlgError:
+        raise RankDeficientError("data covariance is rank deficient") from None
+    if np.min(np.diag(chol)) ** 2 <= 1e-12:
         raise RankDeficientError("data covariance is rank deficient")
-    k = vecs.T / np.sqrt(vals)[:, None]
+    k = np.tril(np.linalg.inv(chol)) / sd  # tril: inv pivots, leaving rounding above the diagonal
     return xc @ k.T, k, means
 
 
@@ -164,24 +173,22 @@ def _sym_decorrelation(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
-def regression_unmixing(cov, p: int, m: int) -> np.ndarray:
-    """Unmixing of the raw (centered) columns (X, T, Y) implied by least squares.
+def regression_start(k, p: int, m: int) -> np.ndarray:
+    """The unmixing least squares implies, in the coordinates of whiten's K.
 
-    cov is the covariance of the centered columns. The result is
-    unit-lower-triangular up to row scale, with rows [I_p, 0, 0],
-    [-A, I_m, 0] and [-b, -theta, 1]: A holds the slopes of each T_j on X,
-    and (b, theta) the slopes of Y on (X, T), each block from one solve on
-    a block of cov. That is the exact unmixing of a linear partially linear
-    process, so this estimate of it is root-n consistent. Each row is
-    scaled to unit source variance, so that w cov w^T has a unit diagonal.
+    Least squares of each T_j on X (slopes A) and of Y on (X, T) (slopes
+    b, theta) gives the unmixing [I_p, 0, 0], [-A, I_m, 0], [-b, -theta, 1]
+    of the centered columns, the exact unmixing of a linear partially linear
+    process. As K is lower triangular, that is W K up to row scale, with W
+    the block diagonal of K^-1 over the X, T and Y blocks, returned with
+    unit rows (unit source variances). Its outcome row is the last unit vector.
     """
-    c = np.asarray(cov, dtype=float)
+    k = np.asarray(k, dtype=float)
     q = p + m
-    w = np.eye(q + 1)
-    w[p:q, :p] = -np.linalg.solve(c[:p, :p], c[:p, p:q]).T
-    w[q, :q] = -np.linalg.solve(c[:q, :q], c[:q, q])
-    w /= np.sqrt(np.sum((w @ c) * w, axis=1))[:, None]
-    return w
+    w = np.zeros_like(k)
+    for lo, hi in ((0, p), (p, q), (q, q + 1)):
+        w[lo:hi, lo:hi] = np.tril(np.linalg.inv(k[lo:hi, lo:hi]))
+    return w / np.linalg.norm(w, axis=1)[:, None]
 
 
 def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 1000,
@@ -264,13 +271,6 @@ def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.nd
     )
 
 
-def _degenerate_pivot(pivot: float, col: int) -> CanonicalizationError:
-    return CanonicalizationError(
-        f"pivot |{pivot:.3e}| for source {col} is below {PIVOT_DEGENERACY_TOL:.0e}; "
-        "the unmixing estimate is degenerate"
-    )
-
-
 def canonicalize(estimate) -> np.ndarray:
     """Resolve permutation and scale: unit diagonal, sources in column order.
 
@@ -289,7 +289,10 @@ def canonicalize(estimate) -> np.ndarray:
     pivots = w[row_of_col, np.arange(w.shape[0])]
     small = np.flatnonzero(np.abs(pivots) < PIVOT_DEGENERACY_TOL)
     if small.size:
-        raise _degenerate_pivot(pivots[small[0]], small[0])
+        raise CanonicalizationError(
+            f"pivot |{pivots[small[0]]:.3e}| for source {small[0]} is below "
+            f"{PIVOT_DEGENERACY_TOL:.0e}; the unmixing estimate is degenerate"
+        )
     return w[row_of_col] / pivots[:, None]
 
 
@@ -359,25 +362,21 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
                  max_iter: int = 1000, mode: str = "parallel", seed=0) -> EffectEstimate:
     """Full pipeline: whiten, rotate, read effects off the outcome row.
 
-    The contrast iteration starts from regression_unmixing, the unmixing
-    least squares implies, carried into whitened coordinates; seed feeds
-    only the restart draws. The outcome row is the final row j with the
-    largest |cos| against the start's, in whitened coordinates, and
-    theta_hat = -u[j, p:q] / u[j, q] with u = W K and q = p + m.
-    diagnostics.condition_value is that |cos|, in (0, 1]; a low value means
-    the iteration moved far from the start's outcome row.
+    The contrast iteration starts from regression_start; seed feeds only the
+    restart draws. The start's outcome row is e_q with q = p + m, so the
+    outcome row is the final row j with the largest |W[j, q]|, and
+    theta_hat = -u[p:q] / u[q] with u = (W K)[j]. condition_value is
+    |W[j, q]|, the |cos| of row j with e_q: at least 1/sqrt(d), as column q
+    of the orthonormal W has unit norm, and low when the iteration moved far
+    from the start. As K is lower triangular, u[q] = W[j, q] K[q, q] != 0.
     """
     whitened, k, _ = whiten(dataset.columns)
-    k_inv = np.linalg.inv(k)  # cov = k_inv k_inv^T, as k cov k^T = I
     p, q = dataset.p, dataset.p + dataset.m
-    w0 = regression_unmixing(k_inv @ k_inv.T, p, dataset.m) @ k_inv
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
-                     mode=mode, seed=seed, w_init=w0)
-    cos = np.abs(result.w_rotation @ (w0[q] / np.linalg.norm(w0[q])))
+                     mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m))
+    cos = np.abs(result.w_rotation[:, q])
     j = int(np.argmax(cos))
     u = (result.w_rotation @ k)[j]  # row j of the full product, as canonicalize divides it
-    if abs(u[q]) < PIVOT_DEGENERACY_TOL:
-        raise _degenerate_pivot(u[q], q)
     notes = "" if result.converged else "contrast iteration hit max_iter"
     diag = Diagnostics(converged=result.converged, iterations=result.iterations,
                        condition_value=float(cos[j]), notes=notes, restarts=result.restarts)

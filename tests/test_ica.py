@@ -21,7 +21,7 @@ from plrica import (
     get_contrast,
     hungarian,
     ols_joint,
-    regression_unmixing,
+    regression_start,
     resolve,
     scenario_from_config,
     simulate,
@@ -61,8 +61,7 @@ def builtin_cell_dataset(text, index=0):
 def fit_from_start(ds, contrast="logcosh"):
     """estimate_ica's whitening, regression start and contrast iteration, unread."""
     z, k, means = whiten(ds.columns)
-    k_inv = np.linalg.inv(k)
-    w0 = regression_unmixing(k_inv @ k_inv.T, ds.p, ds.m) @ k_inv
+    w0 = regression_start(k, ds.p, ds.m)
     return fastica(z, contrast=contrast, w_init=w0), k, means, w0
 
 
@@ -99,20 +98,25 @@ class TestWhiten:
             whiten(data)
 
     @pytest.mark.parametrize("text", BUILTIN_CELLS)
-    def test_bitwise_equal_to_symmetrized_eigh(self, text):
-        """whiten skips symmetrizing the covariance; on builtin cells that
-        changes no bit of its outputs."""
-        data = builtin_cell_dataset(text).columns
-        means = data.mean(axis=0)
-        xc = data - means
-        cov = xc.T @ xc / data.shape[0]
-        vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-        vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
-        k = vecs.T / np.sqrt(vals)[:, None]
-        want = (xc @ k.T, k, means)
-        got = whiten(data)
-        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
-        assert [a.flags.c_contiguous for a in got] == [b.flags.c_contiguous for b in want]
+    def test_cholesky_whitening_contract(self, text):
+        """K is lower triangular, so its outcome row holds the least-squares
+        slopes of Y, and the whitened array does not depend on column units."""
+        ds = builtin_cell_dataset(text)
+        z, k, _ = whiten(ds.columns)
+        q = ds.p + ds.m
+        assert not np.triu(k, 1).any()
+        assert np.max(np.abs(z.T @ z / ds.n - np.eye(q + 1))) <= 1e-10
+        assert np.allclose(-k[q, ds.p:q] / k[q, q], ols_joint(ds).theta_hat, rtol=0, atol=1e-10)
+        rng = np.random.default_rng(q)
+        for scales in (np.full(q + 1, 1e-8), np.full(q + 1, 1e8),
+                       10.0 ** rng.uniform(-8, 8, q + 1)):
+            assert np.allclose(whiten(ds.columns * scales)[0], z, rtol=0, atol=1e-12)
+
+    def test_constant_column_raises(self):
+        data = np.random.default_rng(3).standard_normal((100, 3))
+        data[:, 1] = 2.5
+        with pytest.raises(RankDeficientError, match="a column is constant"):
+            whiten(data)
 
 
 class TestContrasts:
@@ -422,7 +426,10 @@ class TestRegressionStart:
         ds = simulate(laplace_spec(p=p, m=m, theta=theta), 2000, seed=20 + m)
         xc = ds.columns - ds.columns.mean(axis=0)
         cov = xc.T @ xc / ds.n
-        w0 = regression_unmixing(cov, p, m)
+        _, k, _ = whiten(ds.columns)
+        start = regression_start(k, p, m)
+        assert start[p + m].tolist() == np.eye(p + m + 1)[p + m].tolist()
+        w0 = start @ k
         assert np.allclose(np.diag(w0 @ cov @ w0.T), 1.0, rtol=0, atol=1e-12)
         assert not np.triu(w0, 1).any()
         canonical = canonicalize(w0)
@@ -498,13 +505,22 @@ class TestAnchoredRead:
         assert 0.0 < value <= 1.0
         assert value == cos.max()
 
-    def test_outcome_pivot_below_tolerance_raises(self):
-        # the floor is absolute: scaling every column by 1e10 scales u by 1e-10
-        # and leaves the whitening's conditioning as it was
+    def test_condition_value_at_least_one_over_sqrt_d(self):
+        # column q of the orthonormal rotation has unit norm, so its largest
+        # entry is at least 1/sqrt(d); at n = 100, p = 50 the iteration moves far
+        text = "scenario = fig2_linear_homl\nsample_sizes = [100]\ncovariate_dims = [50]"
+        values = [estimate_ica(builtin_cell_dataset(text, index)).diagnostics.condition_value
+                  for index in range(4)]
+        assert min(values) >= 1 / math.sqrt(52)
+        assert min(values) < 0.9
+
+    def test_scale_equivariant(self):
+        # every column times 1e8 and Y times 1e5 more: theta_hat times 1e5
         ds = simulate(laplace_spec(p=2), 2000, seed=3)
-        ds.columns *= 1e10
-        with pytest.raises(CanonicalizationError, match=r"pivot \|\d\.\d{3}e-\d\d\| for source 3 "):
-            estimate_ica(ds)
+        theta_hat = estimate_ica(ds).theta_hat
+        ds.columns *= 1e8
+        ds.columns[:, -1] *= 1e5
+        assert np.allclose(estimate_ica(ds).theta_hat, theta_hat * 1e5, rtol=1e-12, atol=0)
 
 
 def _loop_canonicalize(w):
