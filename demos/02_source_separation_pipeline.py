@@ -40,7 +40,10 @@ print("whitened cov err:", np.max(np.abs(z.T @ z / len(z) - np.eye(4))))
 # unmixing that regressing T on X and Y on (X, T) implies. In whitened
 # coordinates that start is the block diagonal of K^-1, and its outcome row
 # is the last unit vector. It is a root-n consistent estimate of the exact
-# unmixing, so few sweeps remain
+# unmixing, so few sweeps remain. The stop test here waits for every row,
+# as canonicalize below reads them all; estimate_ica passes anchor=3 and
+# waits only for the row it reads, which on this dataset stops at the
+# same sweep
 w0 = regression_start(k_matrix, p=2, m=1)
 print("regression-implied start in whitened coordinates:")
 print(np.round(w0, 3))

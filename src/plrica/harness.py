@@ -751,6 +751,16 @@ BUILTIN_SCENARIOS: dict[str, str] = {
         tie_ab = true
         methods = [ica, oml, homl]
     """,
+    # the abstract's Gaussian confounders: beta = 2 draws Gaussian covariates,
+    # beta = 1 the Laplace ones beside them
+    "gaussian_confounders": """
+        noise_t = laplace
+        noise_y = laplace
+        beta_values = [1.0, 2.0]
+        covariate_dims = [2, 10, 20]
+        sample_sizes = [1000, 5000]
+        methods = [ica, oml, homl, ols]
+    """,
     "default_test": _LAPLACE + """
         sparsity_keep_prob = 1.0
         sample_sizes = [200, 500]

@@ -192,14 +192,19 @@ def regression_start(k, p: int, m: int) -> np.ndarray:
 
 
 def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 1000,
-            mode: str = "parallel", seed=0, w_init=None) -> FastIcaResult:
+            mode: str = "parallel", seed=0, w_init=None, anchor=None) -> FastIcaResult:
     """Fixed-point contrast iteration on whitened data.
 
     All rows update jointly, each update followed by symmetric
-    decorrelation. Convergence means 1 - |cos| of the angle between every
-    row and its last update is below tol. That leaves a converged row up
-    to about sqrt(2 tol) rad from the fixed point (1.4e-2 at the default
-    tol). A non-converged result is still returned with converged=False.
+    decorrelation. The stop test takes 1 - |cos| of the angle between a
+    row and its update: of every row when anchor is None, and otherwise of
+    the one row j with the largest |W[j, anchor]| in the update, the row a
+    read anchored on whitened column anchor takes. Convergence means the
+    test passed on two sweeps running; one pass alone can be a wandering
+    fit's chance step. A passing row can still be about sqrt(2 tol) rad
+    from the fixed point (1.4e-2 at the default tol). Rows the anchored
+    test does not watch may still be moving when it stops. A non-converged
+    result is still returned with converged=False.
 
     Sweeps run in float32 until the test passes at max(tol, F32_SWITCH);
     only a tol below F32_SWITCH adds float64 sweeps, until it passes at
@@ -211,7 +216,9 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     of default_rng(seed) when w_init is None. After a rank-deficient update
     candidate the current phase goes on from a fresh draw of
     default_rng(seed); restarts counts these, and max_iter counts their
-    sweeps. A rank-deficient or non-finite w_init raises.
+    sweeps. The passes counted toward the two start again at zero after a
+    restart and at the start of the float64 phase. A rank-deficient or
+    non-finite w_init raises, and so does an anchor outside 0..d-1.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -224,6 +231,10 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         raise IcaError(f"unknown mode {mode!r}; the iteration is 'parallel' only")
     con = get_contrast(contrast)
     n, d = z.shape
+    if anchor is not None:
+        anchor = _convert("anchor", _as_int, anchor, IcaError)
+        if not 0 <= anchor < d:
+            raise IcaError(f"anchor must be a column index in 0..{d - 1}, got {anchor}")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((d, d)) if w_init is None else np.array(w_init, dtype=float)
     if w.shape != (d, d):
@@ -237,7 +248,8 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         zt = z.astype(dtype, copy=False)
         s = np.empty((n, d), dtype)  # the sources and t(sources), refilled every sweep
         g = np.empty_like(s)
-        while True:
+        passes = 0
+        while passes < 2:
             if it == max_iter:
                 return FastIcaResult(w, False, it, restarts)
             it += 1
@@ -248,11 +260,12 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
             except IcaError:
                 w = _sym_decorrelation(rng.standard_normal((d, d)))
                 restarts += 1
+                passes = 0
                 continue
-            lim = float(np.max(np.abs(np.abs(np.sum(w1 * w, axis=1)) - 1.0)))
+            rows = slice(None) if anchor is None else int(np.argmax(np.abs(w1[:, anchor])))
+            lim = float(np.max(np.abs(np.abs(np.sum(w1[rows] * w[rows], axis=-1)) - 1.0)))
             w = w1
-            if lim < stop:
-                break
+            passes = passes + 1 if lim < stop else 0
     return FastIcaResult(w, True, it, restarts)
 
 
@@ -278,7 +291,9 @@ def canonicalize(estimate) -> np.ndarray:
     -log|entry| (the most negative-log-magnitude, i.e. largest-product,
     bijection), then each matched row is divided by its diagonal entry.
     The output is invariant to row permutation and row rescaling of the
-    input. Accepts an UnmixingEstimate or a square matrix.
+    input. A pivot at most PIVOT_DEGENERACY_TOL times the largest |entry|
+    of its column raises CanonicalizationError, a test that column units
+    do not change. Accepts an UnmixingEstimate or a square matrix.
     """
     w = estimate.w_total if isinstance(estimate, UnmixingEstimate) else np.asarray(estimate, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -287,11 +302,12 @@ def canonicalize(estimate) -> np.ndarray:
         raise IcaError("unmixing matrix contains non-finite entries")
     row_of_col = np.argsort(hungarian(-np.log(np.maximum(np.abs(w), LOG_CLIP))))
     pivots = w[row_of_col, np.arange(w.shape[0])]
-    small = np.flatnonzero(np.abs(pivots) < PIVOT_DEGENERACY_TOL)
+    small = np.flatnonzero(np.abs(pivots) <= PIVOT_DEGENERACY_TOL * np.max(np.abs(w), axis=0))
     if small.size:
         raise CanonicalizationError(
-            f"pivot |{pivots[small[0]]:.3e}| for source {small[0]} is below "
-            f"{PIVOT_DEGENERACY_TOL:.0e}; the unmixing estimate is degenerate"
+            f"pivot |{pivots[small[0]]:.3e}| for source {small[0]} is at most "
+            f"{PIVOT_DEGENERACY_TOL:.0e} times the largest |entry| of its column; "
+            "the unmixing estimate is degenerate"
         )
     return w[row_of_col] / pivots[:, None]
 
@@ -365,7 +381,10 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     The contrast iteration starts from regression_start; seed feeds only the
     restart draws. The start's outcome row is e_q with q = p + m, so the
     outcome row is the final row j with the largest |W[j, q]|, and
-    theta_hat = -u[p:q] / u[q] with u = (W K)[j]. condition_value is
+    theta_hat = -u[p:q] / u[q] with u = (W K)[j]. The iteration runs with
+    anchor=q, so converged means that row passed the stop test on two
+    sweeps running; rows the read does not take may still move, as those
+    inside a Gaussian covariate subspace do. condition_value is
     |W[j, q]|, the |cos| of row j with e_q: at least 1/sqrt(d), as column q
     of the orthonormal W has unit norm, and low when the iteration moved far
     from the start. As K is lower triangular, u[q] = W[j, q] K[q, q] != 0.
@@ -373,7 +392,7 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     whitened, k, _ = whiten(dataset.columns)
     p, q = dataset.p, dataset.p + dataset.m
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
-                     mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m))
+                     mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m), anchor=q)
     cos = np.abs(result.w_rotation[:, q])
     j = int(np.argmax(cos))
     u = (result.w_rotation @ k)[j]  # row j of the full product, as canonicalize divides it

@@ -685,6 +685,15 @@ class TestConfigParsing:
         assert cfg.plr.noise_x == NoiseSpec.gaussian()
         assert cfg.plr.noise_t == LAP
 
+    def test_gaussian_confounders_builtin(self):
+        cfg = scenario_from_config("scenario = gaussian_confounders")
+        assert cfg.methods == ("ica", "oml", "homl", "ols")
+        assert cfg.plr.noise_t == cfg.plr.noise_y == LAP
+        covariates = {(cell["n"], cell["dim_x"]): spec_for_cell(cfg, cell).noise_x
+                      for cell in cfg.cells() if cell["beta"] == 2.0}
+        assert sorted(covariates) == [(n, p) for n in (1000, 5000) for p in (2, 10, 20)]
+        assert set(covariates.values()) == {NoiseSpec.generalized_normal(2.0)}
+
     def test_builtin_spec_keys_survive_other_keys(self):
         cfg = scenario_from_config("scenario = appE_slopes\nseeds = 2\nnoise_y = uniform")
         assert cfg.plr.nuisance == "leaky_relu"
