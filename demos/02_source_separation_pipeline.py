@@ -5,7 +5,7 @@ estimate_ica() wraps three steps: whiten by the Cholesky factor, rotate
 effects off the row nearest the start's outcome row. Here each stage runs
 separately so the intermediate objects can be inspected, then the one-call
 path confirms it gives the same estimate bit for bit. canonicalize()
-resolves every row without a start.
+resolves every row without a start, from a fit that waits for every row.
 
 Run: python demos/02_source_separation_pipeline.py
 """
@@ -40,39 +40,39 @@ print("whitened cov err:", np.max(np.abs(z.T @ z / len(z) - np.eye(4))))
 # unmixing that regressing T on X and Y on (X, T) implies. In whitened
 # coordinates that start is the block diagonal of K^-1, and its outcome row
 # is the last unit vector. It is a root-n consistent estimate of the exact
-# unmixing, so few sweeps remain. The stop test here waits for every row,
-# as canonicalize below reads them all; estimate_ica passes anchor=3 and
-# waits only for the row it reads, which on this dataset stops at the
-# same sweep
+# unmixing, so few sweeps remain. anchor=3 makes the stop test watch only
+# the row read below, the one with the largest |entry| in column 3, as
+# estimate_ica does
 w0 = regression_start(k_matrix, p=2, m=1)
 print("regression-implied start in whitened coordinates:")
 print(np.round(w0, 3))
 raw_start = w0 @ k_matrix
 print("the same start on the raw columns (rows: xi, eta, eps):")
 print(np.round(raw_start / np.diag(raw_start)[:, None], 3))
-result = fastica(z, contrast="logcosh", seed=0, w_init=w0)
+result = fastica(z, contrast="logcosh", seed=0, w_init=w0, anchor=3)
 print("converged:", result.converged, "in", result.iterations, "sweeps from that start")
 print("rotation orthonormality err:",
       np.max(np.abs(result.w_rotation @ result.w_rotation.T - np.eye(4))))
-print("row 0 stationarity residual:",
-      f"{stationarity_residual(z, result.w_rotation[0], 'logcosh'):.2e}")
+cos = np.abs(result.w_rotation[:, 3])
+print("|cos| of each final row with the start's outcome row:", np.round(cos, 3))
+print("read row stationarity residual:",
+      f"{stationarity_residual(z, result.w_rotation[np.argmax(cos)], 'logcosh'):.2e}")
 
 # stage 3: the rows come back in any order and scale, but the start names
-# the outcome row e_3: take the final row nearest it, the one with the
-# largest |entry| in column 3, fold the whitening back in and scale it to a
-# unit Y entry. Its X and T entries are then -b and -theta
-cos = np.abs(result.w_rotation[:, 3])
-print("\n|cos| of each final row with the start's outcome row:", np.round(cos, 3))
-outcome_row = (result.w_rotation @ k_matrix)[np.argmax(cos)]
-theta = -(outcome_row[2:3] / outcome_row[3])
+# the outcome row e_3. extract_effects folds the whitening back in, takes
+# the row with the largest |entry| in the Y column, the one nearest e_3, and
+# scales it to a unit Y entry; its X and T entries are then -b and -theta
+theta = extract_effects(result.w_rotation @ k_matrix, p=2, m=1).theta_hat
 print("theta via the anchored outcome row:", theta)
 
 # canonicalize resolves every row without a start, by a minimum-cost
-# assignment of rows to sources; here it matches the same outcome row
-canonical = canonicalize(assemble_unmixing(result, k_matrix, means, "logcosh"))
-print("\ncanonical unmixing (rows: xi, eta, eps):")
+# assignment of rows to sources, so its fit waits for every row to settle
+every_row = fastica(z, contrast="logcosh", seed=0, w_init=w0)
+print("\nall-rows fit: converged:", every_row.converged, "in", every_row.iterations, "sweeps")
+canonical = canonicalize(assemble_unmixing(every_row, k_matrix, means, "logcosh"))
+print("canonical unmixing (rows: xi, eta, eps):")
 print(np.round(canonical, 3))
-print("theta via canonical unmixing row:", extract_effects(canonical, p=2, m=1).theta_hat)
+print("theta via canonical unmixing row:", -canonical[3, 2:3])  # row 3 is the one matched to Y
 
 # same number read from the implied mixing matrix; identical up to
 # sampling noise reweighting, and exactly equal on noiseless input

@@ -27,21 +27,6 @@ class BaselineError(ValueError):
     """Invalid baseline request."""
 
 
-@dataclass(eq=False)
-class NuisanceFit:
-    """Cross-fitted conditional-mean predictions.
-
-    predictions_t[i, j] and predictions_y[i] were produced by the model
-    trained on the folds NOT containing row i (fold_assignment[i]).
-    penalties[k] is the lasso penalty of the model that predicts fold k.
-    """
-
-    predictions_t: np.ndarray
-    predictions_y: np.ndarray
-    fold_assignment: np.ndarray
-    penalties: tuple[float, ...]
-
-
 @dataclass(eq=False, frozen=True)
 class MomentDiagnostics:
     """Health of the orthogonal-moment denominators, one entry per treatment.
@@ -58,8 +43,10 @@ class MomentDiagnostics:
 
 
 def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
-                 tol: float = 1e-4, max_iter: int = 1000) -> NuisanceFit:
-    """Cross-fitted lasso regressions of each treatment and the outcome on X.
+                 tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-fitted (n,) outcome and (n, m) treatment residuals on X, the
+    input of oml_estimate and homl_estimate: each row's residual is from
+    the lasso fit on the other folds.
 
     Fold k is the rows with index % folds == k, the strided view
     xc[k::folds] of one centered copy xc of dataset.columns. The penalty
@@ -88,23 +75,16 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     sums = [np.ones(len(part)) @ part for part in parts]
     cross = [part.T @ part for part in parts]
     predictions = np.empty((n, dataset.m + 1))
-    penalties = []
     for k in range(folds):
         n_train = n - len(parts[k])
         others = [j for j in range(folds) if j != k]
         train_means = sum(sums[j] for j in others) / n_train
         moments = sum(cross[j] for j in others) / n_train - np.outer(train_means, train_means)
         lam = lambda_scale * math.sqrt(math.log(p + dataset.m + 1) / n_train)
-        penalties.append(lam)
         weights = np.column_stack([w for w, _, _ in gram_lasso(moments, p, lam, tol, max_iter)])
         offsets = train_means[p:] - train_means[:p] @ weights + col_means[p:]
         predictions[k::folds] = parts[k][:, :p] @ weights + offsets
-    return NuisanceFit(
-        predictions_t=predictions[:, :-1],
-        predictions_y=predictions[:, -1],
-        fold_assignment=np.arange(n) % folds,
-        penalties=tuple(penalties),
-    )
+    return dataset.y - predictions[:, -1], dataset.t - predictions[:, :-1]
 
 
 def _residual_columns(resid_y, resid_t) -> tuple[np.ndarray, np.ndarray]:
@@ -159,18 +139,10 @@ def homl_estimate(resid_y, resid_t) -> tuple[EffectEstimate, MomentDiagnostics]:
     return estimate, MomentDiagnostics(denominator, condition_value, degenerate)
 
 
-def cross_fitted_residuals(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
-                           tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-fitted (n,) outcome and (n, m) treatment residuals, the input
-    both oml_estimate and homl_estimate take."""
-    fit = fit_nuisance(dataset, lambda_scale=lambda_scale, folds=folds, tol=tol, max_iter=max_iter)
-    return dataset.y - fit.predictions_y, dataset.t - fit.predictions_t
-
-
 def estimate_oml(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
                  tol: float = 1e-4, max_iter: int = 1000) -> EffectEstimate:
     """Cross-fitted residual-on-residual estimate of every treatment effect."""
-    ry, rt = cross_fitted_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    ry, rt = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
     return oml_estimate(ry, rt)
 
 
@@ -181,7 +153,7 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, t
     Returns the estimate together with the moment-denominator health report;
     callers that only need the point estimate can discard the second element.
     """
-    ry, rt = cross_fitted_residuals(dataset, lambda_scale, folds, tol, max_iter)
+    ry, rt = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
     return homl_estimate(ry, rt)
 
 

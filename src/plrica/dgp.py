@@ -240,8 +240,8 @@ class GroundTruth:
 class Dataset:
     """Observed columns of one simulated (or loaded) sample.
 
-    columns stacks X (p columns), T (m columns), Y (one column) in that
-    order. ground_truth is present only for simulated data.
+    columns stacks X (p >= 0 columns), T (m >= 1 columns), Y (one column)
+    in that order. ground_truth is present only for simulated data.
     """
 
     columns: np.ndarray
@@ -250,6 +250,10 @@ class Dataset:
     ground_truth: Optional[GroundTruth] = None
 
     def __post_init__(self):
+        self.p = _convert("p", _as_int, self.p, DgpError)
+        self.m = _convert("m", _as_int, self.m, DgpError)
+        if self.p < 0 or self.m < 1:
+            raise DgpError(f"need p >= 0 and m >= 1, got p={self.p}, m={self.m}")
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2:
             raise DgpError(f"columns must be 2-d, got shape {cols.shape}")

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._converters import _as_float, _as_int, _as_name, _convert, _each, _instance_of, _one_of
-from .baselines import cross_fitted_residuals, homl_estimate, ols_joint, oml_estimate
+from .baselines import fit_nuisance, homl_estimate, ols_joint, oml_estimate
 from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
@@ -169,7 +169,7 @@ class ScenarioConfig:
     folds: int = 2
     tol: float = 1e-4
     max_iter: int = 1000
-    ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 4
+    ica_mode = "parallel"  # not a field; leaves with the benchmark change in ROADMAP item 5
 
     def __post_init__(self):
         """Convert every field, check lengths and ranges no converter or process
@@ -254,14 +254,13 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
 
     ica uses contrast, seed, tol and max_iter. oml and homl take their
     (outcome, treatment) residuals from calling residuals, or fit them with
-    cross_fitted_residuals from lambda_scale, folds, tol and max_iter when it
-    is None. ols uses no setting. Every method takes any number of
-    treatments.
+    fit_nuisance from lambda_scale, folds, tol and max_iter when it is
+    None. ols uses no setting. Every method takes any number of treatments.
     """
     if method == "ica":
         return estimate_ica(dataset, contrast=contrast, tol=tol, max_iter=max_iter, seed=seed)
     if method in ("oml", "homl"):
-        fit = residuals or functools.partial(cross_fitted_residuals, dataset,
+        fit = residuals or functools.partial(fit_nuisance, dataset,
                                              lambda_scale=lambda_scale, folds=folds,
                                              tol=tol, max_iter=max_iter)
         ry, rt = fit()
@@ -283,7 +282,7 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
     data_seq, ica_seq = np.random.SeedSequence(seed).spawn(2)
     spec = spec_for_cell(config, cell)
     dataset = simulate(spec, cell["n"], data_seq)
-    residuals = functools.cache(lambda: cross_fitted_residuals(
+    residuals = functools.cache(lambda: fit_nuisance(
         dataset, lambda_scale=config.lambda_scale, folds=config.folds,
         tol=config.tol, max_iter=config.max_iter))
     truth = dataset.ground_truth.theta

@@ -9,11 +9,11 @@ from plrica import (
     Dataset,
     NoiseSpec,
     PlrSpec,
-    cross_fitted_residuals,
     estimate_homl,
     estimate_oml,
     fit_nuisance,
     homl_estimate,
+    lasso_fit,
     ols_joint,
     oml_estimate,
     scenario_from_config,
@@ -29,40 +29,36 @@ def laplace_spec(p=2, theta=3.0, **kw):
 
 
 class TestFitNuisance:
-    def test_fold_assignment_round_robin(self):
-        ds = simulate(laplace_spec(), 101, seed=0)
-        fit = fit_nuisance(ds, folds=2)
-        assert np.array_equal(fit.fold_assignment, np.arange(101) % 2)
-
-    def test_penalty_formula(self):
-        ds = simulate(laplace_spec(p=4), 200, seed=1)
-        fit = fit_nuisance(ds, lambda_scale=2.0, folds=2)
-        want = 2.0 * math.sqrt(math.log(4 + 1 + 1) / 100)
-        assert fit.penalties == pytest.approx((want, want))
-
-    def test_penalties_follow_each_fold_training_size(self):
+    def test_residuals_of_lasso_fit_on_the_other_folds(self):
         # n = 101 in 2 folds: fold 0 holds the 51 even rows, so its model
-        # trained on 50 rows; fold 1's model trained on 51
+        # trained on 50 rows and fold 1's on 51, each at its own penalty
         ds = simulate(laplace_spec(p=2), 101, seed=0)
-        fit = fit_nuisance(ds, folds=2)
-        assert fit.penalties == (math.sqrt(math.log(4) / 50), math.sqrt(math.log(4) / 51))
-        assert fit.penalties == pytest.approx((0.16651, 0.16487), abs=1e-5)
+        ry, rt = fit_nuisance(ds, lambda_scale=2.0, folds=2)
+        residuals = np.column_stack([rt, ry])
+        targets = np.column_stack([ds.t, ds.y])
+        for k, n_train in ((0, 50), (1, 51)):
+            test = np.arange(101) % 2 == k
+            assert int((~test).sum()) == n_train
+            lam = 2.0 * math.sqrt(math.log(2 + 1 + 1) / n_train)
+            for j in range(2):
+                single = lasso_fit(ds.x[~test], targets[~test, j], lam)
+                want = targets[test, j] - single.predict(ds.x[test])
+                assert np.max(np.abs(residuals[test, j] - want)) <= 1e-12
 
-    def test_prediction_shapes(self):
+    def test_residual_shapes(self):
         spec = PlrSpec(p=3, m=2, noise_x=NoiseSpec.laplace(),
                        noise_t=NoiseSpec.laplace(), noise_y=NoiseSpec.laplace())
         ds = simulate(spec, 120, seed=2)
-        fit = fit_nuisance(ds)
-        assert fit.predictions_t.shape == (120, 2)
-        assert fit.predictions_y.shape == (120,)
+        ry, rt = fit_nuisance(ds)
+        assert ry.shape == (120,)
+        assert rt.shape == (120, 2)
 
-    def test_predictions_out_of_fold(self):
+    def test_residuals_out_of_fold(self):
         # prediction quality on held-out halves: residual var must be close
         # to the noise floor, far below the raw outcome variance
         ds = simulate(laplace_spec(p=5), 4000, seed=3)
-        fit = fit_nuisance(ds)
-        resid = ds.y - fit.predictions_y
-        assert resid.var() < 0.5 * ds.y.var()
+        ry, _ = fit_nuisance(ds)
+        assert ry.var() < 0.5 * ds.y.var()
 
     @pytest.mark.parametrize("folds", [2, 3])
     def test_copies_no_rows(self, folds):
@@ -210,7 +206,7 @@ class TestSeveralTreatments:
         # shrinkage leaves oml about 0.01 low at this n (ROADMAP, small open
         # FOUND lines), which 8 seeds cannot resolve and 60 do; this checks
         # the moment steps, not the first stage
-        residuals = [cross_fitted_residuals(simulate(MULTI, 5000, seed=s)) for s in range(8)]
+        residuals = [fit_nuisance(simulate(MULTI, 5000, seed=s)) for s in range(8)]
         assert residuals[0][1].shape == (5000, 2)
         for name, moment in (("oml", oml_estimate), ("homl", lambda *r: homl_estimate(*r)[0])):
             thetas = np.array([moment(ry, rt).theta_hat for ry, rt in residuals])

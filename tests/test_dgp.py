@@ -307,6 +307,20 @@ class TestDataset:
         with pytest.raises(DgpError):
             Dataset(columns=np.zeros((5, 3)), p=3, m=1)
 
+    @pytest.mark.parametrize("p, m", [(-1, 2), (1, 0), (True, 1), (1, True), (1.0, 1)])
+    def test_impossible_block_sizes_refused(self, p, m):
+        # the column count matches p + m + 1 in each case, so only the
+        # block sizes themselves can be refused
+        columns = np.random.default_rng(0).standard_normal((20, int(p) + int(m) + 1))
+        with pytest.raises(DgpError, match="'p'|'m'|p >= 0 and m >= 1"):
+            Dataset(columns=columns, p=p, m=m)
+
+    def test_no_covariates_and_numpy_sizes_taken(self):
+        ds = Dataset(columns=np.random.default_rng(0).standard_normal((20, 2)),
+                     p=np.int64(0), m=np.int64(1))
+        assert (ds.p, ds.m) == (0, 1) and type(ds.p) is int and type(ds.m) is int
+        assert ds.x.shape == (20, 0) and ds.t.shape == (20, 1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_cell_refused(self, bad, tmp_path):
         columns = simulate(PlrSpec(p=2), 10, seed=3).columns

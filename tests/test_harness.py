@@ -289,7 +289,7 @@ class TestRunAndEmit:
 
     def test_residual_methods_share_one_nuisance_fit(self, monkeypatch):
         calls = []
-        real_fit = baselines.fit_nuisance
+        real_fit = harness.fit_nuisance
 
         def counting_fit(*args, **kwargs):
             calls.append(1)
@@ -297,10 +297,9 @@ class TestRunAndEmit:
 
         cfg = tiny_config(methods=("oml", "homl"))
         cell = cfg.cells()[0]
-        monkeypatch.setattr(baselines, "fit_nuisance", counting_fit)
+        monkeypatch.setattr(harness, "fit_nuisance", counting_fit)
         recs = run_cell_replication(cfg, cell, 0)
         assert len(calls) == 1
-        monkeypatch.setattr(baselines, "fit_nuisance", real_fit)
         data_seq, _ = np.random.SeedSequence(cell_seed(cfg.scenario, cell, 0)).spawn(2)
         dataset = simulate(spec_for_cell(cfg, cell), cell["n"], data_seq)
         settings = dict(lambda_scale=cfg.lambda_scale, folds=cfg.folds, tol=cfg.tol,
@@ -312,7 +311,7 @@ class TestRunAndEmit:
 
     def test_nuisance_fit_builds_one_gram_per_fold(self, monkeypatch):
         # each fold builds its training moment matrix once and the solver
-        # fits all m + 1 targets on it; the predictions are those of one
+        # fits all m + 1 targets on it; the residuals are those of one
         # lasso_fit call per target
         calls = []
         real_solver = baselines.gram_lasso
@@ -324,18 +323,18 @@ class TestRunAndEmit:
         spec = PlrSpec(p=5, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP)
         dataset = simulate(spec, 300, seed=3)
         monkeypatch.setattr(baselines, "gram_lasso", counting_solver)
-        fit = baselines.fit_nuisance(dataset, folds=3)
+        ry, rt = baselines.fit_nuisance(dataset, folds=3)
         assert calls == [3, 3, 3]
         columns = np.column_stack([dataset.t, dataset.y])
-        predictions = np.column_stack([fit.predictions_t, fit.predictions_y])
+        residuals = np.column_stack([rt, ry])
         for k in range(3):
-            test = fit.fold_assignment == k
+            test = np.arange(dataset.n) % 3 == k
             train = ~test
             lam = math.sqrt(math.log(5 + 2 + 1) / int(train.sum()))
             for j in range(3):
                 single = lasso_fit(dataset.x[train], columns[train, j], lam)
-                want = single.predict(dataset.x[test])
-                assert np.max(np.abs(predictions[test, j] - want)) <= 1e-12
+                want = columns[test, j] - single.predict(dataset.x[test])
+                assert np.max(np.abs(residuals[test, j] - want)) <= 1e-12
 
     def test_replication_routes_every_method_through_estimate(self, monkeypatch):
         seen = []

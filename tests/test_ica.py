@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plrica import (
     CONTRASTS,
@@ -68,7 +70,8 @@ def fit_from_start(ds, contrast="logcosh"):
 def assignment_read(ds, contrast="logcosh"):
     """theta read from the row a minimum-cost assignment matches to Y."""
     res, k, means, _ = fit_from_start(ds, contrast)
-    return extract_effects(canonicalize(assemble_unmixing(res, k, means)), ds.p, ds.m).theta_hat
+    q = ds.p + ds.m
+    return -canonicalize(assemble_unmixing(res, k, means))[q, ds.p:q]
 
 
 class TestWhiten:
@@ -448,14 +451,12 @@ class TestFastIca:
         ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [500]\n"
                                   "covariate_dims = [50]", index)
         z, k, _ = whiten(ds.columns)
-        p, q = ds.p, ds.p + ds.m
-        w0 = regression_start(k, p, ds.m)
         est = estimate_ica(ds)
-        every_row = fastica(z, w_init=w0)
+        every_row = fastica(z, w_init=regression_start(k, ds.p, ds.m))
         assert est.diagnostics.converged and every_row.converged
         assert est.diagnostics.iterations < every_row.iterations
-        u = (every_row.w_rotation @ k)[np.argmax(np.abs(every_row.w_rotation[:, q]))]
-        assert np.max(np.abs(est.theta_hat + u[p:q] / u[q])) < 0.15
+        read = extract_effects(every_row.w_rotation @ k, ds.p, ds.m).theta_hat
+        assert np.max(np.abs(est.theta_hat - read)) < 0.15
 
     def test_rank_deficient_start_raises(self):
         ds = simulate(laplace_spec(), 500, seed=4)
@@ -563,6 +564,7 @@ class TestAnchoredRead:
         u = res.w_rotation @ k
         theta = ds.ground_truth.theta
         assert np.linalg.norm(-u[q, ds.p:q] / u[q, q] - theta) > 1.5
+        assert np.linalg.norm(extract_effects(u, ds.p, ds.m).theta_hat - theta) < 0.1
         assert np.linalg.norm(estimate_ica(ds).theta_hat - theta) < 0.1
 
     @pytest.mark.parametrize("dim_x, index", [(2, 10), (20, 8)])
@@ -716,15 +718,46 @@ class TestEffectExtraction:
         est = extract_effects_from_mixing(canon, 1, 1)
         assert est.method == "ica_mixing"
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_row_order_and_scale(self, data):
+        # the exact outcome row is the only one with a nonzero Y entry
+        p, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        spec = resolve(PlrSpec(p=p, m=m, theta=rng.uniform(-2, 2, m)), rng)
+        _, unmix = build_linear_mixing(spec)
+        order = data.draw(st.permutations(range(p + m + 1)))
+        scale = np.array(data.draw(st.lists(
+            st.floats(1e-6, 1e6).flatmap(lambda v: st.sampled_from([v, -v])),
+            min_size=p + m + 1, max_size=p + m + 1)))
+        got = extract_effects(scale[:, None] * unmix[order], p, m).theta_hat
+        assert np.max(np.abs(got - spec.theta)) <= 1e-12
+
     def test_shape_and_diagonal_validation(self):
-        with pytest.raises(IcaError):
+        with pytest.raises(IcaError, match="shape"):
             extract_effects(np.eye(4), p=1, m=1)
         bad = np.eye(3)
         bad[1, 1] = 2.0
-        with pytest.raises(IcaError):
-            extract_effects(bad, p=1, m=1)
-        with pytest.raises(IcaError):
+        with pytest.raises(IcaError, match="unit diagonal"):
             extract_effects_from_mixing(bad, p=1, m=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_unmixing_raises(self, value):
+        w = np.eye(3)
+        w[0, 1] = value
+        with pytest.raises(IcaError, match="non-finite"):
+            extract_effects(w, p=1, m=1)
+
+    def test_zero_outcome_column_raises(self):
+        w = np.eye(3)
+        w[2, 2] = 0.0
+        with pytest.raises(IcaError, match="column 2"):
+            extract_effects(w, p=1, m=1)
+
+    def test_singular_canonical_matrix_raises(self):
+        singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(IcaError, match="singular"):
+            extract_effects_from_mixing(singular, p=1, m=1)
 
 
 class TestEndToEnd:
