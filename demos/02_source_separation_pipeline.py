@@ -4,8 +4,9 @@ estimate_ica() wraps three steps: whiten by the Cholesky factor, rotate
 (FastICA, started from the unmixing least squares implies), read the
 effects off the row nearest the start's outcome row. Here each stage runs
 separately so the intermediate objects can be inspected, then the one-call
-path confirms it gives the same estimate bit for bit. canonicalize()
-resolves every row without a start, from a fit that waits for every row.
+path confirms it gives the same estimate bit for bit. The read off the
+implied mixing matrix also uses the treatment's row, so it runs on a fit
+that waits for every row; both reads take W K as the fit returns it.
 
 Run: python demos/02_source_separation_pipeline.py
 """
@@ -14,8 +15,6 @@ import numpy as np
 from plrica import (
     NoiseSpec,
     PlrSpec,
-    assemble_unmixing,
-    canonicalize,
     estimate_ica,
     extract_effects,
     extract_effects_from_mixing,
@@ -65,18 +64,19 @@ print("read row stationarity residual:",
 theta = extract_effects(result.w_rotation @ k_matrix, p=2, m=1).theta_hat
 print("theta via the anchored outcome row:", theta)
 
-# canonicalize resolves every row without a start, by a minimum-cost
-# assignment of rows to sources, so its fit waits for every row to settle
+# the mixing read below also uses the row of the treatment, which the
+# anchored stop does not watch, so its fit waits for every row to settle
 every_row = fastica(z, contrast="logcosh", seed=0, w_init=w0)
 print("\nall-rows fit: converged:", every_row.converged, "in", every_row.iterations, "sweeps")
-canonical = canonicalize(assemble_unmixing(every_row, k_matrix, means, "logcosh"))
-print("canonical unmixing (rows: xi, eta, eps):")
-print(np.round(canonical, 3))
-print("theta via canonical unmixing row:", -canonical[3, 2:3])  # row 3 is the one matched to Y
+unmixing = every_row.w_rotation @ k_matrix
+print("theta via the outcome row:", extract_effects(unmixing, p=2, m=1).theta_hat)
 
-# same number read from the implied mixing matrix; identical up to
-# sampling noise reweighting, and exactly equal on noiseless input
-effect_mix = extract_effects_from_mixing(canonical, p=2, m=1)
+# same number read from the implied mixing matrix W^-1: its outcome-row
+# entry in the treatment's row (the other row with the largest |entry| in
+# the T column), times that row's T entry, in any row order and scale.
+# identical up to sampling noise reweighting, and exactly equal on
+# noiseless input
+effect_mix = extract_effects_from_mixing(unmixing, p=2, m=1)
 print("theta via mixing entry:", effect_mix.theta_hat)
 
 one_call = estimate_ica(data, seed=0)

@@ -8,8 +8,8 @@ its exact inverse.
 """
 from __future__ import annotations
 
-import io
 import re
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -298,19 +298,19 @@ class Dataset:
     @staticmethod
     def from_csv(path) -> "Dataset":
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.strip().splitlines()
-        if len(lines) < 2:
+            names = [s.strip() for s in fh.readline().split(",")]
+            with warnings.catch_warnings():  # a file without rows is refused below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if data.size == 0:
             raise DgpError("csv needs a header line and at least one row")
-        names = [s.strip() for s in lines[0].split(",")]
         pat_x = re.compile(r"x_(\d+)$")
         pat_t = re.compile(r"t_(\d+)$")
         p = sum(1 for s in names if pat_x.match(s))
         m = sum(1 for s in names if pat_t.match(s))
         expected = [f"x_{i}" for i in range(p)] + [f"t_{j}" for j in range(m)] + ["y"]
-        if p < 1 or m < 1 or names != expected:
+        if m < 1 or names != expected:
             raise DgpError(f"bad csv header {names!r}; expected x_0..x_{{p-1}},t_0..t_{{m-1}},y")
-        data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
         if data.shape[1] != len(names):
             raise DgpError("row width does not match header")
         return Dataset(columns=data, p=p, m=m)

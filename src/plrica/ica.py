@@ -7,8 +7,8 @@ Cholesky factor, the unmixing least squares implies is block diagonal and
 its outcome row is the last unit vector. A fixed-point contrast iteration
 started there recovers an orthonormal rotation; the final row nearest that
 vector, scaled to a unit outcome entry, holds the negated treatment
-effects. canonicalize() resolves permutation and scale without a start, by
-a minimum-cost assignment and pivot rescaling.
+effects. Both reads take W K as the fit returns it; canonicalize() resolves
+permutation and scale without a start, and no read needs it.
 """
 from __future__ import annotations
 
@@ -112,23 +112,6 @@ class FastIcaResult:
     converged: bool
     iterations: int
     restarts: int = 0
-
-
-@dataclass(eq=False)
-class UnmixingEstimate:
-    """Estimated unmixing of the raw (centered) columns.
-
-    w_total = w_rotation @ whitening maps centered data to estimated
-    sources, still subject to row permutation and scale ambiguity.
-    """
-
-    w_total: np.ndarray
-    w_rotation: np.ndarray
-    whitening: np.ndarray
-    means: np.ndarray
-    converged: bool
-    iterations: int
-    contrast: str
 
 
 def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,21 +253,13 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
 
 
 def assemble_unmixing(result: FastIcaResult, whitening: np.ndarray, means: np.ndarray,
-                      contrast: str = "logcosh") -> UnmixingEstimate:
-    """Compose the whitening map and the rotation into a full unmixing."""
-    k = np.asarray(whitening, dtype=float)
-    return UnmixingEstimate(
-        w_total=result.w_rotation @ k,
-        w_rotation=np.asarray(result.w_rotation, dtype=float),
-        whitening=k,
-        means=np.asarray(means, dtype=float),
-        converged=result.converged,
-        iterations=result.iterations,
-        contrast=contrast,
-    )
+                      contrast: str = "logcosh") -> np.ndarray:
+    """The unmixing W K of the raw columns: the rotation composed with the whitening."""
+    # means and contrast are ignored; they leave with ROADMAP item 5, as the mode shims do
+    return result.w_rotation @ np.asarray(whitening, dtype=float)
 
 
-def canonicalize(estimate) -> np.ndarray:
+def canonicalize(unmixing) -> np.ndarray:
     """Resolve permutation and scale: unit diagonal, sources in column order.
 
     Rows are matched to source columns by a minimum-cost assignment on
@@ -293,9 +268,9 @@ def canonicalize(estimate) -> np.ndarray:
     The output is invariant to row permutation and row rescaling of the
     input. A pivot at most PIVOT_DEGENERACY_TOL times the largest |entry|
     of its column raises CanonicalizationError, a test that column units
-    do not change. Accepts an UnmixingEstimate or a square matrix.
+    do not change. Neither read of theta needs it.
     """
-    w = estimate.w_total if isinstance(estimate, UnmixingEstimate) else np.asarray(estimate, dtype=float)
+    w = np.asarray(unmixing, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise IcaError(f"unmixing matrix must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -312,6 +287,20 @@ def canonicalize(estimate) -> np.ndarray:
     return w[row_of_col] / pivots[:, None]
 
 
+def _outcome_row(unmixing, p: int, m: int) -> tuple[np.ndarray, int]:
+    """W as a float array and its outcome row j = argmax |W[:, q]|, q = p + m."""
+    w = np.asarray(unmixing, dtype=float)
+    q = p + m
+    if w.shape != (q + 1, q + 1):
+        raise IcaError(f"unmixing matrix must have shape {(q + 1, q + 1)}, got {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise IcaError("unmixing matrix contains non-finite entries")
+    j = int(np.argmax(np.abs(w[:, q])))
+    if w[j, q] == 0.0:
+        raise IcaError(f"column {q} of the unmixing matrix is zero; no row holds the outcome")
+    return w, j
+
+
 def extract_effects(unmixing: np.ndarray, p: int, m: int,
                     diagnostics: Optional[Diagnostics] = None) -> EffectEstimate:
     """Read treatment effects off an unmixing of the raw columns (X, T, Y).
@@ -323,40 +312,36 @@ def extract_effects(unmixing: np.ndarray, p: int, m: int,
     so j is the row nearest the start's outcome row. A wrong shape, a
     non-finite entry or an all-zero column q raises IcaError.
     """
-    w = np.asarray(unmixing, dtype=float)
-    q = p + m
-    if w.shape != (q + 1, q + 1):
-        raise IcaError(f"unmixing matrix must have shape {(q + 1, q + 1)}, got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise IcaError("unmixing matrix contains non-finite entries")
-    j = int(np.argmax(np.abs(w[:, q])))
-    if w[j, q] == 0.0:
-        raise IcaError(f"column {q} of the unmixing matrix is zero; no row holds the outcome")
-    return EffectEstimate(-(w[j, p:q] / w[j, q]), "ica", diagnostics or Diagnostics())
+    w, j = _outcome_row(unmixing, p, m)
+    return EffectEstimate(-(w[j, p:p + m] / w[j, p + m]), "ica", diagnostics or Diagnostics())
 
 
-def extract_effects_from_mixing(canonical: np.ndarray, p: int, m: int,
+def extract_effects_from_mixing(unmixing: np.ndarray, p: int, m: int,
                                 diagnostics: Optional[Diagnostics] = None) -> EffectEstimate:
-    """Read treatment effects off the mixing matrix implied by the unmixing.
+    """Read treatment effects off the mixing matrix W^-1 the unmixing implies.
 
-    Inverts the canonical unmixing and reads the outcome-row treatment
-    entries of the resulting mixing estimate, whose exact outcome row is
-    (b + theta a, theta, 1). Algebraically identical to extract_effects on
-    exact input; on estimated input the two reads differ because inversion
-    reweights the estimation error, so their sampling variances differ.
-    A wrong shape, a diagonal off 1 or a singular matrix raises IcaError.
+    Row j is extract_effects's; treatment i's row r_i is the row other than
+    j with the largest |W[r, p + i]|, and theta_i = (W^-1)[q, r_i] W[r_i, p + i]
+    in any row order and scale, as the exact mixing's outcome row is
+    (b + theta a, theta, 1). Its sampling variance differs from
+    extract_effects's. Pass W K as the fit returns it: canonicalize()'s pivot
+    division can hand column p + i to another row (criterion 9's fits read
+    so gave n Var = 189 at c = 0, limit 1.0). Two treatments on one row or
+    a singular W raise IcaError, besides extract_effects's checks.
     """
-    c = np.asarray(canonical, dtype=float)
-    d = p + m + 1
-    if c.shape != (d, d):
-        raise IcaError(f"canonical matrix must have shape {(d, d)}, got {c.shape}")
-    if np.max(np.abs(np.diag(c) - 1.0)) > PIVOT_DEGENERACY_TOL:
-        raise IcaError("canonical matrix must have a unit diagonal")
+    w, j = _outcome_row(unmixing, p, m)
+    q = p + m
+    entries = np.abs(w[:, p:q])
+    entries[j] = -1.0  # the outcome row is no treatment's row
+    rows = np.argmax(entries, axis=0)
+    if np.unique(rows).size < m:
+        raise IcaError("two treatments pick the same row of the unmixing matrix")
     try:
-        mixing = np.linalg.inv(c)
+        mixing = np.linalg.inv(w)
     except np.linalg.LinAlgError:
-        raise IcaError("canonical matrix is singular; it implies no mixing matrix") from None
-    return EffectEstimate(mixing[-1, p:-1].copy(), "ica_mixing", diagnostics or Diagnostics())
+        raise IcaError("unmixing matrix is singular; it implies no mixing matrix") from None
+    return EffectEstimate(mixing[q, rows] * w[rows, np.arange(p, q)], "ica_mixing",
+                          diagnostics or Diagnostics())
 
 
 def stationarity_residual(whitened, w_row, contrast="logcosh") -> float:

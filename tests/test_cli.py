@@ -109,6 +109,14 @@ class TestEstimate:
         assert exc.value.code == 2
         assert f"argument {flag}: expected a finite number, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_file_without_covariates(self, data_csv, capsys, method):
+        # the first two columns dropped, as `cut -d, -f3-` does: header t_0,y
+        lines = Path(data_csv).read_text().splitlines()
+        Path(data_csv).write_text("\n".join(line.split(",", 2)[2] for line in lines) + "\n")
+        assert main(["estimate", "--data", data_csv, "--method", method]) == EXIT_OK
+        assert "converged=true" in capsys.readouterr().out.splitlines()
+
     def test_mode_flag_removed(self, data_csv):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "--data", data_csv, "--method", "ica", "--mode", "deflation"])

@@ -297,6 +297,23 @@ class TestDataset:
         assert np.array_equal(back.columns, ds.columns)
         assert back.ground_truth is None
 
+    def test_csv_round_trip_without_covariates(self, tmp_path):
+        ds = Dataset(columns=simulate(PlrSpec(p=2, m=1), 25, seed=2).columns[:, 2:], p=0, m=1)
+        path = tmp_path / "p0.csv"
+        ds.to_csv(path)
+        assert path.read_text().splitlines()[0] == "t_0,y"
+        back = Dataset.from_csv(path)
+        assert (back.p, back.m) == (0, 1)
+        assert np.array_equal(back.columns, ds.columns)
+
+    @pytest.mark.filterwarnings("error")
+    def test_csv_without_rows_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        for text in ("", "x_0,t_0,y\n", "x_0,t_0,y\n\n"):
+            path.write_text(text)
+            with pytest.raises(DgpError, match="needs a header line and at least one row"):
+                Dataset.from_csv(path)
+
     def test_csv_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -614,7 +614,7 @@ class TestCanonicalize:
         config = scenario_from_config(text)
         z, k, means = whiten(builtin_cell_dataset(text).columns)
         res = fastica(z, contrast=config.contrasts[0], seed=6)
-        w = assemble_unmixing(res, k, means).w_total
+        w = assemble_unmixing(res, k, means)
         assert canonicalize(w).tobytes() == _loop_canonicalize(w).tobytes()
 
     def test_bitwise_equal_to_loop_on_scrambled_exact_unmixings(self):
@@ -678,15 +678,13 @@ class TestCanonicalize:
         assert np.allclose(extract_effects(canonical, 2, 1).theta_hat,
                            estimate_ica(ds).theta_hat, rtol=1e-12, atol=0)
 
-    def test_accepts_unmixing_estimate_object(self):
+    def test_assemble_unmixing_is_rotation_times_whitening(self):
         ds = simulate(laplace_spec(), 4000, seed=5)
         z, k, means = whiten(ds.columns)
         res = fastica(z, seed=5)
-        est = assemble_unmixing(res, k, means, "logcosh")
-        canon = canonicalize(est)
-        assert np.allclose(np.diag(canon), 1.0)
-        # w_total must compose rotation and whitening
-        assert np.max(np.abs(est.w_total - res.w_rotation @ k)) <= 1e-12
+        w = assemble_unmixing(res, k, means, "logcosh")
+        assert w.tobytes() == (res.w_rotation @ k).tobytes()
+        assert np.allclose(np.diag(canonicalize(w)), 1.0)
 
 
 class TestEffectExtraction:
@@ -721,8 +719,9 @@ class TestEffectExtraction:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_any_row_order_and_scale(self, data):
-        # the exact outcome row is the only one with a nonzero Y entry
-        p, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2))
+        # the exact outcome row is the only one with a nonzero Y entry, and the
+        # row of treatment i the only other one with a nonzero T_i entry
+        p, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         spec = resolve(PlrSpec(p=p, m=m, theta=rng.uniform(-2, 2, m)), rng)
         _, unmix = build_linear_mixing(spec)
@@ -730,31 +729,48 @@ class TestEffectExtraction:
         scale = np.array(data.draw(st.lists(
             st.floats(1e-6, 1e6).flatmap(lambda v: st.sampled_from([v, -v])),
             min_size=p + m + 1, max_size=p + m + 1)))
-        got = extract_effects(scale[:, None] * unmix[order], p, m).theta_hat
-        assert np.max(np.abs(got - spec.theta)) <= 1e-12
+        for read in (extract_effects, extract_effects_from_mixing):
+            got = read(scale[:, None] * unmix[order], p, m).theta_hat
+            assert np.max(np.abs(got - spec.theta)) <= 1e-12
 
-    def test_shape_and_diagonal_validation(self):
+    def test_mixing_read_of_a_canonical_fit_is_its_mixing_entry(self):
+        # rows in source order with a unit diagonal: r_i = p + i, so the read
+        # is M[q, p:q] times 1.0, bit for bit
+        ds = simulate(laplace_spec(p=2, m=2, theta=(1.5, -0.5)), 4000, seed=8)
+        res, k, _, _ = fit_from_start(ds)
+        canonical = canonicalize(res.w_rotation @ k)
+        got = extract_effects_from_mixing(canonical, 2, 2).theta_hat
+        assert got.tobytes() == np.linalg.inv(canonical)[4, 2:4].tobytes()
+
+    @pytest.mark.parametrize("read", [extract_effects, extract_effects_from_mixing])
+    def test_shape_validation(self, read):
         with pytest.raises(IcaError, match="shape"):
-            extract_effects(np.eye(4), p=1, m=1)
-        bad = np.eye(3)
-        bad[1, 1] = 2.0
-        with pytest.raises(IcaError, match="unit diagonal"):
-            extract_effects_from_mixing(bad, p=1, m=1)
+            read(np.eye(4), p=1, m=1)
 
+    @pytest.mark.parametrize("read", [extract_effects, extract_effects_from_mixing])
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 0)])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_unmixing_raises(self, value):
+    def test_non_finite_unmixing_raises(self, value, entry, read):
+        # (0, 0) with nan is a diagonal entry the mixing read used to let through
         w = np.eye(3)
-        w[0, 1] = value
+        w[entry] = value
         with pytest.raises(IcaError, match="non-finite"):
-            extract_effects(w, p=1, m=1)
+            read(w, p=1, m=1)
 
-    def test_zero_outcome_column_raises(self):
+    @pytest.mark.parametrize("read", [extract_effects, extract_effects_from_mixing])
+    def test_zero_outcome_column_raises(self, read):
         w = np.eye(3)
         w[2, 2] = 0.0
         with pytest.raises(IcaError, match="column 2"):
-            extract_effects(w, p=1, m=1)
+            read(w, p=1, m=1)
 
-    def test_singular_canonical_matrix_raises(self):
+    def test_two_treatments_on_one_row_raise(self):
+        # row 2 holds Y; row 0 has the largest entry in both T columns
+        w = np.array([[1.0, 1.0, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(IcaError, match="same row"):
+            extract_effects_from_mixing(w, p=0, m=2)
+
+    def test_singular_unmixing_raises(self):
         singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(IcaError, match="singular"):
             extract_effects_from_mixing(singular, p=1, m=1)

@@ -431,7 +431,7 @@ class TestAssignmentMatchesScipy:
             seed = cell_seed(config.scenario, cell, 0)
             data = simulate(spec_for_cell(config, cell), cell["n"], seed)
             whitened, k, means = whiten(data.columns)
-            w = assemble_unmixing(fastica(whitened, max_iter=200, seed=seed), k, means).w_total
+            w = assemble_unmixing(fastica(whitened, max_iter=200, seed=seed), k, means)
             cost = -np.log(np.maximum(np.abs(w), LOG_CLIP))
             _, cols = linear_sum_assignment(cost)
             assert hungarian(cost) == tuple(int(c) for c in cols)
