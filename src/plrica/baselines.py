@@ -15,11 +15,10 @@ import numpy as np
 
 from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
-from .ica import CONTRASTS, Diagnostics, EffectEstimate
+from .ica import CONTRASTS, Diagnostics, EffectEstimate, RankDeficientError, _whitening_factor
 from .kernels import gram_lasso
 
 HOML_DENOMINATOR_FLOOR = 1e-6
-RANK_CERTIFICATE = 1e-8  # lower bound on the eigenvalue ratio of A^T A that ols_joint certifies
 _HOML_CONTRAST = CONTRASTS["cube"]  # var_homl is the limit for this contrast only
 
 
@@ -160,54 +159,31 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, t
 def ols_joint(dataset: Dataset) -> EffectEstimate:
     """Least squares of Y on covariates, treatments and an intercept, (X, T, 1).
 
-    The fit solves the normal equations from one cross-product matrix G =
-    A^T A when G certifies full rank: ||G||_F * ||G^-1||_F < 1 /
-    RANK_CERTIFICATE implies lambda_min(G) > RANK_CERTIFICATE *
-    lambda_max(G), which puts the design's singular-value ratio above 1e-4,
-    far above np.linalg.lstsq's eps * max(n, k) cutoff, so lstsq would
-    report full rank too. One step of iterative refinement on y - A beta
-    follows. Designs without that certificate go to lstsq on the explicit
-    design, so the reported rank is lstsq's on every input.
+    whiten's factor K of the centered columns xc is lower triangular, so
+    beta = -K[q, :q] / K[q, q] (q = p + m) is the least-squares start, the
+    read extract_effects takes on K. One refinement step follows: beta +=
+    K_A^T K_A xc_A^T (xc[:, q] - xc_A beta) / n, with K_A = K[:q, :q] and
+    xc_A = xc[:, :q]. theta_hat is beta[p:q], which a shift of the columns
+    does not move. condition_value is q + 1 whenever whiten accepts; its
+    test ignores column units, so column scales 1e13 or more apart may read
+    full rank where lstsq would not. Designs whiten refuses, as it does
+    near-duplicate covariates, go to np.linalg.lstsq on the explicit
+    uncentered design, which reports its rank, so a collinear design
+    shifted by 1e6 or more is still read uncentered.
     """
-    n = dataset.n
-    cols = dataset.columns
-    q = cols.shape[1] - 1  # regressors before the intercept; Y is the last column
+    n, p, q = dataset.n, dataset.p, dataset.p + dataset.m
     if n <= q + 1:
         raise BaselineError(f"need more than {q + 1} rows, got {n}")
-    coef = _certified_normal_solve(cols)
-    rank = q + 1
-    if coef is None:
-        design = np.column_stack([cols[:, :q], np.ones(n)])
-        coef, _, rank, _ = np.linalg.lstsq(design, cols[:, q], rcond=None)
-    return EffectEstimate(
-        theta_hat=coef[q - dataset.m : q].copy(),
-        method="ols",
-        diagnostics=Diagnostics(
-            converged=True,
-            condition_value=float(rank),
-            notes="" if rank == q + 1 else "rank-deficient design",
-        ),
-    )
-
-
-def _certified_normal_solve(cols: np.ndarray) -> np.ndarray | None:
-    """Least-squares coefficients of the last column on the others and an
-    intercept, or None when the cross-product matrix does not certify full
-    rank."""
-    n, q = cols.shape[0], cols.shape[1] - 1
-    cross = cols.T @ cols  # one product gives A^T A (less its intercept row) and A^T y
-    sums = np.ones(n) @ cols  # a matrix-vector product; far faster than cols.sum(axis=0) here
-    gram = np.empty((q + 1, q + 1))
-    gram[:q, :q] = cross[:q, :q]
-    gram[:q, q] = gram[q, :q] = sums[:q]
-    gram[q, q] = n
     try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:  # exactly singular
-        return None
-    if not np.linalg.norm(gram) * np.linalg.norm(inv) < 1.0 / RANK_CERTIFICATE:  # False on nan too
-        return None
-    coef = inv @ np.append(cross[:q, q], sums[q])
-    resid = cols[:, q] - cols[:, :q] @ coef[:q] - coef[q]
-    coef += inv @ np.append(cols[:, :q].T @ resid, resid.sum())
-    return coef
+        xc, k, _ = _whitening_factor(dataset.columns)
+    except RankDeficientError:
+        design = np.column_stack([dataset.columns[:, :q], np.ones(n)])
+        coef, _, rank, _ = np.linalg.lstsq(design, dataset.y, rcond=None)
+    else:
+        coef = -k[q, :q] / k[q, q]
+        resid = xc[:, q] - xc[:, :q] @ coef
+        coef += k[:q, :q].T @ (k[:q, :q] @ (resid @ xc[:, :q] / n))
+        rank = q + 1
+    notes = "" if rank == q + 1 else "rank-deficient design"
+    diagnostics = Diagnostics(condition_value=float(rank), notes=notes)
+    return EffectEstimate(coef[p:q].copy(), "ols", diagnostics)

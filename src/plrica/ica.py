@@ -123,7 +123,14 @@ def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column is constant or a squared pivot of L (the share of a standardized
     column's variance the columns before it leave unexplained) is at most
     1e-12, a test that does not depend on the units of the columns.
+    ols_joint reads its slopes off the same factor and test (_whitening_factor).
     """
+    xc, k, means = _whitening_factor(data)
+    return xc @ k.T, k, means
+
+
+def _whitening_factor(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data - means, K, means): whiten without its product, with its checks."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise IcaError(f"data must be 2-d, got shape {x.shape}")
@@ -145,7 +152,7 @@ def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if np.min(np.diag(chol)) ** 2 <= 1e-12:
         raise RankDeficientError("data covariance is rank deficient")
     k = np.tril(np.linalg.inv(chol)) / sd  # tril: inv pivots, leaving rounding above the diagonal
-    return xc @ k.T, k, means
+    return xc, k, means
 
 
 def _sym_decorrelation(w: np.ndarray) -> np.ndarray:

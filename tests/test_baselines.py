@@ -295,7 +295,7 @@ OLS_CASES = {
     "exact_duplicate_covariate": lambda: _collinear_design(0.0),
     "all_zero_covariate": lambda: Dataset(columns=np.column_stack(
         [np.zeros(400), _collinear_design(1.0).columns]), p=4, m=1),
-    # certified, but the normal equations alone miss theta by ~5e-10: needs the refinement step
+    # whiten accepts it, but the factor read alone misses theta by 1e-9: needs the refinement step
     "treatment_near_covariate": lambda: _collinear_design(1.0, treatment_noise=1e-3),
     "location_4_scale_half": lambda: simulate(PlrSpec(
         p=10, theta=[1.55], noise_x=_LOCSCALE_NOISE, noise_t=_LOCSCALE_NOISE,

@@ -51,6 +51,17 @@ def test_ols_affine_equivariant(index):
     assert np.max(np.abs(ols_joint(moved).theta_hat * c - ols_joint(ds).theta_hat)) <= 1e-12
 
 
+@pytest.mark.parametrize("shift", [1e4, 1e6, 1e8])
+def test_ols_ignores_a_shift_of_every_column(shift):
+    # shifting every column by 1e8 rounds each entry by up to 7.5e-9, which
+    # leaves 5e-10 on theta_hat
+    spec = PlrSpec(p=2, theta=[3.0], noise_x=LAPLACE, noise_t=LAPLACE, noise_y=LAPLACE)
+    ds = simulate(spec, 2000, seed=3)
+    moved = ols_joint(Dataset(ds.columns + shift, ds.p, ds.m))
+    assert moved.diagnostics.notes == ""
+    assert abs(moved.theta_hat[0] - ols_joint(ds).theta_hat[0]) <= 1e-9
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_lasso_baselines_ignore_the_units_of_x(index):
     ds, rng = design(index)
