@@ -8,7 +8,6 @@ its exact inverse.
 """
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -26,10 +25,6 @@ DEFAULT_MULTI_THETA = (1.55, 0.65, -2.45, 1.75, -1.35)
 
 class DgpError(ValueError):
     """Invalid process specification or simulation request."""
-
-
-class UnknownNonlinearityError(DgpError):
-    """Nuisance name outside the supported set."""
 
 
 def multi_treatment_theta(m: int) -> np.ndarray:
@@ -57,7 +52,7 @@ def apply_nonlinearity(name: str, x, slope: float = 0.2) -> np.ndarray:
             return 1.0 / (1.0 + np.exp(-u))
     if name == "tanh":
         return np.tanh(u)
-    raise UnknownNonlinearityError(
+    raise DgpError(
         f"unknown nonlinearity {name!r}; expected one of {NONLINEARITY_NAMES}"
     )
 
@@ -130,7 +125,7 @@ class PlrSpec:
         if theta.shape != (self.m,):
             raise DgpError(f"theta must have {self.m} entries, got shape {theta.shape}")
         if self.nuisance not in NONLINEARITY_NAMES:
-            raise UnknownNonlinearityError(
+            raise DgpError(
                 f"unknown nuisance {self.nuisance!r}; expected one of {NONLINEARITY_NAMES}"
             )
         if self.leaky_slope < 0:
@@ -236,6 +231,11 @@ class GroundTruth:
         return np.column_stack([self.xi, self.eta, self.eps])
 
 
+def _column_names(p: int, m: int) -> tuple[str, ...]:
+    """The x_0..x_{p-1},t_0..t_{m-1},y layout of a dataset's columns and CSV header."""
+    return tuple([f"x_{i}" for i in range(p)] + [f"t_{j}" for j in range(m)] + ["y"])
+
+
 @dataclass(eq=False)
 class Dataset:
     """Observed columns of one simulated (or loaded) sample.
@@ -284,11 +284,7 @@ class Dataset:
 
     @property
     def column_names(self) -> tuple[str, ...]:
-        return tuple(
-            [f"x_{i}" for i in range(self.p)]
-            + [f"t_{j}" for j in range(self.m)]
-            + ["y"]
-        )
+        return _column_names(self.p, self.m)
 
     def to_csv(self, path) -> None:
         """Write rows with a x_0,..,t_0,..,y header; floats round-trip."""
@@ -304,16 +300,11 @@ class Dataset:
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.size == 0:
             raise DgpError("csv needs a header line and at least one row")
-        pat_x = re.compile(r"x_(\d+)$")
-        pat_t = re.compile(r"t_(\d+)$")
-        p = sum(1 for s in names if pat_x.match(s))
-        m = sum(1 for s in names if pat_t.match(s))
-        expected = [f"x_{i}" for i in range(p)] + [f"t_{j}" for j in range(m)] + ["y"]
-        if m < 1 or names != expected:
+        p = sum(1 for s in names if s.startswith("x_"))
+        m = len(names) - p - 1
+        if m < 1 or tuple(names) != _column_names(p, m):
             raise DgpError(f"bad csv header {names!r}; expected x_0..x_{{p-1}},t_0..t_{{m-1}},y")
-        if data.shape[1] != len(names):
-            raise DgpError("row width does not match header")
-        return Dataset(columns=data, p=p, m=m)
+        return Dataset(columns=data, p=p, m=m)  # its column count refuses rows wider or narrower
 
 
 def simulate(spec: PlrSpec, n: int, seed) -> Dataset:

@@ -38,10 +38,6 @@ class DistributionError(ValueError):
     """Invalid noise specification or unusable request."""
 
 
-class DiscreteDensityError(DistributionError):
-    """Raised when a density is requested for a discrete family."""
-
-
 @dataclass(frozen=True)
 class MomentReport:
     """Population moments of a noise spec.
@@ -126,31 +122,28 @@ class NoiseSpec:
     # ---- base-member moments ----
 
     def _base_raw_moment(self, k: int) -> float:
-        """E[B^k] for the base member of the family."""
+        """E[B^k] for even k; every base member is symmetric about 0, so
+        its odd moments vanish and its raw moments are central."""
         if self.family == "gaussian":
-            return 0.0 if k % 2 else float(math.prod(range(1, k, 2)))  # (k-1)!!
+            return float(math.prod(range(1, k, 2)))  # (k-1)!!
         if self.family == "laplace":
-            return 0.0 if k % 2 else float(math.factorial(k))
+            return float(math.factorial(k))
         if self.family == "uniform":
             # base is uniform on [-sqrt(3), sqrt(3)]
-            return 0.0 if k % 2 else 3.0 ** (k // 2) / (k + 1)
+            return 3.0 ** (k // 2) / (k + 1)
         if self.family == "generalized_normal":
-            if k % 2:
-                return 0.0
             return math.exp(_gennorm_log_moment(self.shape_beta, k))
         # three-point
         return float(sum(p * s**k for s, p in zip(THREE_POINT_SUPPORT, THREE_POINT_PROBABILITIES)))
 
     def mean(self) -> float:
-        return self.location + self.scale * self._base_raw_moment(1)
+        return self.location
 
     def variance(self) -> float:
-        m1 = self._base_raw_moment(1)
-        m2 = self._base_raw_moment(2)
-        return self.scale**2 * (m2 - m1 * m1)
+        return self.scale**2 * self._base_raw_moment(2)
 
     def moments(self) -> MomentReport:
-        """Analytic moment report; the base member's raw moments are central (mean 0)."""
+        """Analytic moment report from the base member's central moments."""
         var0 = self._base_raw_moment(2)
         if var0 <= 0:
             raise DistributionError("degenerate distribution: zero variance")
@@ -217,7 +210,7 @@ class NoiseSpec:
     def log_density(self, x) -> np.ndarray:
         """Pointwise log density. Discrete families have none."""
         if self.family == "discrete_symmetric":
-            raise DiscreteDensityError("discrete family has no density")
+            raise DistributionError("discrete family has no density")
         u = (np.asarray(x, dtype=float) - self.location) / self.scale
         if self.family == "gaussian":
             return -0.5 * u * u - 0.5 * math.log(2.0 * math.pi) - math.log(self.scale)

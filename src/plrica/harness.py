@@ -34,10 +34,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
 
 
-class MetricError(ValueError):
-    """Incomparable effect vectors."""
-
-
 # Grid axes in canonical order: (cell key, ScenarioConfig field and config
 # key, converter of each entry, process keys the axis sets). cells() and
 # cell_seed follow this order; axes without a results column are folded into
@@ -92,9 +88,9 @@ def metrics(theta_true, theta_hat) -> Metrics:
     tt = np.atleast_1d(np.asarray(theta_true, dtype=float))
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     if tt.shape != th.shape or tt.ndim != 1:
-        raise MetricError(f"shape mismatch: {tt.shape} vs {th.shape}")
+        raise ValueError(f"shape mismatch: {tt.shape} vs {th.shape}")
     if not np.all(np.isfinite(tt)):
-        raise MetricError("theta_true must be finite")
+        raise ValueError("theta_true must be finite")
     norm_true = float(np.linalg.norm(tt))
     if not np.all(np.isfinite(th)):
         return Metrics(mse=math.nan, relative_error=math.nan)
@@ -328,14 +324,17 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]
     """Run every (cell, replication, method) combination.
 
     Output order and content are independent of the worker count; each
-    replication's seed is derived from the scenario content. Estimator
-    failures become nan-valued records instead of aborting the sweep.
+    replication's seed is derived from the scenario content. The pool
+    starts all its workers at once, so it gets at most one per
+    replication. Estimator failures become nan-valued records instead of
+    aborting the sweep.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     cells = [cell for cell in config.cells() for _ in range(config.seeds)]
     tasks = (itertools.repeat(config), cells, itertools.cycle(range(config.seeds)))
-    if workers == 1 or len(cells) <= 1:
+    workers = min(workers, len(cells))
+    if workers == 1:
         chunks = map(run_cell_replication, *tasks)
     else:
         # imported here: the pool costs a serial run or a plain import nothing
@@ -449,7 +448,6 @@ class CellStats:
     n_converged: int
     mean_mse: float
     std_mse: float
-    mean_rel_err: float
     mean_squared_error: float
 
 
@@ -473,8 +471,6 @@ def aggregate(records: list[ResultRecord]) -> dict[tuple, CellStats]:
         n_ok = int(ok.sum())
         mean_mse = float(mses[ok].mean()) if n_ok else math.nan
         std_mse = float(mses[ok].std(ddof=1)) if n_ok > 1 else 0.0
-        rels = np.array([r.relative_error for r in recs])[ok]
-        mean_rel = float(rels[np.isfinite(rels)].mean()) if np.isfinite(rels).any() else math.nan
         msq = float((mses[ok] ** 2).mean()) if n_ok else math.nan
         out[key] = CellStats(
             count=len(recs),
@@ -482,7 +478,6 @@ def aggregate(records: list[ResultRecord]) -> dict[tuple, CellStats]:
             n_converged=sum(1 for r in recs if r.converged),
             mean_mse=mean_mse,
             std_mse=std_mse,
-            mean_rel_err=mean_rel,
             mean_squared_error=msq,
         )
     return out

@@ -39,10 +39,6 @@ class RankDeficientError(IcaError):
     """Data covariance is numerically rank deficient."""
 
 
-class CanonicalizationError(IcaError):
-    """A selected pivot is too close to zero to fix row scales."""
-
-
 def _col_mean_of_product(a, b):  # no n x d temporary: allocating it costs more than a*b
     return np.einsum("i...,i...->...", a, b) / a.shape[0]
 
@@ -274,7 +270,7 @@ def canonicalize(unmixing) -> np.ndarray:
     bijection), then each matched row is divided by its diagonal entry.
     The output is invariant to row permutation and row rescaling of the
     input. A pivot at most PIVOT_DEGENERACY_TOL times the largest |entry|
-    of its column raises CanonicalizationError, a test that column units
+    of its column raises IcaError, a test that column units
     do not change. Neither read of theta needs it.
     """
     w = np.asarray(unmixing, dtype=float)
@@ -286,7 +282,7 @@ def canonicalize(unmixing) -> np.ndarray:
     pivots = w[row_of_col, np.arange(w.shape[0])]
     small = np.flatnonzero(np.abs(pivots) <= PIVOT_DEGENERACY_TOL * np.max(np.abs(w), axis=0))
     if small.size:
-        raise CanonicalizationError(
+        raise IcaError(
             f"pivot |{pivots[small[0]]:.3e}| for source {small[0]} is at most "
             f"{PIVOT_DEGENERACY_TOL:.0e} times the largest |entry| of its column; "
             "the unmixing estimate is degenerate"

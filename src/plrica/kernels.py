@@ -162,20 +162,21 @@ def active_set_start(gram: np.ndarray, cov: np.ndarray, lam: float) -> np.ndarra
     From w = 0, each step sets u = w + cov - G w, takes the active set
     A = {j : |u_j| > lam} and solves w_A = G_AA^-1 (cov_A - lam *
     sign u_A) with w = 0 off A; it stops when A and the signs repeat,
-    which is the lasso's optimality condition, or after
-    ACTIVE_SET_STEPS steps. The start is refused, and zeros returned, when
-    a Cholesky factorization of some G_AA fails or has a pivot ratio at or
-    below PIVOT_FLOOR (p at least the training rows, or a zero penalty on
-    a singular design), or when its objective is above the objective at 0.
+    which is the lasso's optimality condition, when they return to those
+    of two steps back (a two-step cycle), or after ACTIVE_SET_STEPS
+    steps. The start is refused, and zeros returned, when a Cholesky
+    factorization of some G_AA fails or has a pivot ratio at or below
+    PIVOT_FLOOR (p at least the training rows, or a zero penalty on a
+    singular design), or when its objective is above the objective at 0.
     """
     w = np.zeros(len(cov))
     u = cov  # w + cov - G w at w = 0
-    state = None  # sign u_j on A and 0 off it
+    state = previous = None  # sign u_j on A and 0 off it, now and one step back
     for _ in range(ACTIVE_SET_STEPS):
         step_state = np.sign(u) * (np.abs(u) > lam)
-        if state is not None and (step_state == state).all():
+        if any(seen is not None and (step_state == seen).all() for seen in (state, previous)):
             break
-        state = step_state
+        state, previous = step_state, state
         active = np.flatnonzero(state)
         w = np.zeros_like(w)
         if active.size:

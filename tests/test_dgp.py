@@ -12,7 +12,6 @@ from plrica import (
     DgpError,
     NoiseSpec,
     PlrSpec,
-    UnknownNonlinearityError,
     apply_nonlinearity,
     build_linear_mixing,
     multi_treatment_theta,
@@ -61,7 +60,7 @@ class TestNonlinearities:
         assert apply_nonlinearity("sigmoid", np.array([0.0]))[0] == pytest.approx(0.5)
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownNonlinearityError):
+        with pytest.raises(DgpError, match="unknown nonlinearity 'swish'"):
             apply_nonlinearity("swish", np.zeros(1))
 
     def test_sigmoid_saturates_exactly_without_warning(self):
@@ -318,6 +317,12 @@ class TestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DgpError):
+            Dataset.from_csv(path)
+
+    def test_csv_rows_wider_than_header_refused(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x_0,t_0,y\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(DgpError, match="expected 3 columns for p=1, m=1; got 4"):
             Dataset.from_csv(path)
 
     def test_direct_construction_checks(self):

@@ -11,7 +11,6 @@ from plrica import (
     FAMILIES,
     THREE_POINT_PROBABILITIES,
     THREE_POINT_SUPPORT,
-    DiscreteDensityError,
     DistributionError,
     MomentReport,
     NoiseSpec,
@@ -201,7 +200,7 @@ class TestLogDensity:
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_discrete_raises(self):
-        with pytest.raises(DiscreteDensityError):
+        with pytest.raises(DistributionError, match="discrete family has no density"):
             NoiseSpec.three_point().log_density(0.0)
 
     @given(st.floats(-5, 5))

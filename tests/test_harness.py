@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 
@@ -79,6 +80,16 @@ class TestMetrics:
     def test_nan_propagates(self):
         m = metrics(np.array([1.0]), np.array([np.nan]))
         assert math.isnan(m.mse) and math.isnan(m.relative_error)
+
+    @pytest.mark.parametrize("theta_true, theta_hat, message", [
+        ([1.0, 2.0], [1.0], r"shape mismatch: \(2,\) vs \(1,\)"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], r"shape mismatch: \(1, 2\) vs \(1, 2\)"),
+        ([1.0, np.nan], [1.0, 2.0], "theta_true must be finite"),
+        ([np.inf], [1.0], "theta_true must be finite"),
+    ])
+    def test_incomparable_vectors_refused(self, theta_true, theta_hat, message):
+        with pytest.raises(ValueError, match=message):
+            metrics(np.array(theta_true), np.array(theta_hat))
 
 
 class TestScenarioConfig:
@@ -517,7 +528,7 @@ def band_cell(mean_mse, std_mse):
     """CellStats of ten runs as aggregate gives it; a nan mean is a cell whose every run failed."""
     failed = 10 if math.isnan(mean_mse) else 0
     return CellStats(count=10, n_failed=failed, n_converged=10 - failed, mean_mse=mean_mse,
-                     std_mse=std_mse, mean_rel_err=mean_mse / 10, mean_squared_error=mean_mse**2)
+                     std_mse=std_mse, mean_squared_error=mean_mse**2)
 
 
 class TestBands:
@@ -540,6 +551,31 @@ class TestWorkers:
     def test_fewer_than_one_rejected(self):
         with pytest.raises(ConfigError, match="workers must be at least 1, got 0"):
             run_scenario(tiny_config(), workers=0)
+
+    def test_pool_gets_at_most_one_worker_per_replication(self, monkeypatch, tmp_path):
+        # the pool starts every worker at its first submit, so a pool wider
+        # than the grid would fork processes that never get a replication
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = tiny_config(seeds=3, methods=("ols",))
+        for workers, path in ((8, tmp_path / "pool.csv"), (1, tmp_path / "serial.csv")):
+            emit_csv(run_scenario(cfg, workers=workers), path)
+        assert widths == [3]
+        assert csv_digest(tmp_path / "pool.csv") == csv_digest(tmp_path / "serial.csv")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_records_follow_cells_then_replications(self, workers):

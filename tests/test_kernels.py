@@ -19,7 +19,7 @@ from plrica import (
 )
 from plrica.harness import cell_seed, spec_for_cell
 from plrica.ica import LOG_CLIP
-from plrica.kernels import active_set_start, gram_lasso
+from plrica.kernels import ACTIVE_SET_STEPS, active_set_start, gram_lasso
 
 
 class TestSoftThreshold:
@@ -239,16 +239,23 @@ class TestLasso:
         assert np.max(np.abs(fit.weights - w_ref)) <= 1e-10 * scale
         assert fit.intercept == pytest.approx(b_ref, abs=1e-10 * scale * np.max(np.abs(x)))
 
-    def test_refused_start_takes_residual_update_steps(self):
-        # on "p close to n" the active sets cycle and the last one's
-        # objective is above the objective at 0, so descent starts from zero
-        # and takes the reference's steps
+    def test_refused_start_takes_residual_update_steps(self, monkeypatch):
+        # on "p close to n" the active sets settle into two sign patterns on
+        # all 36 columns; the start stops when a pattern comes back, instead
+        # of factoring a 36 x 36 block at each of ACTIVE_SET_STEPS steps.
+        # The last one's objective is above the objective at 0, so descent
+        # starts from zero and takes the reference's steps
         x, y, lam = _lasso_design("p close to n", np.random.default_rng(0))
         xs = (x - x.mean(axis=0)) / x.std(axis=0)
         start = active_set_start(xs.T @ xs / len(y), xs.T @ (y - y.mean()) / len(y), lam)
         assert not start.any()
         w_ref, b_ref, converged_ref, sweeps_ref = _residual_update_lasso(x, y, lam)
+        factorizations = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda block: factorizations.append(len(block)) or cholesky(block))
         fit = lasso_fit(x, y, lam)
+        assert 0 < len(factorizations) < ACTIVE_SET_STEPS
         assert (fit.n_sweeps, fit.converged) == (sweeps_ref, converged_ref)
         scale = max(1.0, np.max(np.abs(w_ref)))
         assert np.max(np.abs(fit.weights - w_ref)) <= 1e-12 * scale
