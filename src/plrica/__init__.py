@@ -1,177 +1,20 @@
 """Treatment-effect estimation in partially linear regression models via
 linear source separation, with orthogonal-moment baselines, asymptotic
-variance calculators, and a Monte-Carlo experiment harness."""
+variance calculators, and a Monte-Carlo experiment harness.
 
-from .asymptotics import (
-    REGIME_HOML,
-    REGIME_ICA,
-    REGIME_TIE,
-    AsymptoticsError,
-    VarianceReport,
-    compare_numerators,
-    score_cross_derivative,
-    var_homl,
-    var_ica_auddy,
-    var_ica_hyvarinen,
-    var_ica_mixing,
-    variance_report,
-)
-from .baselines import (
-    BaselineError,
-    MomentDiagnostics,
-    estimate_homl,
-    estimate_oml,
-    fit_nuisance,
-    homl_estimate,
-    ols_joint,
-    oml_estimate,
-)
-from .dgp import (
-    DEFAULT_MULTI_THETA,
-    NONLINEARITY_NAMES,
-    Dataset,
-    DgpError,
-    GroundTruth,
-    PlrSpec,
-    apply_nonlinearity,
-    build_linear_mixing,
-    multi_treatment_theta,
-    resolve,
-    simulate,
-)
-from .distributions import (
-    FAMILIES,
-    THREE_POINT_PROBABILITIES,
-    THREE_POINT_SUPPORT,
-    DistributionError,
-    MomentReport,
-    NoiseSpec,
-    ica_condition_value,
-)
-from .harness import (
-    BUILTIN_SCENARIOS,
-    CellStats,
-    ConfigError,
-    Metrics,
-    ResultRecord,
-    ScenarioConfig,
-    aggregate,
-    band_verdict,
-    cell_seed,
-    csv_digest,
-    emit_csv,
-    metrics,
-    parse_config_text,
-    parse_noise,
-    read_records,
-    run_scenario,
-    scenario_from_config,
-    spec_from_config,
-)
-from .ica import (
-    CONTRASTS,
-    Diagnostics,
-    EffectEstimate,
-    FastIcaResult,
-    IcaError,
-    RankDeficientError,
-    assemble_unmixing,
-    canonicalize,
-    estimate_ica,
-    extract_effects,
-    extract_effects_from_mixing,
-    fastica,
-    get_contrast,
-    regression_start,
-    stationarity_residual,
-    whiten,
-)
-from .kernels import (
-    KernelError,
-    LassoFit,
-    hungarian,
-    lasso_fit,
-    soft_threshold,
-)
+Each module's __all__ lists the public names it defines; the package
+re-exports them, and names outside those lists stay in their module."""
+
+from . import asymptotics, baselines, dgp, distributions, harness, ica, kernels
+from .asymptotics import *
+from .baselines import *
+from .dgp import *
+from .distributions import *
+from .harness import *
+from .ica import *
+from .kernels import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticsError",
-    "BUILTIN_SCENARIOS",
-    "BaselineError",
-    "CONTRASTS",
-    "CellStats",
-    "ConfigError",
-    "DEFAULT_MULTI_THETA",
-    "Dataset",
-    "DgpError",
-    "Diagnostics",
-    "DistributionError",
-    "EffectEstimate",
-    "FAMILIES",
-    "FastIcaResult",
-    "GroundTruth",
-    "IcaError",
-    "KernelError",
-    "LassoFit",
-    "Metrics",
-    "MomentDiagnostics",
-    "MomentReport",
-    "NONLINEARITY_NAMES",
-    "NoiseSpec",
-    "PlrSpec",
-    "RankDeficientError",
-    "REGIME_HOML",
-    "REGIME_ICA",
-    "REGIME_TIE",
-    "ResultRecord",
-    "ScenarioConfig",
-    "THREE_POINT_PROBABILITIES",
-    "THREE_POINT_SUPPORT",
-    "VarianceReport",
-    "aggregate",
-    "apply_nonlinearity",
-    "assemble_unmixing",
-    "band_verdict",
-    "build_linear_mixing",
-    "canonicalize",
-    "cell_seed",
-    "compare_numerators",
-    "csv_digest",
-    "emit_csv",
-    "estimate_homl",
-    "estimate_ica",
-    "estimate_oml",
-    "extract_effects",
-    "extract_effects_from_mixing",
-    "fastica",
-    "get_contrast",
-    "fit_nuisance",
-    "homl_estimate",
-    "hungarian",
-    "ica_condition_value",
-    "lasso_fit",
-    "metrics",
-    "multi_treatment_theta",
-    "ols_joint",
-    "oml_estimate",
-    "parse_config_text",
-    "parse_noise",
-    "read_records",
-    "regression_start",
-    "resolve",
-    "run_scenario",
-    "scenario_from_config",
-    "score_cross_derivative",
-    "simulate",
-    "soft_threshold",
-    "spec_from_config",
-    "stationarity_residual",
-    "var_homl",
-    "var_ica_auddy",
-    "var_ica_hyvarinen",
-    "var_ica_mixing",
-    "variance_report",
-    "whiten",
-]
+__all__ = [name for module in (asymptotics, baselines, dgp, distributions, harness, ica, kernels)
+           for name in module.__all__]

@@ -20,6 +20,10 @@ from ._converters import _as_float, _convert
 from .dgp import PlrSpec, nuisance_t, nuisance_y, resolve
 from .distributions import MomentReport
 
+__all__ = ["REGIME_HOML", "REGIME_ICA", "REGIME_TIE", "AsymptoticsError", "VarianceReport",
+           "compare_numerators", "score_cross_derivative", "var_homl", "var_ica_auddy",
+           "var_ica_hyvarinen", "var_ica_mixing", "variance_report"]
+
 DEGENERACY_TOL = 1e-12
 
 REGIME_ICA = "ica_better"

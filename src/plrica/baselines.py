@@ -18,6 +18,9 @@ from .dgp import Dataset
 from .ica import CONTRASTS, Diagnostics, EffectEstimate, RankDeficientError, _whitening_factor
 from .kernels import gram_lasso
 
+__all__ = ["BaselineError", "MomentDiagnostics", "estimate_homl", "estimate_oml", "fit_nuisance",
+           "homl_estimate", "ols_joint", "oml_estimate"]
+
 HOML_DENOMINATOR_FLOOR = 1e-6
 _HOML_CONTRAST = CONTRASTS["cube"]  # var_homl is the limit for this contrast only
 

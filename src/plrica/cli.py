@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from ._converters import _as_float
 from .asymptotics import variance_report
@@ -18,6 +17,7 @@ from .dgp import Dataset, simulate
 from .harness import (
     BUILTIN_SCENARIOS,
     METHOD_NAMES,
+    _fmt_vector,
     csv_digest,
     emit_csv,
     estimate,
@@ -53,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True, help="number of rows")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True, help="output CSV path")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate effects from a dataset CSV")
     p_est.add_argument("--data", required=True, help="dataset CSV (x_*,t_*,y header)")
@@ -63,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--folds", type=int, default=2)
     p_est.add_argument("--tol", type=_finite_float, default=1e-4)
     p_est.add_argument("--max-iter", type=int, default=1000)
+    p_est.set_defaults(handler=_cmd_estimate)
 
     p_exp = sub.add_parser("experiment", help="run a scenario grid to a results CSV")
     p_exp.add_argument("--config", help="scenario config file")
@@ -70,11 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--workers", type=int, default=1, help="parallel workers (default: 1)")
     p_exp.add_argument("--list", action="store_true", dest="list_builtins",
                        help="list builtin scenario names and exit")
+    p_exp.set_defaults(handler=_cmd_experiment)
 
     p_var = sub.add_parser("variance", help="asymptotic variance report for a spec")
     p_var.add_argument("--spec", required=True, help="process spec config file")
     p_var.add_argument("--seed", type=int, default=0,
                        help="seed for drawing unresolved coefficient blocks")
+    p_var.set_defaults(handler=_cmd_variance)
     return parser
 
 
@@ -96,7 +100,7 @@ def _cmd_estimate(args) -> int:
     est = estimate(args.method, dataset, contrast=args.contrast, seed=args.seed, tol=args.tol,
                    max_iter=args.max_iter, lambda_scale=args.lambda_scale, folds=args.folds)
     print(f"method={est.method}")
-    print("theta_hat=" + ";".join("%.17g" % v for v in np.atleast_1d(est.theta_hat)))
+    print(f"theta_hat={_fmt_vector(est.theta_hat)}")
     print(f"converged={'true' if est.diagnostics.converged else 'false'}")
     print(f"iterations={est.diagnostics.iterations}")
     print(f"restarts={est.diagnostics.restarts}")
@@ -127,25 +131,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_variance(args) -> int:
     spec = spec_from_config(_read_text(args.spec))
     report = variance_report(spec, seed=args.seed)
-    print(f"var_homl={report.var_homl:.12g}")
-    print(f"var_ica_auddy={report.var_ica_auddy:.12g}")
-    print(f"var_ica_hyvarinen={report.var_ica_hyvarinen:.12g}")
-    print(f"numerator_gap={report.numerator_gap:.12g}")
-    print(f"regime={report.regime}")
+    for field in fields(report):
+        value = getattr(report, field.name)
+        print(f"{field.name}={value if isinstance(value, str) else format(value, '.12g')}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "estimate": _cmd_estimate,
-        "experiment": _cmd_experiment,
-        "variance": _cmd_variance,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -17,6 +17,10 @@ import numpy as np
 from ._converters import _as_bool, _as_float, _as_int, _as_name, _convert, _each, _instance_of
 from .distributions import NoiseSpec
 
+__all__ = ["DEFAULT_MULTI_THETA", "NONLINEARITY_NAMES", "Dataset", "DgpError", "GroundTruth",
+           "PlrSpec", "apply_nonlinearity", "build_linear_mixing", "multi_treatment_theta",
+           "resolve", "simulate"]
+
 NONLINEARITY_NAMES = ("linear", "relu", "leaky_relu", "sigmoid", "tanh")
 
 # canonical per-treatment effects used when theta is not supplied

@@ -15,6 +15,9 @@ import numpy as np
 
 from ._converters import _as_float, _convert, _one_of
 
+__all__ = ["FAMILIES", "THREE_POINT_PROBABILITIES", "THREE_POINT_SUPPORT", "DistributionError",
+           "MomentReport", "NoiseSpec", "ica_condition_value"]
+
 FAMILIES = ("gaussian", "laplace", "uniform", "generalized_normal", "discrete_symmetric")
 
 # the discrete_symmetric law: three points with unit variance and zero mean

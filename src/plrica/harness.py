@@ -27,6 +27,11 @@ from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, estimate_ica
 
+__all__ = ["BUILTIN_SCENARIOS", "CellStats", "ConfigError", "Metrics", "ResultRecord",
+           "ScenarioConfig", "aggregate", "band_verdict", "cell_seed", "csv_digest", "emit_csv",
+           "metrics", "parse_config_text", "parse_noise", "read_records", "run_scenario",
+           "scenario_from_config", "spec_from_config"]
+
 METHOD_NAMES = ("ica", "oml", "homl", "ols")
 
 
@@ -87,7 +92,9 @@ def metrics(theta_true, theta_hat) -> Metrics:
     """
     tt = np.atleast_1d(np.asarray(theta_true, dtype=float))
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if tt.shape != th.shape or tt.ndim != 1:
+    if tt.ndim != 1 or th.ndim != 1:
+        raise ValueError(f"effect vectors must be 1-d, got {tt.shape} and {th.shape}")
+    if tt.shape != th.shape:
         raise ValueError(f"shape mismatch: {tt.shape} vs {th.shape}")
     if not np.all(np.isfinite(tt)):
         raise ValueError("theta_true must be finite")

@@ -21,6 +21,11 @@ from ._converters import _as_float, _as_int, _convert
 from .dgp import Dataset
 from .kernels import hungarian
 
+__all__ = ["CONTRASTS", "Diagnostics", "EffectEstimate", "FastIcaResult", "IcaError",
+           "RankDeficientError", "assemble_unmixing", "canonicalize", "estimate_ica",
+           "extract_effects", "extract_effects_from_mixing", "fastica", "get_contrast",
+           "regression_start", "stationarity_residual", "whiten"]
+
 PIVOT_DEGENERACY_TOL = 1e-8
 LOG_CLIP = 1e-300
 # lowest stop level fastica's float32 sweeps decide: at tol >= F32_SWITCH
@@ -159,6 +164,15 @@ def _sym_decorrelation(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
+def _outcome_column(a: np.ndarray, p: int, m: int, name: str) -> int:
+    """q = p + m, for Dataset's sizes p >= 0 and m >= 1 and an a of side q + 1."""
+    if p < 0 or m < 1:
+        raise IcaError(f"need p >= 0 and m >= 1, got p={p}, m={m}")
+    if a.shape != (p + m + 1, p + m + 1):
+        raise IcaError(f"{name} must have shape {(p + m + 1, p + m + 1)}, got {a.shape}")
+    return p + m
+
+
 def regression_start(k, p: int, m: int) -> np.ndarray:
     """The unmixing least squares implies, in the coordinates of whiten's K.
 
@@ -168,9 +182,10 @@ def regression_start(k, p: int, m: int) -> np.ndarray:
     process. As K is lower triangular, that is W K up to row scale, with W
     the block diagonal of K^-1 over the X, T and Y blocks, returned with
     unit rows (unit source variances). Its outcome row is the last unit vector.
+    Sizes outside p >= 0, m >= 1 or a K not of side p + m + 1 raise IcaError.
     """
     k = np.asarray(k, dtype=float)
-    q = p + m
+    q = _outcome_column(k, p, m, "K")
     w = np.zeros_like(k)
     for lo, hi in ((0, p), (p, q), (q, q + 1)):
         w[lo:hi, lo:hi] = np.tril(np.linalg.inv(k[lo:hi, lo:hi]))
@@ -293,9 +308,7 @@ def canonicalize(unmixing) -> np.ndarray:
 def _outcome_row(unmixing, p: int, m: int) -> tuple[np.ndarray, int]:
     """W as a float array and its outcome row j = argmax |W[:, q]|, q = p + m."""
     w = np.asarray(unmixing, dtype=float)
-    q = p + m
-    if w.shape != (q + 1, q + 1):
-        raise IcaError(f"unmixing matrix must have shape {(q + 1, q + 1)}, got {w.shape}")
+    q = _outcome_column(w, p, m, "unmixing matrix")
     if not np.all(np.isfinite(w)):
         raise IcaError("unmixing matrix contains non-finite entries")
     j = int(np.argmax(np.abs(w[:, q])))
@@ -312,8 +325,9 @@ def extract_effects(unmixing: np.ndarray, p: int, m: int,
     entry in column q = p + m, so in any row order and scale the read takes
     row j with the largest |W[j, q]| and returns -W[j, p:q] / W[j, q]. On
     estimate_ica's W K, column q is W[:, q] K[q, q] (K is lower triangular),
-    so j is the row nearest the start's outcome row. A wrong shape, a
-    non-finite entry or an all-zero column q raises IcaError.
+    so j is the row nearest the start's outcome row. Sizes outside p >= 0,
+    m >= 1, a wrong shape, a non-finite entry or an all-zero column q raise
+    IcaError.
     """
     w, j = _outcome_row(unmixing, p, m)
     return EffectEstimate(-(w[j, p:p + m] / w[j, p + m]), "ica", diagnostics or Diagnostics())

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._converters import _as_float, _as_int, _convert
 
+__all__ = ["KernelError", "LassoFit", "hungarian", "lasso_fit", "soft_threshold"]
 
 ZERO_SCALE = 1e-12  # a column with standard deviation at or below this gets weight 0
 ACTIVE_SET_STEPS = 20  # cap on active-set steps per target; coordinate descent finishes

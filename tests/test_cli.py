@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -197,6 +198,17 @@ class TestVariance:
         assert "var_ica_hyvarinen=" in out
         assert "regime=ica_better" in out
 
+    def test_prints_the_report_fields_in_order(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, SCALAR_SPEC)
+        assert main(["variance", "--spec", spec]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "var_homl=7",
+            "var_ica_auddy=35.8323979433",
+            "var_ica_hyvarinen=6",
+            "numerator_gap=9",
+            "regime=ica_better",
+        ]
+
     def test_csv_flag_removed(self, tmp_path):
         spec = write_spec(tmp_path, SCALAR_SPEC)
         with pytest.raises(SystemExit) as exc:
@@ -275,8 +287,26 @@ def test_console_script_target_is_cli_main():
     assert getattr(importlib.import_module(module), attr) is cli.main
 
 
+LIBRARY_MODULES = ("asymptotics", "baselines", "dgp", "distributions", "harness", "ica", "kernels")
+
+
 def test_public_names_resolve_once():
-    """Every name in plrica.__all__ is defined, and none is listed twice."""
+    """Each public name is listed once, in the __all__ of the module that
+    defines it, and plrica re-exports exactly those lists."""
     plrica = importlib.import_module("plrica")
+    modules = [importlib.import_module(f"plrica.{name}") for name in LIBRARY_MODULES]
+    for module in modules:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        defined_elsewhere = [name for name in module.__all__
+                             if (inspect.isclass(getattr(module, name))
+                                 or inspect.isfunction(getattr(module, name)))
+                             and getattr(module, name).__module__ != module.__name__]
+        assert defined_elsewhere == []
+    assert plrica.__all__ == [name for module in modules for name in module.__all__]
     assert sorted(name for name in set(plrica.__all__) if plrica.__all__.count(name) > 1) == []
-    assert [name for name in plrica.__all__ if not hasattr(plrica, name)] == []
+    for module in modules:
+        assert [name for name in module.__all__
+                if getattr(plrica, name) is not getattr(module, name)] == []
+    exported = {name for name, value in vars(plrica).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == set(plrica.__all__)

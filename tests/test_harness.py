@@ -83,7 +83,7 @@ class TestMetrics:
 
     @pytest.mark.parametrize("theta_true, theta_hat, message", [
         ([1.0, 2.0], [1.0], r"shape mismatch: \(2,\) vs \(1,\)"),
-        ([[1.0, 2.0]], [[1.0, 2.0]], r"shape mismatch: \(1, 2\) vs \(1, 2\)"),
+        ([[1.0, 2.0]], [[1.0, 2.0]], r"effect vectors must be 1-d, got \(1, 2\) and \(1, 2\)"),
         ([1.0, np.nan], [1.0, 2.0], "theta_true must be finite"),
         ([np.inf], [1.0], "theta_true must be finite"),
     ])

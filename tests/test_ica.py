@@ -519,6 +519,16 @@ class TestRegressionStart:
         diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
         assert diag.converged and diag.iterations <= 6
 
+    @pytest.mark.parametrize("p, m, side, message", [
+        (1, 5, 3, r"K must have shape \(7, 7\), got \(3, 3\)"),
+        (1, 1, 4, r"K must have shape \(3, 3\), got \(4, 4\)"),
+        (-1, 3, 3, "need p >= 0 and m >= 1, got p=-1, m=3"),
+        (2, 0, 3, "need p >= 0 and m >= 1, got p=2, m=0"),
+    ])
+    def test_sizes_outside_the_dataset_rule_raise(self, p, m, side, message):
+        with pytest.raises(IcaError, match=message):
+            regression_start(np.eye(side), p, m)
+
     def test_seed_feeds_only_the_restarts(self):
         ds = simulate(laplace_spec(p=3), 2000, seed=22)
         a, b = estimate_ica(ds, seed=0), estimate_ica(ds, seed=1)
@@ -745,6 +755,13 @@ class TestEffectExtraction:
     def test_shape_validation(self, read):
         with pytest.raises(IcaError, match="shape"):
             read(np.eye(4), p=1, m=1)
+
+    @pytest.mark.parametrize("read", [extract_effects, extract_effects_from_mixing])
+    @pytest.mark.parametrize("p, m", [(2, 0), (-1, 3)])
+    def test_sizes_outside_the_dataset_rule_raise(self, read, p, m):
+        # p + m + 1 = 3 is the side of W, so only the size rule refuses
+        with pytest.raises(IcaError, match=f"need p >= 0 and m >= 1, got p={p}, m={m}"):
+            read(np.eye(3), p=p, m=m)
 
     @pytest.mark.parametrize("read", [extract_effects, extract_effects_from_mixing])
     @pytest.mark.parametrize("entry", [(0, 1), (0, 0)])
