@@ -62,7 +62,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--seed", type=int, default=0, help="seed of ica's restart draws")
     p_est.add_argument("--lambda-scale", type=_finite_float, default=1.0)
     p_est.add_argument("--folds", type=int, default=2)
-    p_est.add_argument("--tol", type=_finite_float, default=1e-4)
+    p_est.add_argument("--tol", type=_finite_float, default=1e-4,
+                       help="stop level: ica stops when its read row's 1 - |cos| is below "
+                            "max(tol, 1/n) on two sweeps running (tol itself below 1e-8, "
+                            "for the float64 fixed point); each lasso fit of oml and homl "
+                            "stops when no standardized coefficient moves by tol in a sweep")
     p_est.add_argument("--max-iter", type=int, default=1000)
     p_est.set_defaults(handler=_cmd_estimate)
 

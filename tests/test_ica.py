@@ -34,6 +34,7 @@ from plrica.ica import (
     F32_SWITCH,
     LOG_CLIP,
     PIVOT_DEGENERACY_TOL,
+    _stop_level,
     _sym_decorrelation,
 )
 
@@ -60,10 +61,12 @@ def builtin_cell_dataset(text, index=0):
 
 
 def fit_from_start(ds, contrast="logcosh"):
-    """estimate_ica's whitening, regression start and contrast iteration, unread."""
+    """estimate_ica's whitening, regression start, stop level at the default
+    tol and contrast iteration, unread."""
     z, k, means = whiten(ds.columns)
     w0 = regression_start(k, ds.p, ds.m)
-    return fastica(z, contrast=contrast, w_init=w0, anchor=ds.p + ds.m), k, means, w0
+    res = fastica(z, contrast=contrast, tol=_stop_level(1e-4, ds.n), w_init=w0, anchor=ds.p + ds.m)
+    return res, k, means, w0
 
 
 def assignment_read(ds, contrast="logcosh"):
@@ -351,8 +354,10 @@ class TestFastIca:
             _sym_decorrelation(np.outer(rng.standard_normal(5), rng.standard_normal(5)))
 
     @pytest.mark.parametrize("key", ["tol", "max_iter"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_settings_refused(self, key, value):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "x", True])
+    def test_bad_settings_refused(self, key, value):
+        # estimate_ica compares tol with its stop level; that must not turn a
+        # bad tol into a TypeError
         ds = simulate(laplace_spec(), 500, seed=2)
         z, _, _ = whiten(ds.columns)
         with pytest.raises(IcaError, match=f"bad value for '{key}'"):
@@ -442,11 +447,11 @@ class TestFastIca:
 
     @pytest.mark.parametrize("index", range(4))
     def test_anchored_stop_saves_sweeps_and_keeps_the_read(self, index):
-        # fig2 at n = 500, p = 50, the ica_hard cell: anchored 20/27/36/18 sweeps
-        # against 135/52/80/39 for the all-rows test from the same start; the
-        # two reads differ by 0.047/0.042/0.099/0.004, against a sampling error
-        # of about 0.08 (60 replications: median error 0.082 anchored, 0.068
-        # all rows, mean square 0.022 both)
+        # fig2 at n = 500, p = 50, the ica_hard cell: 8/6/10/7 sweeps anchored
+        # at estimate_ica's stop level 1/n against 135/52/80/39 for the
+        # all-rows test at tol from the same start; the two reads differ by
+        # 0.082/0.095/0.084/0.046, against a sampling error of about 0.08
+        # (60 replications: median error 0.073 anchored, 0.068 all rows)
         ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [500]\n"
                                   "covariate_dims = [50]", index)
         z, k, _ = whiten(ds.columns)
@@ -519,6 +524,28 @@ class TestRegressionStart:
         diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
         assert diag.converged and diag.iterations <= 6
 
+    @pytest.mark.parametrize("text, tol, level", [
+        # the ica_hard cell: 1/n is above tol
+        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-4, 1 / 500),
+        # the ica_bulk cell: 1/n equals tol
+        ("scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [logcosh]", 1e-4, 1e-4),
+        # below F32_SWITCH tol asks for the float64 fixed point and is kept
+        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-10, 1e-10),
+    ])
+    def test_stops_at_the_larger_of_tol_and_one_over_n(self, text, tol, level):
+        ds = builtin_cell_dataset(text)
+        z, k, _ = whiten(ds.columns)
+        w0 = regression_start(k, ds.p, ds.m)
+        q = ds.p + ds.m
+        res = fastica(z, tol=level, w_init=w0, anchor=q)
+        est = estimate_ica(ds, tol=tol)
+        assert _stop_level(tol, ds.n) == level
+        assert est.diagnostics.iterations == res.iterations
+        read = extract_effects(res.w_rotation @ k, ds.p, ds.m).theta_hat
+        assert est.theta_hat.tobytes() == read.tobytes()
+        if level > tol:
+            assert res.iterations < fastica(z, tol=tol, w_init=w0, anchor=q).iterations
+
     @pytest.mark.parametrize("p, m, side, message", [
         (1, 5, 3, r"K must have shape \(7, 7\), got \(3, 3\)"),
         (1, 1, 4, r"K must have shape \(3, 3\), got \(4, 4\)"),
@@ -563,10 +590,11 @@ class TestAnchoredRead:
         assert got.tobytes() == assignment_read(ds, contrast).tobytes()
 
     def test_reads_the_nearest_row_not_the_start_index(self):
-        # fig2 at n = 200, p = 20: the outcome row ends at index 14 (|cos| 0.83,
-        # runner-up 0.24), and the row left at the start's index reads theta badly
+        # fig2 at n = 200, p = 20, replication 74: the outcome row ends at index
+        # 19 after 87 sweeps (|cos| 0.83, runner-up 0.25), and the row left at
+        # the start's index reads theta badly
         ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [200]\n"
-                                  "covariate_dims = [20]", index=50)
+                                  "covariate_dims = [20]", index=74)
         res, k, _, w0 = fit_from_start(ds)
         q = ds.p + ds.m
         assert np.argmax(np.abs(res.w_rotation @ w0[q])) != q
