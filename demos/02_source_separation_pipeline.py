@@ -41,8 +41,8 @@ print("whitened cov err:", np.max(np.abs(z.T @ z / len(z) - np.eye(4))))
 # is the last unit vector. It is a root-n consistent estimate of the exact
 # unmixing, so few sweeps remain. anchor=3 makes the stop test watch only
 # the row read below, the one with the largest |entry| in column 3, as
-# estimate_ica does. estimate_ica stops at max(tol, 1/n), which at this n
-# is fastica's default tol of 1e-4
+# estimate_ica does; both stop at fastica's max(tol, 1/n), so this fit is
+# estimate_ica's at any n
 w0 = regression_start(k_matrix, p=2, m=1)
 print("regression-implied start in whitened coordinates:")
 print(np.round(w0, 3))

@@ -28,11 +28,10 @@ __all__ = ["CONTRASTS", "Diagnostics", "EffectEstimate", "FastIcaResult", "IcaEr
 
 PIVOT_DEGENERACY_TOL = 1e-8
 LOG_CLIP = 1e-300
-# lowest stop level fastica's float32 sweeps decide: at tol >= F32_SWITCH
-# their test decides converged, and only a lower tol adds float64 sweeps.
-# Float32 sweeps from a converged rotation give 1 - |cos| of 1e-14 to 1e-12
-# (d = 4 to 52, n = 500 to 10^6), so a float32 stop level near or below that
-# floor would hold them to max_iter; 1e-8 is four orders above it
+# lowest tol fastica's float32 sweeps serve; a lower tol runs every sweep in
+# float64. Float32 sweeps from a converged rotation give 1 - |cos| of 1e-14
+# to 1e-12 (d = 4 to 52, n = 500 to 10^6), so a float32 stop level near or
+# below that floor would hold them to max_iter; 1e-8 is four orders above it
 F32_SWITCH = 1e-8
 
 
@@ -202,24 +201,27 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     the one row j with the largest |W[j, anchor]| in the update, the row a
     read anchored on whitened column anchor takes. Convergence means the
     test passed on two sweeps running; one pass alone can be a wandering
-    fit's chance step. A passing row can still be about sqrt(2 tol) rad
-    from the fixed point (1.4e-2 at the default tol). Rows the anchored
-    test does not watch may still be moving when it stops. A non-converged
-    result is still returned with converged=False.
+    fit's chance step. At a stop level s a passing row can still be about
+    sqrt(2 s) rad from the fixed point (1.4e-2 at s = 1e-4). Rows the
+    anchored test does not watch may still be moving when it stops. A
+    non-converged result is still returned with converged=False.
 
-    Sweeps run in float32 until the test passes at max(tol, F32_SWITCH);
-    only a tol below F32_SWITCH adds float64 sweeps, until it passes at
-    tol. Only the sources z w^T, the contrast and g^T z are float32, on one
-    float32 copy of z; the rotation, the decorrelation and the test stay
-    float64. So the float32 test decides converged at tol >= F32_SWITCH and
-    the float64 test below it. iterations counts, and max_iter bounds, the
-    sweeps of both phases. The iteration starts from w_init, or from a draw
-    of default_rng(seed) when w_init is None. After a rank-deficient update
-    candidate the current phase goes on from a fresh draw of
-    default_rng(seed); restarts counts these, and max_iter counts their
-    sweeps. The passes counted toward the two start again at zero after a
-    restart and at the start of the float64 phase. A rank-deficient or
-    non-finite w_init raises, and so does an anchor outside 0..d-1.
+    tol and the row count n of whitened fix the precision and the stop
+    level once. At tol >= F32_SWITCH every sweep runs in float32 and the
+    stop level is max(tol, 1/n): a fitted row is known only to about n^-1/2
+    per entry, and a sweep with 1 - |cos| < 1/n turns it by less than
+    sqrt(2/n), about one standard error, so later sweeps follow noise.
+    Below F32_SWITCH every sweep runs in float64 and the stop level is tol,
+    for the float64 fixed point. Only the sources z w^T, the contrast and
+    g^T z take that precision (float32 ones read one float32 copy of z);
+    the rotation, the decorrelation and the test stay float64.
+
+    The iteration starts from w_init, or from a draw of default_rng(seed)
+    when w_init is None. After a rank-deficient update candidate it goes on
+    from a fresh draw of default_rng(seed) and the passes counted toward
+    the two start again at zero; restarts counts these, and max_iter counts
+    their sweeps. A rank-deficient or non-finite w_init raises, and so does
+    an anchor outside 0..d-1.
     """
     z = np.asarray(whitened, dtype=float)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
@@ -243,30 +245,28 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     if not np.isfinite(w).all():
         raise IcaError("w_init must be finite")
     w = _sym_decorrelation(w)
-    it = restarts = 0
-    phases = ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))
-    for dtype, stop in phases[: 2 if tol < F32_SWITCH else 1]:
-        zt = z.astype(dtype, copy=False)
-        s = np.empty((n, d), dtype)  # the sources and t(sources), refilled every sweep
-        g = np.empty_like(s)
-        passes = 0
-        while passes < 2:
-            if it == max_iter:
-                return FastIcaResult(w, False, it, restarts)
-            it += 1
-            np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
-            _, gp = con(s, out=g)
-            try:
-                w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
-            except IcaError:
-                w = _sym_decorrelation(rng.standard_normal((d, d)))
-                restarts += 1
-                passes = 0
-                continue
-            rows = slice(None) if anchor is None else int(np.argmax(np.abs(w1[:, anchor])))
-            lim = float(np.max(np.abs(np.abs(np.sum(w1[rows] * w[rows], axis=-1)) - 1.0)))
-            w = w1
-            passes = passes + 1 if lim < stop else 0
+    dtype, stop = (np.float32, max(tol, 1.0 / n)) if tol >= F32_SWITCH else (np.float64, tol)
+    zt = z.astype(dtype, copy=False)
+    s = np.empty((n, d), dtype)  # the sources and t(sources), refilled every sweep
+    g = np.empty_like(s)
+    it = restarts = passes = 0
+    while passes < 2:
+        if it == max_iter:
+            return FastIcaResult(w, False, it, restarts)
+        it += 1
+        np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
+        _, gp = con(s, out=g)
+        try:
+            w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
+        except IcaError:
+            w = _sym_decorrelation(rng.standard_normal((d, d)))
+            restarts += 1
+            passes = 0
+            continue
+        rows = slice(None) if anchor is None else int(np.argmax(np.abs(w1[:, anchor])))
+        lim = float(np.max(np.abs(np.abs(np.sum(w1[rows] * w[rows], axis=-1)) - 1.0)))
+        w = w1
+        passes = passes + 1 if lim < stop else 0
     return FastIcaResult(w, True, it, restarts)
 
 
@@ -333,8 +333,7 @@ def extract_effects(unmixing: np.ndarray, p: int, m: int,
     return EffectEstimate(-(w[j, p:p + m] / w[j, p + m]), "ica", diagnostics or Diagnostics())
 
 
-def extract_effects_from_mixing(unmixing: np.ndarray, p: int, m: int,
-                                diagnostics: Optional[Diagnostics] = None) -> EffectEstimate:
+def extract_effects_from_mixing(unmixing: np.ndarray, p: int, m: int) -> EffectEstimate:
     """Read treatment effects off the mixing matrix W^-1 the unmixing implies.
 
     Row j is extract_effects's; treatment i's row r_i is the row other than
@@ -357,8 +356,7 @@ def extract_effects_from_mixing(unmixing: np.ndarray, p: int, m: int,
         mixing = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         raise IcaError("unmixing matrix is singular; it implies no mixing matrix") from None
-    return EffectEstimate(mixing[q, rows] * w[rows, np.arange(p, q)], "ica_mixing",
-                          diagnostics or Diagnostics())
+    return EffectEstimate(mixing[q, rows] * w[rows, np.arange(p, q)], "ica_mixing", Diagnostics())
 
 
 def stationarity_residual(whitened, w_row, contrast="logcosh") -> float:
@@ -377,18 +375,6 @@ def stationarity_residual(whitened, w_row, contrast="logcosh") -> float:
     return float(np.linalg.norm(lhs - lam * w))
 
 
-def _stop_level(tol, n: int) -> float:
-    """estimate_ica's stop level: max(tol, 1/n), or tol itself below F32_SWITCH.
-
-    A fitted row is known only to O(n^-1/2) per whitened entry, and a sweep
-    with 1 - |cos| < 1/n turns it by less than sqrt(2/n), about one standard
-    error, so sweeps past that level follow noise. A tol below F32_SWITCH
-    asks for the float64 fixed point and is kept. A bad tol raises IcaError.
-    """
-    tol = _convert("tol", _as_float, tol, IcaError)
-    return max(tol, 1.0 / n) if tol >= F32_SWITCH else tol
-
-
 def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
                  max_iter: int = 1000, mode: str = "parallel", seed=0) -> EffectEstimate:
     """Full pipeline: whiten, rotate, read effects off the outcome row.
@@ -404,16 +390,15 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     of the orthonormal W has unit norm, and low when the iteration moved far
     from the start.
 
-    fastica stops at _stop_level(tol, n): max(tol, 1/n), or tol itself
-    below F32_SWITCH. The stop sets accuracy as well as cost at small n: on
-    60 fig2 datasets at n = 500, p = 50, tol = 1e-10 gives median error
+    tol goes to fastica as given, which stops at max(tol, 1/n), or at tol
+    itself below F32_SWITCH. The stop sets accuracy as well as cost at small
+    n: on 60 fig2 datasets at n = 500, p = 50, tol = 1e-10 gives median error
     0.120 and 4 errors above 0.5 in a median 991 sweeps; the default gives
     0.073 and 1 in 10 sweeps (0.082 and none in 36.5 at a stop level of 1e-4).
     """
-    stop = _stop_level(tol, dataset.n)
     whitened, k, _ = whiten(dataset.columns)
     p, q = dataset.p, dataset.p + dataset.m
-    result = fastica(whitened, contrast=contrast, tol=stop, max_iter=max_iter,
+    result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m), anchor=q)
     notes = "" if result.converged else "contrast iteration hit max_iter"
     diag = Diagnostics(converged=result.converged, iterations=result.iterations,

@@ -46,7 +46,6 @@ class LassoFit:
 
     weights: np.ndarray
     intercept: float
-    lam: float
     converged: bool
     n_sweeps: int
 
@@ -85,7 +84,6 @@ def lasso_fit(design, target, lam: float, tol: float = 1e-4, max_iter: int = 100
     return LassoFit(
         weights=weights,
         intercept=float(means[p] - means[:p] @ weights),
-        lam=float(lam),  # gram_lasso has refused anything but a number
         converged=converged,
         n_sweeps=sweeps,
     )

@@ -34,7 +34,6 @@ from plrica.ica import (
     F32_SWITCH,
     LOG_CLIP,
     PIVOT_DEGENERACY_TOL,
-    _stop_level,
     _sym_decorrelation,
 )
 
@@ -61,11 +60,11 @@ def builtin_cell_dataset(text, index=0):
 
 
 def fit_from_start(ds, contrast="logcosh"):
-    """estimate_ica's whitening, regression start, stop level at the default
-    tol and contrast iteration, unread."""
+    """estimate_ica's whitening, regression start and contrast iteration at
+    the default tol, unread."""
     z, k, means = whiten(ds.columns)
     w0 = regression_start(k, ds.p, ds.m)
-    res = fastica(z, contrast=contrast, tol=_stop_level(1e-4, ds.n), w_init=w0, anchor=ds.p + ds.m)
+    res = fastica(z, contrast=contrast, w_init=w0, anchor=ds.p + ds.m)
     return res, k, means, w0
 
 
@@ -232,24 +231,20 @@ def _reference_decorrelation(m):
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ m
 
 
-def _two_pass_parallel(z, contrast, tol, max_iter, w, anchor=None):
-    """Reference parallel iteration on fastica's precision schedule: float32
-    sweeps until the stop statistic is below max(tol, F32_SWITCH) on two
-    sweeps running, then, only when tol is below F32_SWITCH, float64 sweeps
-    until it is below tol on two sweeps running. The fused loop in fastica
-    must follow it up to rounding. Returns the rotation, whether the last
-    phase's test passed, and the sweeps of each phase."""
+def _two_pass_parallel(z, contrast, dtype, stop, max_iter, w, anchor=None):
+    """Reference parallel iteration: sweeps in dtype until the stop statistic
+    is below stop on two sweeps running. The fused loop in fastica must
+    follow it up to rounding. Returns the rotation, whether the test
+    passed, and the sweeps."""
     w = _reference_decorrelation(w)
-    sweeps = [0, 0]
-    phases = ((np.float32, max(tol, F32_SWITCH)), (np.float64, tol))
-    for phase, (dtype, stop) in enumerate(phases[: 2 if tol < F32_SWITCH else 1]):
-        last_two = [np.inf, np.inf]
-        while max(last_two) >= stop:
-            if sum(sweeps) == max_iter:
-                return w, False, sweeps
-            w, lim = _reference_sweep(z, contrast, w, dtype, anchor)
-            last_two = [last_two[1], lim]
-            sweeps[phase] += 1
+    last_two = [np.inf, np.inf]
+    sweeps = 0
+    while max(last_two) >= stop:
+        if sweeps == max_iter:
+            return w, False, sweeps
+        w, lim = _reference_sweep(z, contrast, w, dtype, anchor)
+        last_two = [last_two[1], lim]
+        sweeps += 1
     return w, True, sweeps
 
 
@@ -280,23 +275,25 @@ class TestFastIca:
                 estimate_ica(ds, mode=mode)
 
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
-    @pytest.mark.parametrize("tol, phases", [(1e-4, 1), (1e-10, 2)])
+    @pytest.mark.parametrize("tol, dtype, stop", [
+        (1e-4, np.float32, 1 / 2000),  # float32 sweeps to max(tol, 1/n)
+        (1e-10, np.float64, 1e-10),  # below F32_SWITCH: float64 sweeps to tol
+    ])
     @pytest.mark.parametrize("anchor", [None, 4])
-    def test_fused_loop_matches_two_pass_reference(self, contrast, tol, phases, anchor):
+    def test_fused_loop_matches_two_pass_reference(self, contrast, tol, dtype, stop, anchor):
         ds = simulate(laplace_spec(p=3), 2000, seed=11)
         z, _, _ = whiten(ds.columns)
         res = fastica(z, contrast=contrast, tol=tol, seed=4, anchor=anchor)
         w0 = np.random.default_rng(4).standard_normal((z.shape[1], z.shape[1]))
-        w_ref, converged_ref, sweeps = _two_pass_parallel(z, contrast, tol, 1000, w0, anchor)
+        w_ref, converged_ref, sweeps = _two_pass_parallel(z, contrast, dtype, stop, 1000, w0,
+                                                          anchor)
         assert res.converged and converged_ref
-        assert sum(n > 0 for n in sweeps) == phases
-        assert res.iterations == sum(sweeps)
-        # the float32 sweeps of fastica and of the reference round differently,
-        # and any float64 phase starts from there, so the rotations agree to
-        # float32 rounding
+        assert res.iterations == sweeps
+        # float32 sweeps of fastica and of the reference round differently,
+        # so the rotations agree to float32 rounding
         assert np.max(np.abs(res.w_rotation - w_ref)) <= 10 * np.finfo(np.float32).eps
-        # float64 certificate: one more float64 sweep moves no watched row past tol
-        assert _reference_sweep(z, contrast, res.w_rotation, anchor=anchor)[1] < tol
+        # float64 certificate: one more float64 sweep moves no watched row past the stop level
+        assert _reference_sweep(z, contrast, res.w_rotation, anchor=anchor)[1] < stop
 
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
     def test_float32_sweeps_alone_at_float32_stop_levels(self, contrast):
@@ -311,29 +308,33 @@ class TestFastIca:
         # a float32 copy of z, the float32 sources and t(sources), and no float64 n x d array
         assert peak < 2 * z.nbytes
         assert res.converged
-        assert _reference_sweep(z, contrast, res.w_rotation)[1] < F32_SWITCH
-        # below F32_SWITCH the float64 phase still follows
-        w0 = np.random.default_rng(5).standard_normal((z.shape[1], z.shape[1]))
-        _, _, sweeps = _two_pass_parallel(z, contrast, 1e-10, 1000, w0)
-        assert sweeps[1] > 0
-        assert fastica(z, contrast=contrast, tol=1e-10, seed=5).iterations == sum(sweeps)
+        # the stop level is max(tol, 1/n)
+        assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1 / 4000
 
-    def test_tol_below_float32_resolution_converges(self):
-        ds = simulate(laplace_spec(p=3), 10000, seed=12)
+    @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
+    def test_every_sweep_float64_below_f32_switch(self, monkeypatch, contrast):
+        ds = simulate(laplace_spec(p=3), 4000, seed=15)
         z, _, _ = whiten(ds.columns)
-        res = fastica(z, tol=1e-10, seed=1)
-        w0 = np.random.default_rng(1).standard_normal((z.shape[1], z.shape[1]))
-        _, _, sweeps = _two_pass_parallel(z, "logcosh", 1e-10, 1000, w0)
-        assert res.converged
-        assert res.iterations == sum(sweeps) < 100
-        assert _reference_sweep(z, "logcosh", res.w_rotation)[1] < 1e-10
+        dtypes = []
 
-    def test_max_iter_inside_float32_phase(self):
+        def recorded(s, out=None):
+            dtypes.append(s.dtype)
+            return CONTRASTS[contrast](s, out=out)
+        monkeypatch.setattr("plrica.ica.get_contrast", lambda name: recorded)
+        res = fastica(z, contrast=contrast, tol=1e-10, seed=5)
+        w0 = np.random.default_rng(5).standard_normal((z.shape[1], z.shape[1]))
+        _, _, sweeps = _two_pass_parallel(z, contrast, np.float64, 1e-10, 1000, w0)
+        assert res.converged and res.iterations == sweeps
+        assert dtypes == [np.float64] * sweeps
+        # float64 certificate: one more float64 sweep moves no row past tol
+        assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1e-10
+
+    def test_max_iter_inside_float32_sweeps(self):
         ds = simulate(laplace_spec(p=3), 2000, seed=13)
         z, _, _ = whiten(ds.columns)
         w0 = np.random.default_rng(2).standard_normal((z.shape[1], z.shape[1]))
-        _, _, sweeps = _two_pass_parallel(z, "logcosh", 1e-6, 1000, w0)
-        assert sweeps[0] > 3  # so max_iter = 3 ends the fit in the float32 phase
+        _, _, sweeps = _two_pass_parallel(z, "logcosh", np.float32, 1 / 2000, 1000, w0)
+        assert sweeps > 3  # so max_iter = 3 ends the fit before it converges
         res = fastica(z, tol=1e-6, max_iter=3, seed=2)
         w = res.w_rotation
         assert not res.converged and res.iterations == 3
@@ -356,7 +357,7 @@ class TestFastIca:
     @pytest.mark.parametrize("key", ["tol", "max_iter"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, "x", True])
     def test_bad_settings_refused(self, key, value):
-        # estimate_ica compares tol with its stop level; that must not turn a
+        # fastica compares tol with F32_SWITCH and 1/n; that must not turn a
         # bad tol into a TypeError
         ds = simulate(laplace_spec(), 500, seed=2)
         z, _, _ = whiten(ds.columns)
@@ -428,16 +429,13 @@ class TestFastIca:
         assert (res.converged, res.iterations, res.restarts) == (True, sweeps, 0)
         assert res.w_rotation is turned
 
-    @pytest.mark.parametrize("tol, script, restarts", [
-        (1e-4, ["eye", "eye", None, "eye", "eye", "eye"], 1),  # a restart after one pass
-        (1e-10, ["eye"] * 5, 0),  # two float32 passes, then the float64 phase
-    ])
-    def test_restart_and_float64_phase_reset_the_pass_count(self, monkeypatch, tol, script,
-                                                            restarts):
+    def test_restart_resets_the_pass_count(self, monkeypatch):
+        # the start, a passing sweep, a rank-deficient candidate, then two passes
         z, _, _ = whiten(simulate(laplace_spec(p=1), 500, seed=4).columns)
-        self.scripted_rotations(monkeypatch, [None if w is None else np.eye(3) for w in script])
-        res = fastica(z, tol=tol)
-        assert (res.converged, res.iterations, res.restarts) == (True, 4, restarts)
+        eye = np.eye(3)
+        self.scripted_rotations(monkeypatch, [eye, eye, None, eye, eye, eye])
+        res = fastica(z)
+        assert (res.converged, res.iterations, res.restarts) == (True, 4, 1)
 
     @pytest.mark.parametrize("anchor", [-1, 3, True, 1.0, "0"])
     def test_anchor_outside_the_columns_raises(self, anchor):
@@ -448,10 +446,9 @@ class TestFastIca:
     @pytest.mark.parametrize("index", range(4))
     def test_anchored_stop_saves_sweeps_and_keeps_the_read(self, index):
         # fig2 at n = 500, p = 50, the ica_hard cell: 8/6/10/7 sweeps anchored
-        # at estimate_ica's stop level 1/n against 135/52/80/39 for the
-        # all-rows test at tol from the same start; the two reads differ by
-        # 0.082/0.095/0.084/0.046, against a sampling error of about 0.08
-        # (60 replications: median error 0.073 anchored, 0.068 all rows)
+        # against 14/10/16/19 for the all-rows test, both at the stop level
+        # 1/n and from the same start; the two reads differ by
+        # 0.024/0.010/0.017/0.048, against a sampling error of about 0.08
         ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [500]\n"
                                   "covariate_dims = [50]", index)
         z, k, _ = whiten(ds.columns)
@@ -493,6 +490,34 @@ class TestFastIca:
         assert fitted < 0.02
         assert fitted < random_row / 5
 
+    @pytest.mark.parametrize("text, tol, level", [
+        # the ica_hard cell: 1/n is above tol
+        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-4, 1 / 500),
+        # the ica_bulk cell: 1/n equals tol
+        ("scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [logcosh]", 1e-4, 1e-4),
+        # below F32_SWITCH tol asks for the float64 fixed point and is kept
+        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-10, 1e-10),
+    ])
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_stops_at_the_larger_of_tol_and_one_over_n(self, text, tol, level, anchored):
+        ds = builtin_cell_dataset(text)
+        z, k, _ = whiten(ds.columns)
+        w0 = regression_start(k, ds.p, ds.m)
+        anchor = ds.p + ds.m if anchored else None
+        res = fastica(z, tol=tol, w_init=w0, anchor=anchor)
+        at_level = fastica(z, tol=level, w_init=w0, anchor=anchor)
+        assert (res.converged, res.iterations) == (at_level.converged, at_level.iterations)
+        assert res.w_rotation.tobytes() == at_level.w_rotation.tobytes()
+        dtype = np.float32 if tol >= F32_SWITCH else np.float64
+        assert res.iterations == _two_pass_parallel(z, "logcosh", dtype, level, 1000, w0, anchor)[2]
+        if level > tol:
+            unfloored = _two_pass_parallel(z, "logcosh", dtype, tol, 1000, w0, anchor)
+            assert res.iterations < unfloored[2]
+        if anchored:  # estimate_ica passes tol as given
+            est = estimate_ica(ds, tol=tol)
+            assert est.diagnostics.iterations == res.iterations
+            read = extract_effects(res.w_rotation @ k, ds.p, ds.m).theta_hat
+            assert est.theta_hat.tobytes() == read.tobytes()
 
 class TestRegressionStart:
     @pytest.mark.parametrize("m, theta", [(1, (3.0,)), (2, (1.5, -0.5))])
@@ -523,28 +548,6 @@ class TestRegressionStart:
                                   f"contrasts = [{contrast}]")
         diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
         assert diag.converged and diag.iterations <= 6
-
-    @pytest.mark.parametrize("text, tol, level", [
-        # the ica_hard cell: 1/n is above tol
-        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-4, 1 / 500),
-        # the ica_bulk cell: 1/n equals tol
-        ("scenario = appE_contrast\nsample_sizes = [10000]\ncontrasts = [logcosh]", 1e-4, 1e-4),
-        # below F32_SWITCH tol asks for the float64 fixed point and is kept
-        ("scenario = fig2_linear_homl\nsample_sizes = [500]\ncovariate_dims = [50]", 1e-10, 1e-10),
-    ])
-    def test_stops_at_the_larger_of_tol_and_one_over_n(self, text, tol, level):
-        ds = builtin_cell_dataset(text)
-        z, k, _ = whiten(ds.columns)
-        w0 = regression_start(k, ds.p, ds.m)
-        q = ds.p + ds.m
-        res = fastica(z, tol=level, w_init=w0, anchor=q)
-        est = estimate_ica(ds, tol=tol)
-        assert _stop_level(tol, ds.n) == level
-        assert est.diagnostics.iterations == res.iterations
-        read = extract_effects(res.w_rotation @ k, ds.p, ds.m).theta_hat
-        assert est.theta_hat.tobytes() == read.tobytes()
-        if level > tol:
-            assert res.iterations < fastica(z, tol=tol, w_init=w0, anchor=q).iterations
 
     @pytest.mark.parametrize("p, m, side, message", [
         (1, 5, 3, r"K must have shape \(7, 7\), got \(3, 3\)"),
