@@ -33,6 +33,11 @@ LOG_CLIP = 1e-300
 # to 1e-12 (d = 4 to 52, n = 500 to 10^6), so a float32 stop level near or
 # below that floor would hold them to max_iter; 1e-8 is four orders above it
 F32_SWITCH = 1e-8
+# largest float64 row block _whitened forms at once (630 rows at d = 52).
+# It sits beside the centered copy and the float32 output, so it sets how
+# far the whitening peak rises above fastica's sweep buffers (1.5 times the
+# data bytes); at 1 MiB it would pass them by 0.25 times the data at n = 10^4
+_WHITEN_BLOCK_BYTES = 2**18
 
 
 class IcaError(ValueError):
@@ -124,9 +129,30 @@ def whiten(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column's variance the columns before it leave unexplained) is at most
     1e-12, a test that does not depend on the units of the columns.
     ols_joint reads its slopes off the same factor and test (_whitening_factor).
+    whitened is float64, formed in row blocks and equal bit for bit to the
+    one-shot product.
     """
     xc, k, means = _whitening_factor(data)
-    return xc @ k.T, k, means
+    return _whitened(xc, k, np.float64), k, means
+
+
+def _whitened(xc, k, dtype) -> np.ndarray:
+    """xc @ k.T in a new dtype array, formed in row blocks of at most _WHITEN_BLOCK_BYTES.
+
+    Each block is a float64 product cast into the output, so a float32
+    output costs no float64 n x d temporary (np.matmul with a float32 out
+    makes one) and rounds each entry once. A row of the product depends on
+    its own row of xc only, so the output equals (xc @ k.T).astype(dtype)
+    bit for bit. Blocks are balanced, as BLAS can round a product of a few
+    dozen rows or fewer differently.
+    """
+    n, d = xc.shape
+    out = np.empty((n, d), dtype)
+    blocks = -(-n * d * 8 // _WHITEN_BLOCK_BYTES)  # ceiling divisions
+    rows = -(-n // blocks)
+    for lo in range(0, n, rows):
+        np.matmul(xc[lo:lo + rows], k.T, out=out[lo:lo + rows])
+    return out
 
 
 def _whitening_factor(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,6 +217,14 @@ def regression_start(k, p: int, m: int) -> np.ndarray:
     return w / np.linalg.norm(w, axis=1)[:, None]
 
 
+def _sweep_precision(tol, n: int) -> tuple[type, float]:
+    """fastica's sweep dtype and stop level for tol on n rows; a bad tol raises IcaError."""
+    tol = _convert("tol", _as_float, tol, IcaError)
+    if tol <= 0:
+        raise IcaError("tol must be positive")
+    return (np.float32, max(tol, 1.0 / n)) if tol >= F32_SWITCH else (np.float64, tol)
+
+
 def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 1000,
             mode: str = "parallel", seed=0, w_init=None, anchor=None) -> FastIcaResult:
     """Fixed-point contrast iteration on whitened data.
@@ -213,27 +247,30 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     sqrt(2/n), about one standard error, so later sweeps follow noise.
     Below F32_SWITCH every sweep runs in float64 and the stop level is tol,
     for the float64 fixed point. Only the sources z w^T, the contrast and
-    g^T z take that precision (float32 ones read one float32 copy of z);
-    the rotation, the decorrelation and the test stay float64.
+    g^T z take that precision: whitened is read as given when its dtype is
+    the sweeps', and through one copy in it otherwise (a float64 copy of a
+    float32 whitened below F32_SWITCH). The rotation, the decorrelation and
+    the test stay float64.
 
     The iteration starts from w_init, or from a draw of default_rng(seed)
     when w_init is None. After a rank-deficient update candidate it goes on
     from a fresh draw of default_rng(seed) and the passes counted toward
     the two start again at zero; restarts counts these, and max_iter counts
     their sweeps. A rank-deficient or non-finite w_init raises, and so does
-    an anchor outside 0..d-1.
+    an anchor outside 0..d-1. A nan or inf in whitened raises IcaError on
+    the first sweep, found in the d x d update candidate.
     """
-    z = np.asarray(whitened, dtype=float)
+    z = np.asarray(whitened)
     if z.ndim != 2 or z.shape[0] <= z.shape[1]:
         raise IcaError("whitened data must be 2-d with more rows than columns")
-    tol = _convert("tol", _as_float, tol, IcaError)
+    n, d = z.shape
+    dtype, stop = _sweep_precision(tol, n)
     max_iter = _convert("max_iter", _as_int, max_iter, IcaError)
-    if tol <= 0 or max_iter < 1:
-        raise IcaError("tol must be positive and max_iter at least 1")
+    if max_iter < 1:
+        raise IcaError("max_iter must be at least 1")
     if mode != "parallel":  # mode leaves with the benchmark change in ROADMAP item 5
         raise IcaError(f"unknown mode {mode!r}; the iteration is 'parallel' only")
     con = get_contrast(contrast)
-    n, d = z.shape
     if anchor is not None:
         anchor = _convert("anchor", _as_int, anchor, IcaError)
         if not 0 <= anchor < d:
@@ -245,7 +282,6 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
     if not np.isfinite(w).all():
         raise IcaError("w_init must be finite")
     w = _sym_decorrelation(w)
-    dtype, stop = (np.float32, max(tol, 1.0 / n)) if tol >= F32_SWITCH else (np.float64, tol)
     zt = z.astype(dtype, copy=False)
     s = np.empty((n, d), dtype)  # the sources and t(sources), refilled every sweep
     g = np.empty_like(s)
@@ -256,8 +292,11 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         it += 1
         np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
         _, gp = con(s, out=g)
+        w1 = (g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w
+        if not np.isfinite(w1).all():  # outside the try: a restart would meet it again
+            raise IcaError("whitened data contain non-finite values")
         try:
-            w1 = _sym_decorrelation((g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w)
+            w1 = _sym_decorrelation(w1)
         except IcaError:
             w = _sym_decorrelation(rng.standard_normal((d, d)))
             restarts += 1
@@ -395,8 +434,17 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     n: on 60 fig2 datasets at n = 500, p = 50, tol = 1e-10 gives median error
     0.120 and 4 errors above 0.5 in a median 991 sweeps; the default gives
     0.073 and 1 in 10 sweeps (0.082 and none in 36.5 at a stop level of 1e-4).
+
+    The whitened columns are formed straight in fastica's sweep precision,
+    bit for bit whiten's float64 output cast to it, so the fit is fastica's
+    on that output. With the centered copy dropped before the iteration, a
+    fit at tol >= F32_SWITCH holds about 1.5 times the dataset's bytes beside
+    it (1.57 at n = 10^4, d = 52, where a float64 whitened copy made it 2.54).
     """
-    whitened, k, _ = whiten(dataset.columns)
+    dtype, _ = _sweep_precision(tol, dataset.n)
+    xc, k, _ = _whitening_factor(dataset.columns)
+    whitened = _whitened(xc, k, dtype)
+    del xc  # fastica's sweep buffers take its place
     p, q = dataset.p, dataset.p + dataset.m
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m), anchor=q)

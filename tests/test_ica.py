@@ -34,7 +34,10 @@ from plrica.ica import (
     F32_SWITCH,
     LOG_CLIP,
     PIVOT_DEGENERACY_TOL,
+    _WHITEN_BLOCK_BYTES,
     _sym_decorrelation,
+    _whitened,
+    _whitening_factor,
 )
 
 
@@ -59,12 +62,12 @@ def builtin_cell_dataset(text, index=0):
     return simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, index))
 
 
-def fit_from_start(ds, contrast="logcosh"):
-    """estimate_ica's whitening, regression start and contrast iteration at
-    the default tol, unread."""
+def fit_from_start(ds, contrast="logcosh", tol=1e-4):
+    """estimate_ica's whitening, regression start and contrast iteration,
+    unread, with whiten's float64 output as fastica's input."""
     z, k, means = whiten(ds.columns)
     w0 = regression_start(k, ds.p, ds.m)
-    res = fastica(z, contrast=contrast, w_init=w0, anchor=ds.p + ds.m)
+    res = fastica(z, contrast=contrast, tol=tol, w_init=w0, anchor=ds.p + ds.m)
     return res, k, means, w0
 
 
@@ -121,6 +124,22 @@ class TestWhiten:
         data[:, 1] = 2.5
         with pytest.raises(RankDeficientError, match="a column is constant"):
             whiten(data)
+
+    @pytest.mark.parametrize("d", [4, 52])
+    def test_row_blocks_give_the_one_shot_product(self, d):
+        # n = 10^4 + 7 spans 2 (d = 4) or 16 (d = 52) row blocks, the last
+        # one a few rows shorter than the others
+        n = 10_007
+        rng = np.random.default_rng(d)
+        data = rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) + rng.uniform(-5, 5, d)
+        xc, k, _ = _whitening_factor(data)
+        blocks = -(-n * d * 8 // _WHITEN_BLOCK_BYTES)
+        assert blocks > 1 and n % -(-n // blocks)
+        one_shot = xc @ k.T
+        z = whiten(data)[0]
+        assert z.dtype == np.float64 and z.tobytes() == one_shot.tobytes()
+        z32 = _whitened(xc, k, np.float32)
+        assert z32.dtype == np.float32 and z32.tobytes() == one_shot.astype(np.float32).tobytes()
 
 
 class TestContrasts:
@@ -310,6 +329,17 @@ class TestFastIca:
         assert res.converged
         # the stop level is max(tol, 1/n)
         assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1 / 4000
+        # float32 input is read as is: the sources and t(sources) alone, and the same fit
+        z32 = z.astype(np.float32)
+        tracemalloc.start()
+        try:
+            res32 = fastica(z32, contrast=contrast, tol=F32_SWITCH, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * z32.nbytes
+        assert res32.iterations == res.iterations
+        assert res32.w_rotation.tobytes() == res.w_rotation.tobytes()
 
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
     def test_every_sweep_float64_below_f32_switch(self, monkeypatch, contrast):
@@ -328,6 +358,14 @@ class TestFastIca:
         assert dtypes == [np.float64] * sweeps
         # float64 certificate: one more float64 sweep moves no row past tol
         assert _reference_sweep(z, contrast, res.w_rotation)[1] < 1e-10
+        # float32 input is upcast: float64 sweeps, the fit of its float64 copy
+        z32 = z.astype(np.float32)
+        dtypes.clear()
+        res32 = fastica(z32, contrast=contrast, tol=1e-10, seed=5)
+        assert dtypes == [np.float64] * res32.iterations
+        upcast = fastica(z32.astype(np.float64), contrast=contrast, tol=1e-10, seed=5)
+        assert res32.iterations == upcast.iterations
+        assert res32.w_rotation.tobytes() == upcast.w_rotation.tobytes()
 
     def test_max_iter_inside_float32_sweeps(self):
         ds = simulate(laplace_spec(p=3), 2000, seed=13)
@@ -348,6 +386,20 @@ class TestFastIca:
         z.flags.writeable = False
         fastica(z, seed=3)
         assert np.array_equal(z, before)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])
+    def test_non_finite_whitened_data_refused(self, value, dtype, tol):
+        # checked on the d x d update candidate, outside the restart: a
+        # restart would meet the same entry, up to max_iter times
+        z = np.random.default_rng(0).standard_normal((2000, 5)).astype(dtype)
+        z[3, 1] = value
+        with pytest.raises(IcaError, match="whitened data contain non-finite values"):
+            fastica(z, tol=tol)
+        with pytest.raises(IcaError, match="whitened data contain non-finite values"):
+            fastica(z, tol=tol, w_init=np.eye(5), anchor=4)
 
     def test_rank_one_candidate_raises(self):
         rng = np.random.default_rng(5)
@@ -851,3 +903,33 @@ class TestEndToEnd:
         ds = simulate(spec, 10_000, seed=11)
         est = estimate_ica(ds, seed=11)
         assert est.theta_hat[0] == pytest.approx(1.0, abs=0.1)
+
+    @pytest.mark.parametrize("contrast, tol", [
+        ("logcosh", 1e-4), ("exp", 1e-4), ("cube", 1e-4), ("logcosh", 1e-10),
+    ])
+    def test_equals_the_stage_fit_on_whiten_output(self, contrast, tol):
+        # the ica_bulk cell, whose 52 whitened columns span 16 row blocks:
+        # estimate_ica whitens straight into the sweep precision, the stages
+        # whiten in float64 and leave the cast to fastica
+        ds = builtin_cell_dataset("scenario = appE_contrast\nsample_sizes = [10000]\n"
+                                  f"contrasts = [{contrast}]")
+        res, k, _, _ = fit_from_start(ds, contrast, tol)
+        est = estimate_ica(ds, contrast=contrast, tol=tol)
+        assert (est.diagnostics.converged, est.diagnostics.iterations) == (res.converged,
+                                                                          res.iterations)
+        read = extract_effects(res.w_rotation @ k, ds.p, ds.m).theta_hat
+        assert est.theta_hat.tobytes() == read.tobytes()
+
+    def test_traced_peak_below_one_and_three_quarter_datasets(self):
+        # a centered copy, the float32 whitened copy and one float64 row
+        # block, then that copy and fastica's two float32 sweep buffers;
+        # a float64 whitened copy beside them would read about 2.5
+        ds = builtin_cell_dataset("scenario = fig2_linear_homl\nsample_sizes = [20000]\n"
+                                  "covariate_dims = [10]")
+        tracemalloc.start()
+        try:
+            estimate_ica(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * ds.columns.nbytes
