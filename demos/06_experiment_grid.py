@@ -3,7 +3,8 @@
 A scenario is a grid of cells (sample sizes x dimensions x any swept
 axes), each replicated over independent seeds. Seeds derive from cell
 content, not execution order, so a run is reproducible at any worker
-count and any subset of the grid.
+count and any subset of the grid. The contrast is left out of that
+content, so every contrast of a replication fits the same dataset.
 
 Run: python demos/06_experiment_grid.py
 """
@@ -44,7 +45,8 @@ print(f"\nparsed scenario '{config.scenario}': "
 print("noise syntax examples:", parse_noise("gennorm(1.5)"), "|",
       parse_noise("uniform(loc=1, scale=2)"))
 
-# Seeds are a pure function of (scenario, cell content, replication index).
+# Seeds are a pure function of (scenario, cell content but the contrast,
+# replication index).
 cell = config.cells()[0]
 print(f"\ncell {cell} -> seed {cell_seed(config.scenario, cell, 0)} "
       "(stable across runs and machines)")

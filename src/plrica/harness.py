@@ -1,11 +1,15 @@
 """Monte-Carlo experiment harness.
 
 A ScenarioConfig is a grid of process/estimator settings plus a seed
-count. run_scenario expands the grid, derives one independent seed per
-(cell, replication) from the scenario content (so results are independent
-of execution order and worker count), runs every configured method, and
-returns flat ResultRecords. Records serialize to a stable CSV whose
-digest ignores only the wall-clock column.
+count. run_scenario expands the grid and derives one independent seed per
+(data cell, replication) from the scenario content, so results are
+independent of execution order and worker count. A data cell is a cell
+without its contrast: the contrast is an estimator setting, like the
+methods, so every contrast of one replication fits the same dataset.
+Each replication draws its dataset once, whitens it once for every
+contrast, runs every configured method, and run_scenario returns flat
+ResultRecords. Records serialize to a stable CSV whose digest ignores only
+the wall-clock column.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from ._converters import _as_float, _as_int, _as_name, _convert, _each, _instanc
 from .baselines import fit_nuisance, homl_estimate, ols_joint, oml_estimate
 from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
-from .ica import CONTRASTS, EffectEstimate, estimate_ica
+from .ica import CONTRASTS, EffectEstimate, _estimate_whitened, _sweep_whitening
 
 __all__ = ["BUILTIN_SCENARIOS", "CellStats", "ConfigError", "Metrics", "ResultRecord",
            "ScenarioConfig", "aggregate", "band_verdict", "cell_seed", "csv_digest", "emit_csv",
@@ -220,11 +224,17 @@ def scenario_id_for_cell(config: ScenarioConfig, cell: dict) -> str:
 
 
 def cell_seed(scenario: str, cell: dict, index: int) -> int:
-    """Deterministic 63-bit seed derived from cell content, not order."""
+    """Deterministic 63-bit seed derived from cell content, not order.
+
+    Every cell gets the seed of its logcosh twin, the same cell with
+    contrast = logcosh, so the contrasts of one replication share its
+    dataset, and a logcosh cell keeps the seed it had when the contrast
+    was hashed with the rest.
+    """
     parts = [scenario]
     for key, _, _, _ in AXES:
         if key in cell:
-            parts.append(f"{key}={cell[key]!r}")
+            parts.append(f"{key}={'logcosh' if key == 'contrast' else cell[key]!r}")
     parts.append(f"replication={index}")
     digest = hashlib.sha256("|".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
@@ -252,16 +262,21 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
 
 def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: float = 1e-4,
              max_iter: int = 1000, lambda_scale: float = 1.0, folds: int = 2,
-             residuals: Optional[Callable[[], tuple]] = None) -> EffectEstimate:
+             residuals: Optional[Callable[[], tuple]] = None,
+             whitening: Optional[Callable[[], tuple]] = None) -> EffectEstimate:
     """The effect estimate of one method in METHOD_NAMES on one dataset.
 
-    ica uses contrast, seed, tol and max_iter. oml and homl take their
-    (outcome, treatment) residuals from calling residuals, or fit them with
-    fit_nuisance from lambda_scale, folds, tol and max_iter when it is
-    None. ols uses no setting. Every method takes any number of treatments.
+    ica is estimate_ica with contrast, seed, tol and max_iter; it takes its
+    (whitened, K) from calling whitening, or whitens the dataset for tol
+    when it is None. oml and homl take their (outcome, treatment) residuals
+    from calling residuals, or fit them with fit_nuisance from
+    lambda_scale, folds, tol and max_iter when it is None. ols uses no
+    setting. Every method takes any number of treatments.
     """
     if method == "ica":
-        return estimate_ica(dataset, contrast=contrast, tol=tol, max_iter=max_iter, seed=seed)
+        white = whitening or functools.partial(_sweep_whitening, dataset, tol)
+        return _estimate_whitened(dataset, white(), contrast=contrast, tol=tol,
+                                  max_iter=max_iter, seed=seed)
     if method in ("oml", "homl"):
         fit = residuals or functools.partial(fit_nuisance, dataset,
                                              lambda_scale=lambda_scale, folds=folds,
@@ -273,13 +288,21 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
     raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
 
 
-def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list[ResultRecord]:
-    """One simulated dataset, every configured method.
+def run_cell_replication(config: ScenarioConfig, cell: dict,
+                         index: int) -> dict[str, list[ResultRecord]]:
+    """One simulated dataset, every configured contrast and method.
 
-    oml and homl share one cross-fitted nuisance fit per dataset (neither
-    writes into the residual arrays), so the wall_ms of whichever runs
-    first includes that fit. A fit that raises is retried by the next
-    residual method, so each gets its own nan record with the reason.
+    cell names the dataset by its other axis values; its contrast is
+    ignored, as cell_seed ignores it. The result maps each contrast of
+    config.contrasts to its records, in config.methods order. A method that
+    does not read the contrast is fitted once, and its record stands under
+    every contrast. The ica fits share one whitening (estimate_ica's, made
+    at config.tol), and oml and homl one cross-fitted nuisance fit; neither
+    is written into. Each shared fit is made by the first estimate that
+    needs it, so that record's wall_ms includes it: the first contrast's
+    ica record holds the whitening. A shared fit that raises is retried by
+    the next estimate that needs it, so each gets its own nan record with
+    the reason.
     """
     seed = cell_seed(config.scenario, cell, index)
     data_seq, ica_seq = np.random.SeedSequence(seed).spawn(2)
@@ -288,15 +311,19 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
     residuals = functools.cache(lambda: fit_nuisance(
         dataset, lambda_scale=config.lambda_scale, folds=config.folds,
         tol=config.tol, max_iter=config.max_iter))
+    whitening = functools.cache(lambda: _sweep_whitening(dataset, config.tol))
     truth = dataset.ground_truth.theta
     beta = dataset.ground_truth.spec.noise_x.shape_beta
     scenario_id = scenario_id_for_cell(config, cell)
-    records = []
-    for method in config.methods:
+    # (method, contrast column) of each contrast's records; only ica's names a contrast
+    slots = {contrast: [(method, contrast if method == "ica" else "") for method in config.methods]
+             for contrast in config.contrasts}
+    fits = {}
+    for method, contrast in dict.fromkeys(itertools.chain.from_iterable(slots.values())):
         start = time.perf_counter()
         try:
-            est = estimate(method, dataset, contrast=cell["contrast"], seed=ica_seq,
-                           tol=config.tol, max_iter=config.max_iter, residuals=residuals)
+            est = estimate(method, dataset, contrast=contrast, seed=ica_seq, tol=config.tol,
+                           max_iter=config.max_iter, residuals=residuals, whitening=whitening)
             theta_hat = np.atleast_1d(np.asarray(est.theta_hat, dtype=float))
             converged = est.diagnostics.converged
             notes = est.diagnostics.notes
@@ -306,14 +333,14 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
             notes = f"{type(exc).__name__}: {exc}"
         wall_ms = (time.perf_counter() - start) * 1e3
         met = metrics(truth, theta_hat)
-        records.append(ResultRecord(
+        fits[method, contrast] = ResultRecord(
             scenario=scenario_id,
             n=cell["n"],
             dim_x=cell["dim_x"],
             n_treat=spec.m,
             beta=None if beta is None else float(beta),
             nonlinearity=spec.nuisance,
-            contrast=cell["contrast"] if method == "ica" else "",
+            contrast=contrast,
             method=method,
             seed=seed,
             theta_true=truth.copy(),
@@ -323,24 +350,29 @@ def run_cell_replication(config: ScenarioConfig, cell: dict, index: int) -> list
             converged=bool(converged),
             wall_ms=wall_ms,
             notes=notes,
-        ))
-    return records
+        )
+    return {contrast: [fits[slot] for slot in row] for contrast, row in slots.items()}
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]:
-    """Run every (cell, replication, method) combination.
+    """Run every (cell, replication, method) combination, in that order.
 
-    Output order and content are independent of the worker count; each
+    The unit of work is one (data cell, replication): run_cell_replication
+    draws its dataset and fits every contrast and method on it. Output
+    order and content are independent of the worker count; each
     replication's seed is derived from the scenario content. The pool
-    starts all its workers at once, so it gets at most one per
-    replication. Estimator failures become nan-valued records instead of
-    aborting the sweep.
+    starts all its workers at once, so it gets at most one per unit.
+    Estimator failures become nan-valued records instead of aborting the
+    sweep.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    cells = [cell for cell in config.cells() for _ in range(config.seeds)]
-    tasks = (itertools.repeat(config), cells, itertools.cycle(range(config.seeds)))
-    workers = min(workers, len(cells))
+    cells = config.cells()
+    # a data cell stands for every contrast of its dataset
+    data_cells = [cell for cell in cells if cell["contrast"] == config.contrasts[0]]
+    units = [(cell, index) for cell in data_cells for index in range(config.seeds)]
+    tasks = (itertools.repeat(config), *zip(*units))
+    workers = min(workers, len(units))
     if workers == 1:
         chunks = map(run_cell_replication, *tasks)
     else:
@@ -348,8 +380,11 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[ResultRecord]
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(run_cell_replication, *tasks,
-                                   chunksize=max(1, len(cells) // (workers * 8))))
-    return [rec for chunk in chunks for rec in chunk]
+                                   chunksize=max(1, len(units) // (workers * 8))))
+    by_seed = {cell_seed(config.scenario, cell, index): chunk
+               for (cell, index), chunk in zip(units, chunks)}
+    return [record for cell in cells for index in range(config.seeds)
+            for record in by_seed[cell_seed(config.scenario, cell, index)][cell["contrast"]]]
 
 
 # ------------------------------------------------------------- csv layer
@@ -467,12 +502,18 @@ def record_key(record: ResultRecord) -> tuple:
 
 
 def aggregate(records: list[ResultRecord]) -> dict[tuple, CellStats]:
-    """Group records by cell key and summarize the error distributions."""
-    groups: dict[tuple, list[ResultRecord]] = {}
+    """Group records by cell key and summarize the error distributions.
+
+    A record counts once per (cell key, seed): a method that ignores the
+    contrast is fitted once per replication, and its one record stands
+    under every contrast of the grid with the same key and seed.
+    """
+    groups: dict[tuple, dict[int, ResultRecord]] = {}
     for rec in records:
-        groups.setdefault(record_key(rec), []).append(rec)
+        groups.setdefault(record_key(rec), {}).setdefault(rec.seed, rec)
     out = {}
-    for key, recs in groups.items():
+    for key, by_seed in groups.items():
+        recs = list(by_seed.values())
         mses = np.array([r.mse for r in recs])
         ok = np.isfinite(mses)
         n_ok = int(ok.sum())

@@ -290,9 +290,10 @@ def fastica(whitened, contrast="logcosh", tol: float = 1e-4, max_iter: int = 100
         if it == max_iter:
             return FastIcaResult(w, False, it, restarts)
         it += 1
-        np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
-        _, gp = con(s, out=g)
-        w1 = (g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w
+        with np.errstate(invalid="ignore"):  # a nan it makes raises IcaError below
+            np.matmul(zt, w.T.astype(dtype, copy=False), out=s)
+            _, gp = con(s, out=g)
+            w1 = (g.T @ zt).astype(float, copy=False) / n - gp[:, None] * w
         if not np.isfinite(w1).all():  # outside the try: a restart would meet it again
             raise IcaError("whitened data contain non-finite values")
         try:
@@ -440,11 +441,28 @@ def estimate_ica(dataset: Dataset, contrast="logcosh", tol: float = 1e-4,
     on that output. With the centered copy dropped before the iteration, a
     fit at tol >= F32_SWITCH holds about 1.5 times the dataset's bytes beside
     it (1.57 at n = 10^4, d = 52, where a float64 whitened copy made it 2.54).
+    The two halves are _sweep_whitening and _estimate_whitened, so fits
+    with several contrasts on one dataset can share one whitening.
     """
+    return _estimate_whitened(dataset, _sweep_whitening(dataset, tol), contrast=contrast,
+                              tol=tol, max_iter=max_iter, mode=mode, seed=seed)
+
+
+def _sweep_whitening(dataset: Dataset, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(whitened, K) for fits at tol: whiten's columns of dataset in fastica's
+    sweep precision, and its float64 factor K. The centered copy is dropped
+    on return. Raises what whiten raises, and IcaError for a bad tol."""
     dtype, _ = _sweep_precision(tol, dataset.n)
     xc, k, _ = _whitening_factor(dataset.columns)
-    whitened = _whitened(xc, k, dtype)
-    del xc  # fastica's sweep buffers take its place
+    return _whitened(xc, k, dtype), k
+
+
+def _estimate_whitened(dataset: Dataset, whitening: tuple[np.ndarray, np.ndarray], *,
+                       contrast, tol: float, max_iter: int, seed,
+                       mode: str = "parallel") -> EffectEstimate:
+    """estimate_ica's fit and read on _sweep_whitening(dataset, tol), which
+    it reads and never writes, so one whitening serves any number of fits."""
+    whitened, k = whitening
     p, q = dataset.p, dataset.p + dataset.m
     result = fastica(whitened, contrast=contrast, tol=tol, max_iter=max_iter,
                      mode=mode, seed=seed, w_init=regression_start(k, p, dataset.m), anchor=q)

@@ -89,7 +89,8 @@ class TestFitNuisance:
             [2.36734975920871, -5.4454937538205535], [2.440984889718908, -0.26095672406058046],
             [2.4206333867798673, 1.3450192196721216], [2.0326497397833085, -1.4925956924288166],
         ]
-        got = [[float(r.theta_hat[0]) for r in run_cell_replication(cfg, cfg.cells()[0], i)]
+        got = [[float(r.theta_hat[0])
+                for r in run_cell_replication(cfg, cfg.cells()[0], i)["logcosh"]]
                for i in range(len(zero_start))]
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(np.array(got) - zero_start)) <= 1e-2

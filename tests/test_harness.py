@@ -13,6 +13,7 @@ from plrica import (
     ConfigError,
     NoiseSpec,
     PlrSpec,
+    RankDeficientError,
     ResultRecord,
     ScenarioConfig,
     aggregate,
@@ -21,6 +22,7 @@ from plrica import (
     csv_digest,
     emit_csv,
     estimate_homl,
+    estimate_ica,
     estimate_oml,
     lasso_fit,
     metrics,
@@ -221,6 +223,13 @@ class TestCellSeeds:
         assert cell_seed("default_test", {"n": 200, "dim_x": 2, "contrast": "logcosh"}, 0) \
             == 1586863246163916480
 
+    @pytest.mark.parametrize("contrast", ["exp", "cube"])
+    def test_every_contrast_takes_its_logcosh_twins_seed(self, contrast):
+        for index in range(3):
+            twin = cell_seed("default_test", {"n": 200, "dim_x": 2, "contrast": "logcosh"}, index)
+            assert cell_seed("default_test", {"n": 200, "dim_x": 2, "contrast": contrast},
+                             index) == twin
+
     def test_all_axes_order_and_seed_stable(self):
         # frozen like the value above, for a grid that sets every axis
         cfg = ScenarioConfig(
@@ -233,7 +242,10 @@ class TestCellSeeds:
         (cell,) = cfg.cells()
         assert list(cell) == ["n", "dim_x", "n_treat", "beta", "nonlinearity", "slope",
                               "location", "scale", "contrast", "sparsity", "coefficient"]
-        assert cell_seed(cfg.scenario, cell, 4) == 1042894417430622746
+        # the cube cell draws the data of its logcosh twin, whose seed this is;
+        # 1042894417430622746 while the contrast was hashed with the rest
+        assert cell_seed(cfg.scenario, cell, 4) == 8826907118085438149
+        assert cell_seed(cfg.scenario, {**cell, "contrast": "logcosh"}, 4) == 8826907118085438149
         assert scenario_id_for_cell(cfg, cell) == \
             "all_axes[slope=0.3,location=0.5,scale=2,sparsity=0.6,coefficient=0.25]"
 
@@ -289,7 +301,7 @@ class TestSpecForCell:
 class TestRunAndEmit:
     def test_replication_records(self):
         cfg = tiny_config()
-        recs = run_cell_replication(cfg, cfg.cells()[0], 0)
+        recs = run_cell_replication(cfg, cfg.cells()[0], 0)["logcosh"]
         assert [r.method for r in recs] == ["ica", "ols"]
         for r in recs:
             assert r.n == 120 and r.dim_x == 2
@@ -309,7 +321,7 @@ class TestRunAndEmit:
         cfg = tiny_config(methods=("oml", "homl"))
         cell = cfg.cells()[0]
         monkeypatch.setattr(harness, "fit_nuisance", counting_fit)
-        recs = run_cell_replication(cfg, cell, 0)
+        recs = run_cell_replication(cfg, cell, 0)["logcosh"]
         assert len(calls) == 1
         data_seq, _ = np.random.SeedSequence(cell_seed(cfg.scenario, cell, 0)).spawn(2)
         dataset = simulate(spec_for_cell(cfg, cell), cell["n"], data_seq)
@@ -357,7 +369,7 @@ class TestRunAndEmit:
 
         cfg = tiny_config(methods=("ica", "oml", "homl", "ols"))
         monkeypatch.setattr(harness, "estimate", recording_estimate)
-        recs = run_cell_replication(cfg, cfg.cells()[0], 0)
+        recs = run_cell_replication(cfg, cfg.cells()[0], 0)["logcosh"]
         assert seen == ["ica", "oml", "homl", "ols"]
         assert all(np.isfinite(r.mse) for r in recs)
 
@@ -366,7 +378,7 @@ class TestRunAndEmit:
         # residual method must survive with nan metrics and the error name in
         # the notes, even though the two share one nuisance fit
         cfg = tiny_config(sample_sizes=(3,), methods=("oml", "homl"))
-        recs = run_cell_replication(cfg, cfg.cells()[0], 0)
+        recs = run_cell_replication(cfg, cfg.cells()[0], 0)["logcosh"]
         assert [r.method for r in recs] == ["oml", "homl"]
         for rec in recs:
             assert math.isnan(rec.mse)
@@ -552,9 +564,10 @@ class TestWorkers:
         with pytest.raises(ConfigError, match="workers must be at least 1, got 0"):
             run_scenario(tiny_config(), workers=0)
 
-    def test_pool_gets_at_most_one_worker_per_replication(self, monkeypatch, tmp_path):
+    def test_pool_gets_at_most_one_worker_per_unit(self, monkeypatch, tmp_path):
         # the pool starts every worker at its first submit, so a pool wider
-        # than the grid would fork processes that never get a replication
+        # than the grid would fork processes that never get a unit; the two
+        # contrasts of a replication are one unit, so 6 cell replications make 3
         widths = []
 
         class SerialPool:
@@ -571,7 +584,7 @@ class TestWorkers:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        cfg = tiny_config(seeds=3, methods=("ols",))
+        cfg = tiny_config(seeds=3, methods=("ols",), contrasts=("logcosh", "cube"))
         for workers, path in ((8, tmp_path / "pool.csv"), (1, tmp_path / "serial.csv")):
             emit_csv(run_scenario(cfg, workers=workers), path)
         assert widths == [3]
@@ -583,6 +596,112 @@ class TestWorkers:
         recs = run_scenario(cfg, workers=workers)
         assert [(r.n, r.seed) for r in recs] == [(cell["n"], cell_seed(cfg.scenario, cell, i))
                                                  for cell in cfg.cells() for i in range(3)]
+
+
+def contrast_grid(contrasts=("logcosh", "exp"), **kw):
+    """Two data cells, a sparsity axis after the contrast axis (so a data
+    cell's contrasts are not adjacent in grid order), two replications."""
+    return tiny_config(sample_sizes=(150,), sparsity_levels=(0.5, 1.0), contrasts=contrasts,
+                       **kw)
+
+
+def row(record):
+    """Every field of a record but wall_ms, vectors by their bytes."""
+    return tuple(value.tobytes() if isinstance(value, np.ndarray) else value
+                 for name, value in record.__dict__.items() if name != "wall_ms")
+
+
+class TestSharedReplication:
+    """Every contrast of a replication fits one dataset with one whitening."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_follow_cells_replications_and_methods(self, workers):
+        cfg = contrast_grid()
+        recs = run_scenario(cfg, workers=workers)
+        want = [(scenario_id_for_cell(cfg, cell), cell_seed(cfg.scenario, cell, i), method,
+                 cell["contrast"] if method == "ica" else "")
+                for cell in cfg.cells() for i in range(2) for method in ("ica", "ols")]
+        assert [(r.scenario, r.seed, r.method, r.contrast) for r in recs] == want
+
+    def test_contrasts_of_a_replication_share_seed_and_truth(self):
+        cfg = contrast_grid(contrasts=("logcosh", "exp", "cube"))
+        recs = run_scenario(cfg, workers=1)
+        shared = {}
+        for rec in recs:
+            shared.setdefault((rec.scenario, rec.seed), set()).add(rec.theta_true.tobytes())
+        assert len(shared) == 2 * cfg.seeds  # one seed per data cell and replication
+        assert all(len(truths) == 1 for truths in shared.values())
+        ica_recs = [r for r in recs if r.method == "ica"]
+        assert len({(r.scenario, r.seed, r.contrast) for r in ica_recs}) == len(ica_recs) == 12
+
+    def test_logcosh_rows_equal_a_logcosh_only_grid(self):
+        alone = run_scenario(contrast_grid(contrasts=("logcosh",)), workers=1)
+        cfg = contrast_grid(contrasts=("cube", "logcosh"))
+        per_cell = cfg.seeds * len(cfg.methods)
+        logcosh = [rec for k, rec in enumerate(run_scenario(cfg, workers=1))
+                   if cfg.cells()[k // per_cell]["contrast"] == "logcosh"]
+        assert [row(r) for r in logcosh] == [row(r) for r in alone]
+
+    def test_one_simulate_and_one_whitening_per_unit(self, monkeypatch):
+        calls = {"simulate": 0, "whitening": 0}
+
+        def counting(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(harness, "simulate", counting("simulate", harness.simulate))
+        monkeypatch.setattr(harness, "_sweep_whitening",
+                            counting("whitening", harness._sweep_whitening))
+        cfg = contrast_grid(contrasts=("logcosh", "exp", "cube"))
+        recs = run_scenario(cfg, workers=1)
+        assert len(recs) == 6 * 2 * 2
+        assert calls == {"simulate": 4, "whitening": 4}  # 2 data cells x 2 replications
+
+    def test_shared_whitening_estimates_equal_estimate_ica_alone(self):
+        cfg = contrast_grid(contrasts=("logcosh", "exp", "cube"))
+        recs = run_scenario(cfg, workers=1)
+        for k, cell in enumerate(cfg.cells()):
+            for i in range(cfg.seeds):
+                rec = recs[(k * cfg.seeds + i) * 2]
+                assert (rec.method, rec.contrast) == ("ica", cell["contrast"])
+                data_seq, ica_seq = np.random.SeedSequence(rec.seed).spawn(2)
+                dataset = simulate(spec_for_cell(cfg, cell), cell["n"], data_seq)
+                alone = estimate_ica(dataset, contrast=cell["contrast"], tol=cfg.tol,
+                                     max_iter=cfg.max_iter, seed=ica_seq)
+                assert rec.theta_hat.tobytes() == alone.theta_hat.tobytes()
+                assert rec.converged == alone.diagnostics.converged
+
+    def test_a_failed_whitening_is_retried_by_each_contrast(self, monkeypatch):
+        calls = []
+
+        def refusing(*args):
+            calls.append(1)
+            raise RankDeficientError("data covariance is rank deficient")
+
+        monkeypatch.setattr(harness, "_sweep_whitening", refusing)
+        cfg = tiny_config(seeds=1, contrasts=("logcosh", "exp", "cube"))
+        by_contrast = run_cell_replication(cfg, cfg.cells()[0], 0)
+        assert {contrast: [(r.method, r.contrast) for r in recs]
+                for contrast, recs in by_contrast.items()} == {
+            contrast: [("ica", contrast), ("ols", "")] for contrast in ("logcosh", "exp", "cube")}
+        recs = [rec for recs in by_contrast.values() for rec in recs]
+        assert len(calls) == 3
+        for rec in recs:
+            assert math.isnan(rec.mse) == (rec.method == "ica")
+        assert all("RankDeficientError" in r.notes for r in recs if r.method == "ica")
+
+
+    def test_aggregate_counts_a_contrast_blind_record_once(self):
+        # ols stands under both contrasts with one record per replication; its
+        # cell summarizes the 2 datasets, as on a one-contrast grid of the same seeds
+        both = aggregate(run_scenario(tiny_config(contrasts=("logcosh", "exp"))))
+        alone = aggregate(run_scenario(tiny_config()))
+        key = ("tiny", 120, 2, 1, None, "linear", "", "ols")
+        assert both[key].count == 2
+        assert both[key] == alone[key]
+        assert [stats.count for stats in both.values()] == [2, 2, 2]
 
 
 class TestConfigParsing:

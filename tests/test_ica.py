@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -387,19 +388,22 @@ class TestFastIca:
         fastica(z, seed=3)
         assert np.array_equal(z, before)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("tol", [1e-4, 1e-10])
     def test_non_finite_whitened_data_refused(self, value, dtype, tol):
         # checked on the d x d update candidate, outside the restart: a
-        # restart would meet the same entry, up to max_iter times
+        # restart would meet the same entry, up to max_iter times; the
+        # IcaError is the only report, with no numpy warning before it
         z = np.random.default_rng(0).standard_normal((2000, 5)).astype(dtype)
         z[3, 1] = value
-        with pytest.raises(IcaError, match="whitened data contain non-finite values"):
-            fastica(z, tol=tol)
-        with pytest.raises(IcaError, match="whitened data contain non-finite values"):
-            fastica(z, tol=tol, w_init=np.eye(5), anchor=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IcaError, match="whitened data contain non-finite values"):
+                fastica(z, tol=tol)
+            with pytest.raises(IcaError, match="whitened data contain non-finite values"):
+                fastica(z, tol=tol, w_init=np.eye(5), anchor=4)
+        assert [str(w.message) for w in caught] == []
 
     def test_rank_one_candidate_raises(self):
         rng = np.random.default_rng(5)
@@ -594,8 +598,9 @@ class TestRegressionStart:
 
     @pytest.mark.parametrize("contrast", sorted(CONTRASTS))
     def test_few_sweeps_from_the_start(self, contrast):
-        # the ica_bulk cell: 10 to 15 sweeps from a random rotation on its first
-        # five replications, 2 or 3 from the regression start
+        # the ica_bulk cell, whose three contrasts fit one dataset per
+        # replication: 11 to 16 sweeps from a random rotation on its first
+        # five replications, 3 or 4 from the regression start
         ds = builtin_cell_dataset("scenario = appE_contrast\nsample_sizes = [10000]\n"
                                   f"contrasts = [{contrast}]")
         diag = estimate_ica(ds, contrast=contrast, seed=0).diagnostics
