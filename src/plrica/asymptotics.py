@@ -239,7 +239,7 @@ def variance_report(spec: PlrSpec, seed=0) -> VarianceReport:
     )
 
 
-def score_cross_derivative(spec: PlrSpec, x, t, y, h: float = 1e-3) -> np.ndarray:
+def score_cross_derivative(spec: PlrSpec, x, t, y) -> np.ndarray:
     """Numeric cross-derivative of the joint log density at one point.
 
     Returns the length-m vector of central second differences
@@ -249,12 +249,10 @@ def score_cross_derivative(spec: PlrSpec, x, t, y, h: float = 1e-3) -> np.ndarra
     the quadratic log density makes the difference quotient equal to
     theta_j up to float rounding, whatever the evaluation point.
 
-    Requires continuous noise families (densities must exist). h is
-    restricted to [1e-4, 1e-2]: large steps leave the local regime,
-    smaller ones lose all precision to cancellation.
+    Requires continuous noise families (densities must exist). The step h
+    is 1e-3: steps above 1e-2 leave the local regime, and steps below 1e-4
+    lose all precision to cancellation.
     """
-    if not 1e-4 <= h <= 1e-2:
-        raise AsymptoticsError(f"h must lie in [1e-4, 1e-2], got {h}")
     if not spec.is_resolved:
         raise AsymptoticsError("spec has unresolved coefficient blocks; call resolve() first")
     xv = np.asarray(x, dtype=float)
@@ -275,6 +273,7 @@ def score_cross_derivative(spec: PlrSpec, x, t, y, h: float = 1e-3) -> np.ndarra
         eps = y_point - g_x - float(spec.theta @ t_point)
         return float(np.sum(noise_t_eff.log_density(eta))) + float(noise_y_eff.log_density(eps))
 
+    h = 1e-3
     out = np.empty(spec.m)
     for j in range(spec.m):
         step = np.zeros(spec.m)

@@ -14,14 +14,13 @@ the wall-clock column.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import itertools
 import math
 import re
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -153,8 +152,9 @@ class ScenarioConfig:
 
     Every field goes through its converter (_FIELDS) at construction, so a
     config built in Python is refused where config text is, and gets the
-    same cells and cell seeds. Construction, and so
-    dataclasses.replace, also refuses a config with a cell that cannot run.
+    same cells and cell seeds. Construction, and so dataclasses.replace,
+    also refuses an axis list or methods that names an entry twice, after
+    conversion, and a config with a cell that cannot run.
     """
 
     scenario: str
@@ -189,6 +189,11 @@ class ScenarioConfig:
         for name in ("sample_sizes", "covariate_dims", "contrasts", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
+        for name in [name for _, name, _, _ in AXES] + ["methods"]:
+            values = getattr(self, name)
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    raise ConfigError(f"{name} lists {value!r} twice; each entry must differ")
         if (min(self.sample_sizes) < 1 or self.seeds < 1 or self.folds < 2 or self.max_iter < 1
                 or not self.tol > 0 or not self.lambda_scale > 0):
             raise ConfigError("out of range: need sample_sizes, seeds and max_iter >= 1, "
@@ -262,26 +267,31 @@ def spec_for_cell(config: ScenarioConfig, cell: dict) -> PlrSpec:
 
 def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: float = 1e-4,
              max_iter: int = 1000, lambda_scale: float = 1.0, folds: int = 2,
-             residuals: Optional[Callable[[], tuple]] = None,
-             whitening: Optional[Callable[[], tuple]] = None) -> EffectEstimate:
+             shared: Optional[dict] = None) -> EffectEstimate:
     """The effect estimate of one method in METHOD_NAMES on one dataset.
 
-    ica is estimate_ica with contrast, seed, tol and max_iter; it takes its
-    (whitened, K) from calling whitening, or whitens the dataset for tol
-    when it is None. oml and homl take their (outcome, treatment) residuals
-    from calling residuals, or fit them with fit_nuisance from
-    lambda_scale, folds, tol and max_iter when it is None. ols uses no
-    setting. Every method takes any number of treatments.
+    ica is estimate_ica with contrast, seed, tol and max_iter; oml and homl
+    read fit_nuisance's (outcome, treatment) residuals at lambda_scale,
+    folds, tol and max_iter; ols uses no setting. Every method takes any
+    number of treatments. shared, the caller's dict for this one dataset,
+    keeps ("whitening", tol): _sweep_whitening(dataset, tol), and
+    ("residuals", lambda_scale, folds, tol, max_iter): those residuals. Each
+    is made on first need and never written into; a fit that raises is not
+    kept, so the next estimate that needs it retries it.
     """
+    shared = {} if shared is None else shared
     if method == "ica":
-        white = whitening or functools.partial(_sweep_whitening, dataset, tol)
-        return _estimate_whitened(dataset, white(), contrast=contrast, tol=tol,
+        key = ("whitening", tol)
+        if key not in shared:
+            shared[key] = _sweep_whitening(dataset, tol)
+        return _estimate_whitened(dataset, shared[key], contrast=contrast, tol=tol,
                                   max_iter=max_iter, seed=seed)
     if method in ("oml", "homl"):
-        fit = residuals or functools.partial(fit_nuisance, dataset,
-                                             lambda_scale=lambda_scale, folds=folds,
-                                             tol=tol, max_iter=max_iter)
-        ry, rt = fit()
+        key = ("residuals", lambda_scale, folds, tol, max_iter)
+        if key not in shared:
+            shared[key] = fit_nuisance(dataset, lambda_scale=lambda_scale, folds=folds, tol=tol,
+                                       max_iter=max_iter)
+        ry, rt = shared[key]
         return oml_estimate(ry, rt) if method == "oml" else homl_estimate(ry, rt)[0]
     if method == "ols":
         return ols_joint(dataset)
@@ -296,22 +306,17 @@ def run_cell_replication(config: ScenarioConfig, cell: dict,
     ignored, as cell_seed ignores it. The result maps each contrast of
     config.contrasts to its records, in config.methods order. A method that
     does not read the contrast is fitted once, and its record stands under
-    every contrast. The ica fits share one whitening (estimate_ica's, made
-    at config.tol), and oml and homl one cross-fitted nuisance fit; neither
-    is written into. Each shared fit is made by the first estimate that
-    needs it, so that record's wall_ms includes it: the first contrast's
-    ica record holds the whitening. A shared fit that raises is retried by
-    the next estimate that needs it, so each gets its own nan record with
-    the reason.
+    every contrast. The estimates share one dict of fits (see estimate): the
+    ica fits one whitening, oml and homl one nuisance fit. The first
+    estimate that needs a fit makes it, so its wall_ms includes it: the
+    first contrast's ica record holds the whitening. A fit that raises is
+    retried by the next estimate, so each gets its own nan record.
     """
     seed = cell_seed(config.scenario, cell, index)
     data_seq, ica_seq = np.random.SeedSequence(seed).spawn(2)
     spec = spec_for_cell(config, cell)
     dataset = simulate(spec, cell["n"], data_seq)
-    residuals = functools.cache(lambda: fit_nuisance(
-        dataset, lambda_scale=config.lambda_scale, folds=config.folds,
-        tol=config.tol, max_iter=config.max_iter))
-    whitening = functools.cache(lambda: _sweep_whitening(dataset, config.tol))
+    shared = {}
     truth = dataset.ground_truth.theta
     beta = dataset.ground_truth.spec.noise_x.shape_beta
     scenario_id = scenario_id_for_cell(config, cell)
@@ -323,7 +328,8 @@ def run_cell_replication(config: ScenarioConfig, cell: dict,
         start = time.perf_counter()
         try:
             est = estimate(method, dataset, contrast=contrast, seed=ica_seq, tol=config.tol,
-                           max_iter=config.max_iter, residuals=residuals, whitening=whitening)
+                           max_iter=config.max_iter, lambda_scale=config.lambda_scale,
+                           folds=config.folds, shared=shared)
             theta_hat = np.atleast_1d(np.asarray(est.theta_hat, dtype=float))
             converged = est.diagnostics.converged
             notes = est.diagnostics.notes

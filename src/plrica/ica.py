@@ -357,8 +357,7 @@ def _outcome_row(unmixing, p: int, m: int) -> tuple[np.ndarray, int]:
     return w, j
 
 
-def extract_effects(unmixing: np.ndarray, p: int, m: int,
-                    diagnostics: Optional[Diagnostics] = None) -> EffectEstimate:
+def extract_effects(unmixing: np.ndarray, p: int, m: int) -> EffectEstimate:
     """Read treatment effects off an unmixing of the raw columns (X, T, Y).
 
     The exact outcome row (-b, -theta, 1) is the only row with a nonzero
@@ -370,7 +369,7 @@ def extract_effects(unmixing: np.ndarray, p: int, m: int,
     IcaError.
     """
     w, j = _outcome_row(unmixing, p, m)
-    return EffectEstimate(-(w[j, p:p + m] / w[j, p + m]), "ica", diagnostics or Diagnostics())
+    return EffectEstimate(-(w[j, p:p + m] / w[j, p + m]), "ica", Diagnostics())
 
 
 def extract_effects_from_mixing(unmixing: np.ndarray, p: int, m: int) -> EffectEstimate:
@@ -470,4 +469,5 @@ def _estimate_whitened(dataset: Dataset, whitening: tuple[np.ndarray, np.ndarray
     diag = Diagnostics(converged=result.converged, iterations=result.iterations,
                        condition_value=float(np.max(np.abs(result.w_rotation[:, q]))),
                        notes=notes, restarts=result.restarts)
-    return extract_effects(result.w_rotation @ k, p, dataset.m, diag)
+    read = extract_effects(result.w_rotation @ k, p, dataset.m)
+    return EffectEstimate(read.theta_hat, "ica", diag)

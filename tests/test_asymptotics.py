@@ -256,13 +256,6 @@ class TestScoreCrossDerivative:
                                      rng.uniform(-1, 1, 1), 0.3)
         assert got[0] == pytest.approx(1.55, abs=1e-3)
 
-    def test_step_size_validated(self):
-        spec = resolve(PlrSpec(p=1, m=1, theta=[1.0]), np.random.default_rng(0))
-        with pytest.raises(AsymptoticsError):
-            score_cross_derivative(spec, [0.0], [0.0], 0.0, h=1e-5)
-        with pytest.raises(AsymptoticsError):
-            score_cross_derivative(spec, [0.0], [0.0], 0.0, h=0.5)
-
     def test_unresolved_spec_rejected(self):
         with pytest.raises(AsymptoticsError):
             score_cross_derivative(PlrSpec(p=1, m=1), [0.0], [0.0], 0.0)

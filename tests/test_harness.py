@@ -123,6 +123,21 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             tiny_config(methods=("ica", "ridge"))
 
+    @pytest.mark.parametrize("key,value,entry", [
+        ("contrasts", "[exp, exp]", "'exp'"),
+        ("methods", "[ica, ica, ols]", "'ica'"),
+        ("sample_sizes", "[200, 500, 200]", "200"),
+        ("beta_values", "[1, 1.0]", "1.0"),  # the same entry once converted
+        ("scales", "[2.0, 0.5, 2]", "2.0"),
+    ])
+    def test_repeated_entry_refused(self, key, value, entry):
+        # a repeat would run its cells, or write its method's rows, twice
+        text = f"{key} = {value}"
+        with pytest.raises(ConfigError, match=rf"^{key} lists {entry} twice"):
+            scenario_from_config(f"scenario = custom\n{text}")
+        with pytest.raises(ConfigError, match=rf"^{key} lists {entry} twice"):
+            tiny_config(**parse_config_text(text))
+
     @pytest.mark.parametrize("key", ["seeds", "folds", "max_iter"])
     @pytest.mark.parametrize("value", [2.5, 10.0, True])
     def test_integer_settings_refuse_non_integers(self, key, value):
@@ -310,7 +325,9 @@ class TestRunAndEmit:
         assert recs[0].contrast == "logcosh"
         assert recs[1].contrast == ""
 
-    def test_residual_methods_share_one_nuisance_fit(self, monkeypatch):
+    @pytest.mark.parametrize("settings", [{}, {"lambda_scale": 0.5, "folds": 3}])
+    def test_residual_methods_share_one_nuisance_fit(self, monkeypatch, settings):
+        # a grid's own lambda_scale and folds reach the one shared fit
         calls = []
         real_fit = harness.fit_nuisance
 
@@ -318,7 +335,7 @@ class TestRunAndEmit:
             calls.append(1)
             return real_fit(*args, **kwargs)
 
-        cfg = tiny_config(methods=("oml", "homl"))
+        cfg = tiny_config(methods=("oml", "homl"), **settings)
         cell = cfg.cells()[0]
         monkeypatch.setattr(harness, "fit_nuisance", counting_fit)
         recs = run_cell_replication(cfg, cell, 0)["logcosh"]
@@ -659,8 +676,9 @@ class TestSharedReplication:
         assert len(recs) == 6 * 2 * 2
         assert calls == {"simulate": 4, "whitening": 4}  # 2 data cells x 2 replications
 
-    def test_shared_whitening_estimates_equal_estimate_ica_alone(self):
-        cfg = contrast_grid(contrasts=("logcosh", "exp", "cube"))
+    @pytest.mark.parametrize("tol", [1e-4, 1e-10])  # float32 sweeps, then float64 ones
+    def test_shared_whitening_estimates_equal_estimate_ica_alone(self, tol):
+        cfg = contrast_grid(contrasts=("logcosh", "exp", "cube"), tol=tol)
         recs = run_scenario(cfg, workers=1)
         for k, cell in enumerate(cfg.cells()):
             for i in range(cfg.seeds):
