@@ -9,7 +9,7 @@ any number of treatments. ols_joint regresses Y on (X, T, 1) jointly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,11 +44,13 @@ class MomentDiagnostics:
     degenerate: np.ndarray
 
 
-def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
-                 tol: float = 1e-4, max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, tol: float = 1e-4,
+                 max_iter: int = 1000) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Cross-fitted (n,) outcome and (n, m) treatment residuals on X, the
     input of oml_estimate and homl_estimate: each row's residual is from
-    the lasso fit on the other folds.
+    the lasso fit on the other folds. The third element names each fit
+    that stopped at max_iter, as "fold k" and its target column
+    ("fold 0 t_0", "fold 1 y"); it is empty when every fit converged.
 
     Fold k is the rows with index % folds == k, the strided view
     xc[k::folds] of one centered copy xc of dataset.columns. The penalty
@@ -77,16 +79,30 @@ def fit_nuisance(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
     sums = [np.ones(len(part)) @ part for part in parts]
     cross = [part.T @ part for part in parts]
     predictions = np.empty((n, dataset.m + 1))
+    stopped = []
     for k in range(folds):
         n_train = n - len(parts[k])
         others = [j for j in range(folds) if j != k]
         train_means = sum(sums[j] for j in others) / n_train
         moments = sum(cross[j] for j in others) / n_train - np.outer(train_means, train_means)
         lam = lambda_scale * math.sqrt(math.log(p + dataset.m + 1) / n_train)
-        weights = np.column_stack([w for w, _, _ in gram_lasso(moments, p, lam, tol, max_iter)])
+        fits = gram_lasso(moments, p, lam, tol, max_iter)
+        weights = np.column_stack([w for w, _, _ in fits])
+        stopped += [f"fold {k} {name}" for name, (_, converged, _) in
+                    zip(dataset.column_names[p:], fits) if not converged]
         offsets = train_means[p:] - train_means[:p] @ weights + col_means[p:]
         predictions[k::folds] = parts[k][:, :p] @ weights + offsets
-    return dataset.y - predictions[:, -1], dataset.t - predictions[:, :-1]
+    return dataset.y - predictions[:, -1], dataset.t - predictions[:, :-1], tuple(stopped)
+
+
+def _with_stopped_fits(estimate: EffectEstimate, stopped: tuple[str, ...]) -> EffectEstimate:
+    """estimate, marked not converged with a note naming the nuisance fits
+    that stopped at max_iter, when fit_nuisance reported any."""
+    if stopped:
+        notes = "; ".join(filter(None, (estimate.diagnostics.notes,
+                                        "lasso stopped at max_iter: " + ", ".join(stopped))))
+        estimate.diagnostics = replace(estimate.diagnostics, converged=False, notes=notes)
+    return estimate
 
 
 def _residual_columns(resid_y, resid_t) -> tuple[np.ndarray, np.ndarray]:
@@ -143,9 +159,10 @@ def homl_estimate(resid_y, resid_t) -> tuple[EffectEstimate, MomentDiagnostics]:
 
 def estimate_oml(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2,
                  tol: float = 1e-4, max_iter: int = 1000) -> EffectEstimate:
-    """Cross-fitted residual-on-residual estimate of every treatment effect."""
-    ry, rt = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
-    return oml_estimate(ry, rt)
+    """Cross-fitted residual-on-residual estimate of every treatment effect;
+    not converged when a nuisance fit stopped at max_iter."""
+    ry, rt, stopped = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
+    return _with_stopped_fits(oml_estimate(ry, rt), stopped)
 
 
 def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, tol: float = 1e-4,
@@ -154,9 +171,11 @@ def estimate_homl(dataset: Dataset, lambda_scale: float = 1.0, folds: int = 2, t
 
     Returns the estimate together with the moment-denominator health report;
     callers that only need the point estimate can discard the second element.
+    The estimate is not converged when a nuisance fit stopped at max_iter.
     """
-    ry, rt = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
-    return homl_estimate(ry, rt)
+    ry, rt, stopped = fit_nuisance(dataset, lambda_scale, folds, tol, max_iter)
+    estimate, moments = homl_estimate(ry, rt)
+    return _with_stopped_fits(estimate, stopped), moments
 
 
 def ols_joint(dataset: Dataset) -> EffectEstimate:

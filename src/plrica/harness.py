@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._converters import _as_float, _as_int, _as_name, _convert, _each, _instance_of, _one_of
-from .baselines import fit_nuisance, homl_estimate, ols_joint, oml_estimate
+from .baselines import _with_stopped_fits, fit_nuisance, homl_estimate, ols_joint, oml_estimate
 from .dgp import _FIELDS as _PLR_FIELDS, Dataset, PlrSpec, _as_noise, simulate
 from .distributions import NoiseSpec
 from .ica import CONTRASTS, EffectEstimate, _estimate_whitened, _sweep_whitening
@@ -272,10 +272,11 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
 
     ica is estimate_ica with contrast, seed, tol and max_iter; oml and homl
     read fit_nuisance's (outcome, treatment) residuals at lambda_scale,
-    folds, tol and max_iter; ols uses no setting. Every method takes any
+    folds, tol and max_iter, and are not converged when one of its lasso
+    fits stopped at max_iter; ols uses no setting. Every method takes any
     number of treatments. shared, the caller's dict for this one dataset,
     keeps ("whitening", tol): _sweep_whitening(dataset, tol), and
-    ("residuals", lambda_scale, folds, tol, max_iter): those residuals. Each
+    ("residuals", lambda_scale, folds, tol, max_iter): fit_nuisance's. Each
     is made on first need and never written into; a fit that raises is not
     kept, so the next estimate that needs it retries it.
     """
@@ -291,8 +292,9 @@ def estimate(method: str, dataset: Dataset, *, contrast="logcosh", seed=0, tol: 
         if key not in shared:
             shared[key] = fit_nuisance(dataset, lambda_scale=lambda_scale, folds=folds, tol=tol,
                                        max_iter=max_iter)
-        ry, rt = shared[key]
-        return oml_estimate(ry, rt) if method == "oml" else homl_estimate(ry, rt)[0]
+        ry, rt, stopped = shared[key]
+        moment = oml_estimate(ry, rt) if method == "oml" else homl_estimate(ry, rt)[0]
+        return _with_stopped_fits(moment, stopped)
     if method == "ols":
         return ols_joint(dataset)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")

@@ -17,7 +17,10 @@ import numpy as np
 
 from ._converters import _as_float, _as_int, _convert
 
-__all__ = ["KernelError", "LassoFit", "hungarian", "lasso_fit", "soft_threshold"]
+__all__ = ["KernelError", "soft_threshold"]
+# LassoFit, lasso_fit and hungarian stay outside __all__: only bench/run.py's
+# probes reach them (hungarian through ica.canonicalize), and they go with
+# those probes in ROADMAP item 5
 
 ZERO_SCALE = 1e-12  # a column with standard deviation at or below this gets weight 0
 ACTIVE_SET_STEPS = 20  # cap on active-set steps per target; coordinate descent finishes

@@ -16,7 +16,6 @@ from plrica import (
     NoiseSpec,
     PlrSpec,
     build_linear_mixing,
-    canonicalize,
     csv_digest,
     emit_csv,
     estimate_homl,
@@ -36,6 +35,7 @@ from plrica import (
     var_ica_mixing,
     whiten,
 )
+from plrica.ica import canonicalize
 
 LAPLACE = NoiseSpec.laplace()
 

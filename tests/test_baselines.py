@@ -13,7 +13,6 @@ from plrica import (
     estimate_oml,
     fit_nuisance,
     homl_estimate,
-    lasso_fit,
     ols_joint,
     oml_estimate,
     scenario_from_config,
@@ -21,6 +20,7 @@ from plrica import (
 )
 from plrica.harness import run_cell_replication
 from plrica.ica import CONTRASTS
+from plrica.kernels import lasso_fit
 
 
 def laplace_spec(p=2, theta=3.0, **kw):
@@ -33,7 +33,7 @@ class TestFitNuisance:
         # n = 101 in 2 folds: fold 0 holds the 51 even rows, so its model
         # trained on 50 rows and fold 1's on 51, each at its own penalty
         ds = simulate(laplace_spec(p=2), 101, seed=0)
-        ry, rt = fit_nuisance(ds, lambda_scale=2.0, folds=2)
+        ry, rt, _ = fit_nuisance(ds, lambda_scale=2.0, folds=2)
         residuals = np.column_stack([rt, ry])
         targets = np.column_stack([ds.t, ds.y])
         for k, n_train in ((0, 50), (1, 51)):
@@ -49,7 +49,7 @@ class TestFitNuisance:
         spec = PlrSpec(p=3, m=2, noise_x=NoiseSpec.laplace(),
                        noise_t=NoiseSpec.laplace(), noise_y=NoiseSpec.laplace())
         ds = simulate(spec, 120, seed=2)
-        ry, rt = fit_nuisance(ds)
+        ry, rt, _ = fit_nuisance(ds)
         assert ry.shape == (120,)
         assert rt.shape == (120, 2)
 
@@ -57,7 +57,7 @@ class TestFitNuisance:
         # prediction quality on held-out halves: residual var must be close
         # to the noise floor, far below the raw outcome variance
         ds = simulate(laplace_spec(p=5), 4000, seed=3)
-        ry, _ = fit_nuisance(ds)
+        ry, _, _ = fit_nuisance(ds)
         assert ry.var() < 0.5 * ds.y.var()
 
     @pytest.mark.parametrize("folds", [2, 3])
@@ -94,6 +94,22 @@ class TestFitNuisance:
                for i in range(len(zero_start))]
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(np.array(got) - zero_start)) <= 1e-2
+
+    def test_fits_stopped_at_max_iter_are_reported(self):
+        # n = 100, p = 50: one sweep leaves each of the 4 fits (2 folds x 2
+        # targets) short of the stop test, and the estimates built on them
+        # say so; at the default max_iter every fit converges
+        ds = simulate(laplace_spec(p=50), 100, seed=1)
+        stopped = ("fold 0 t_0", "fold 0 y", "fold 1 t_0", "fold 1 y")
+        assert fit_nuisance(ds, max_iter=1)[2] == stopped
+        assert fit_nuisance(ds)[2] == ()
+        note = "lasso stopped at max_iter: " + ", ".join(stopped)
+        for est in (estimate_oml(ds, max_iter=1), estimate_homl(ds, max_iter=1)[0]):
+            assert not est.diagnostics.converged
+            assert est.diagnostics.notes.endswith(note)
+        for est in (estimate_oml(ds), estimate_homl(ds)[0]):
+            assert est.diagnostics.converged
+            assert "max_iter" not in est.diagnostics.notes
 
     def test_bad_args(self):
         ds = simulate(laplace_spec(), 50, seed=4)
@@ -210,7 +226,7 @@ class TestSeveralTreatments:
         residuals = [fit_nuisance(simulate(MULTI, 5000, seed=s)) for s in range(8)]
         assert residuals[0][1].shape == (5000, 2)
         for name, moment in (("oml", oml_estimate), ("homl", lambda *r: homl_estimate(*r)[0])):
-            thetas = np.array([moment(ry, rt).theta_hat for ry, rt in residuals])
+            thetas = np.array([moment(ry, rt).theta_hat for ry, rt, _ in residuals])
             se = thetas.std(axis=0, ddof=1) / math.sqrt(len(thetas))
             assert np.all(np.abs(thetas.mean(axis=0) - MULTI.theta) <= 3.0 * se), name
 

@@ -310,3 +310,17 @@ def test_public_names_resolve_once():
     exported = {name for name, value in vars(plrica).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == set(plrica.__all__)
+
+
+def test_benchmark_probe_names_stay_in_their_modules():
+    """Only bench/run.py's probes call these names: they stay module
+    attributes, and plrica does not export them."""
+    plrica = importlib.import_module("plrica")
+    assert len(plrica.__all__) == 72
+    for module_name, names in (("ica", ("assemble_unmixing", "canonicalize")),
+                               ("kernels", ("LassoFit", "hungarian", "lasso_fit"))):
+        module = importlib.import_module(f"plrica.{module_name}")
+        for name in names:
+            assert hasattr(module, name)
+            assert name not in module.__all__
+            assert not hasattr(plrica, name)

@@ -24,7 +24,6 @@ from plrica import (
     estimate_homl,
     estimate_ica,
     estimate_oml,
-    lasso_fit,
     metrics,
     read_records,
     run_scenario,
@@ -40,6 +39,7 @@ from plrica.harness import (
     scenario_id_for_cell,
     spec_for_cell,
 )
+from plrica.kernels import lasso_fit
 
 LAP = NoiseSpec.laplace()
 
@@ -349,6 +349,15 @@ class TestRunAndEmit:
         assert np.array_equal(recs[0].theta_hat, want_oml)
         assert np.array_equal(recs[1].theta_hat, want_homl)
 
+    def test_residual_methods_share_the_stopped_fits(self):
+        # at max_iter = 1 some nuisance fit of this p = 50, n = 100 cell
+        # stops short; both records built on the one shared fit say so
+        cfg = tiny_config(sample_sizes=(100,), covariate_dims=(50,), methods=("oml", "homl"),
+                          max_iter=1)
+        recs = run_cell_replication(cfg, cfg.cells()[0], 0)["logcosh"]
+        assert [r.converged for r in recs] == [False, False]
+        assert all("lasso stopped at max_iter: fold " in r.notes for r in recs)
+
     def test_nuisance_fit_builds_one_gram_per_fold(self, monkeypatch):
         # each fold builds its training moment matrix once and the solver
         # fits all m + 1 targets on it; the residuals are those of one
@@ -363,7 +372,7 @@ class TestRunAndEmit:
         spec = PlrSpec(p=5, m=2, theta=[1.0, 0.5], noise_x=LAP, noise_t=LAP, noise_y=LAP)
         dataset = simulate(spec, 300, seed=3)
         monkeypatch.setattr(baselines, "gram_lasso", counting_solver)
-        ry, rt = baselines.fit_nuisance(dataset, folds=3)
+        ry, rt, _ = baselines.fit_nuisance(dataset, folds=3)
         assert calls == [3, 3, 3]
         columns = np.column_stack([dataset.t, dataset.y])
         residuals = np.column_stack([rt, ry])
@@ -408,7 +417,7 @@ class TestRunAndEmit:
         b = run_scenario(cfg, workers=2)
         assert len(a) == len(cfg.cells()) * cfg.seeds * len(cfg.methods)
         for ra, rb in zip(a, b):
-            assert ra.theta_hat == rb.theta_hat
+            assert ra.theta_hat.tobytes() == rb.theta_hat.tobytes()
             assert ra.seed == rb.seed
 
     def test_csv_round_trip(self, tmp_path):
@@ -420,7 +429,7 @@ class TestRunAndEmit:
         assert len(back) == len(recs)
         for ra, rb in zip(recs, back):
             assert ra.scenario == rb.scenario
-            assert ra.theta_hat == rb.theta_hat
+            assert ra.theta_hat.tobytes() == rb.theta_hat.tobytes()
             assert ra.beta is None and rb.beta is None
             assert ra.converged == rb.converged
 

@@ -13,15 +13,12 @@ from plrica import (
     NoiseSpec,
     PlrSpec,
     RankDeficientError,
-    assemble_unmixing,
     build_linear_mixing,
-    canonicalize,
     estimate_ica,
     extract_effects,
     extract_effects_from_mixing,
     fastica,
     get_contrast,
-    hungarian,
     ols_joint,
     regression_start,
     resolve,
@@ -39,7 +36,10 @@ from plrica.ica import (
     _sym_decorrelation,
     _whitened,
     _whitening_factor,
+    assemble_unmixing,
+    canonicalize,
 )
+from plrica.kernels import hungarian
 
 
 def laplace_spec(p=2, m=1, theta=(3.0,)):
@@ -57,7 +57,10 @@ BUILTIN_CELLS = [
 
 
 def builtin_cell_dataset(text, index=0):
-    """Replication index of the first cell of a builtin config, as the harness draws it."""
+    """A dataset of the first cell of a builtin config, simulated from
+    cell_seed(scenario, cell, index) itself. run_cell_replication draws
+    replication index from SeedSequence(that seed).spawn(2)[0] instead, so
+    this is not the harness's dataset, only one of the cell's process."""
     config = scenario_from_config(text)
     cell = config.cells()[0]
     return simulate(spec_for_cell(config, cell), cell["n"], cell_seed(config.scenario, cell, index))

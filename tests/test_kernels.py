@@ -8,18 +8,15 @@ from hypothesis import strategies as st
 
 from plrica import (
     KernelError,
-    assemble_unmixing,
     fastica,
-    hungarian,
-    lasso_fit,
     scenario_from_config,
     simulate,
     soft_threshold,
     whiten,
 )
 from plrica.harness import cell_seed, spec_for_cell
-from plrica.ica import LOG_CLIP
-from plrica.kernels import ACTIVE_SET_STEPS, active_set_start, gram_lasso
+from plrica.ica import LOG_CLIP, assemble_unmixing
+from plrica.kernels import ACTIVE_SET_STEPS, active_set_start, gram_lasso, hungarian, lasso_fit
 
 
 class TestSoftThreshold:
